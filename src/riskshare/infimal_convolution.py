@@ -12,8 +12,12 @@ are handled:
   closed-forms to the base inflated by the smallest gamma_a, attained by
   loading all risk on the minimizing atoms;
 * general families: the value is computed through its dual, maximizing
-  E_Q[x] minus the weighted sum of per-atom penalties over densities. No
-  primal allocation is certified on this path.
+  E_Q[x] minus the weighted sum of per-atom penalties over densities. The
+  family reduces to one KL weight, one uniform cap and a set of scenario
+  hulls, and opt_kernel solves each structure exactly: the sorting rule
+  for caps alone, the KKT-certified capped Gibbs point for a KL weight with
+  caps, the simplex when hulls are present. No primal allocation is
+  certified on this path.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opt_kernel
-from .agent_space import AgentSpace, Allocation, RiskFamily, is_feasible, total_risk
+from .agent_space import AgentSpace, Allocation, RiskFamily
 from .errors import (
     IllPosedError,
     InfeasibleError,
@@ -61,7 +65,6 @@ VACUOUS_TOL = 1e-9
 
 class Attainment(str, enum.Enum):
     ATTAINED = "attained"
-    NOT_ATTAINED = "not_attained"
     UNKNOWN = "unknown"
 
 
@@ -359,16 +362,3 @@ def nonattainment_experiment(base: RiskSpec, gamma_of, target_gamma: float,
         results.append((n, val, val - continuum_value))
     return results
 
-
-def certify_allocation(market: Market, x, alloc: Allocation,
-                       tol: float = CERTIFICATE_TOL) -> float:
-    """Total-risk gap of a feasible allocation against the sharing value.
-
-    Helper used by the CLI and tests: raises if the allocation is not
-    feasible, returns total_risk(alloc) - value (which is >= -tol for any
-    feasible allocation).
-    """
-    if not is_feasible(market.agents, alloc, x):
-        raise ValidationError("allocation does not integrate to x")
-    res = value(market, x)
-    return total_risk(market.agents, market.family, market.space, alloc) - res.value

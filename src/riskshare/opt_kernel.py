@@ -1,14 +1,20 @@
-"""Small dense optimization routines: a two-phase simplex and a projected
-gradient loop over densities.
+"""Small dense optimization routines: a two-phase simplex and exact
+maximization over densities.
 
-Instances here are tiny (variables on the order of the number of states plus
-a handful of scenario weights), so the solvers favor determinism and
+Maximizing E_Q[x] - kappa * KL(Q||P) over densities has one solve path per
+constraint structure: the sorting rule for caps alone with kappa = 0, the
+capped Gibbs point (certified by its KKT residual) for caps alone with
+kappa > 0, and the simplex for scenario-hull constraints.
+
+LP instances here are small (variables on the order of the number of states
+plus a handful of scenario weights), so the simplex favors determinism and
 anti-cycling correctness over speed: Bland's rule, no scaling, no presolve.
 Identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,28 +271,37 @@ def maximize_over_densities(
     space: ProbSpace,
     objective: DensityObjective,
     constraints: DensityConstraints = DensityConstraints(),
-    start: np.ndarray | None = None,
 ) -> tuple[Density, float]:
     """Maximize the score over feasible densities.
 
-    Linear scores (kl_weight == 0) go through the simplex; entropic-penalized
-    scores run projected gradient ascent on the capped density simplex,
-    warm-started at the stationarity (capped-Gibbs) point unless ``start``
-    overrides it. Raises InfeasibleError when no density satisfies the
-    constraints, and ConvergenceError (with the best iterate) when the
-    gradient loop stalls.
+    Each constraint structure has one exact solve path:
+
+    * scenario hulls (member or dominating, with or without caps) and a
+      linear score: the dense simplex on the density LP;
+    * caps only and a linear score: the sorting rule
+      (:func:`sorting_rule_point`), O(n log n);
+    * caps only and kl_weight > 0: the capped Gibbs point
+      (:func:`capped_gibbs_point`), projected onto the capped density set
+      and certified by its KKT residual (:func:`kkt_residual`).
+
+    Raises InfeasibleError when no density satisfies the constraints,
+    UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
+    ConvergenceError (carrying the point and its residual) when the capped
+    Gibbs point's KKT residual exceeds the module tolerance.
     """
     x = space.rv(objective.payoff)
-    if objective.kl_weight == 0.0:
-        return _linear_density_lp(space, x, constraints)
+    kappa = objective.kl_weight
     if not constraints.polyhedral_only():
-        raise UnsupportedFamilyError(
-            "entropic-penalized scores support only box caps; scenario-hull "
-            "constraints mixed with a KL penalty have no solver here"
-        )
-    q, value = _projected_ascent(space, x, objective.kl_weight,
-                                 constraints.upper, start)
-    return space.density(q), value
+        if kappa != 0.0:
+            raise UnsupportedFamilyError(
+                "entropic-penalized scores support only box caps; scenario-hull "
+                "constraints mixed with a KL penalty have no solver here"
+            )
+        return _linear_density_lp(space, x, constraints)
+    if kappa == 0.0:
+        q = sorting_rule_point(space, x, constraints.upper)
+        return space.density(q), float(np.dot(space.probs, q * x))
+    return _certified_gibbs(space, x, kappa, constraints.upper)
 
 
 def _linear_density_lp(space, x, constraints):
@@ -361,6 +376,46 @@ def _linear_density_lp(space, x, constraints):
     return space.density(sol.point[:n]), float(sol.value)
 
 
+def _cap_vector(space: ProbSpace, upper) -> tuple[np.ndarray, float]:
+    """Caps as a vector (np.inf where uncapped) and the P-mass they admit,
+    checked to be at least 1 so that some density exists."""
+    if upper is None:
+        return np.full(space.n_states, np.inf), math.inf
+    u = np.asarray(upper, dtype=float)
+    if float(u.min()) < -1e-12:
+        raise ValidationError("upper caps must be nonnegative")
+    cap_mass = float(np.dot(space.probs, u))  # inf when a state is uncapped
+    if cap_mass < 1.0 - 1e-9:
+        raise InfeasibleError(
+            f"caps admit total mass {cap_mass!r} < 1; no density exists"
+        )
+    return u, cap_mass
+
+
+def sorting_rule_point(space: ProbSpace, x,
+                       upper: np.ndarray | None = None) -> np.ndarray:
+    """Maximizer of E_Q[x] over {0 <= q <= upper, E_P[q] = 1}.
+
+    States are ranked by x descending, ties broken by state index, and each
+    is filled up to its cap until the P-mass reaches 1; the boundary state
+    carries the remainder. The result is a deterministic extreme point, found
+    in O(n log n). With every cap at 1/alpha it is the expected-shortfall
+    optimizer. Raises InfeasibleError when the caps admit P-mass below 1.
+    """
+    p = space.probs
+    x = np.asarray(x, dtype=float)
+    u, _ = _cap_vector(space, upper)
+    n = p.size
+    order = np.lexsort((np.arange(n), -x))
+    cum = np.cumsum((p * u)[order])
+    k = min(int(np.searchsorted(cum, 1.0 - 1e-12)), n - 1)
+    before = float(cum[k - 1]) if k > 0 else 0.0
+    q = np.zeros(n)
+    q[order[:k]] = u[order[:k]]
+    q[order[k]] = (1.0 - before) / p[order[k]]
+    return q
+
+
 def project_to_density(space: ProbSpace, v: np.ndarray,
                        upper: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of v onto {q : 0 <= q <= upper, E_P[q] = 1}.
@@ -372,17 +427,7 @@ def project_to_density(space: ProbSpace, v: np.ndarray,
     """
     p = space.probs
     v = np.asarray(v, dtype=float)
-    if upper is None:
-        u = np.full(space.n_states, np.inf)
-    else:
-        u = np.asarray(upper, dtype=float)
-        if np.any(u < -1e-12):
-            raise ValidationError("upper caps must be nonnegative")
-        cap_mass = float(np.dot(p, np.minimum(u, np.finfo(float).max)))
-        if cap_mass < 1.0 - 1e-9:
-            raise InfeasibleError(
-                f"caps admit total mass {cap_mass!r} < 1; no density exists"
-            )
+    u, _ = _cap_vector(space, upper)
 
     def mass(theta):
         return float(np.dot(p, np.clip(v - theta * p, 0.0, u)))
@@ -419,23 +464,21 @@ def project_to_density(space: ProbSpace, v: np.ndarray,
     return np.clip(v - theta * p, 0.0, u)
 
 
-_PGA_GRAD_TOL = 1e-8
-_PGA_MAX_ITER = 50_000
+# Largest KKT violation, in P-mass, accepted for the capped Gibbs point.
+_KKT_TOL = 1e-9
 
 
 def capped_gibbs_point(space: ProbSpace, x, kappa: float,
                        upper: np.ndarray | None = None) -> np.ndarray:
-    """Stationarity point of q -> E_Q[x] - kappa * KL(Q||P) on the capped
-    density simplex: q = min(cap, exp((x - theta)/kappa - 1)) with the
-    multiplier theta fixed by E_P[q] = 1 (bisection)."""
+    """Maximizer of q -> E_Q[x] - kappa * KL(Q||P) on the capped density
+    simplex: q = min(cap, exp((x - theta)/kappa - 1)) with the multiplier
+    theta fixed by E_P[q] = 1 (bisection). The objective is strictly concave,
+    so this KKT point is the unique optimum."""
     p = space.probs
     x = np.asarray(x, dtype=float)
-    if upper is None:
-        u = np.full(x.size, np.inf)
-    else:
-        u = np.asarray(upper, dtype=float)
-        if float(np.dot(p, np.minimum(u, np.finfo(float).max))) <= 1.0 + 1e-12:
-            return np.minimum(u, np.finfo(float).max)
+    u, cap_mass = _cap_vector(space, upper)
+    if cap_mass <= 1.0 + 1e-12:
+        return u.copy()
 
     def point(theta):
         return np.minimum(u, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0)))
@@ -458,58 +501,60 @@ def capped_gibbs_point(space: ProbSpace, x, kappa: float,
     return point(0.5 * (lo + hi))
 
 
-def _projected_ascent(space, x, kappa, upper, start=None):
-    """Projected gradient ascent for q -> E_Q[x] - kappa * KL(Q||P).
+def kkt_residual(space: ProbSpace, x, kappa: float, q: np.ndarray,
+                 upper: np.ndarray | None = None) -> float:
+    """Distance, in P-mass, of q from the KKT conditions for maximizing
+    E_Q[x] - kappa * KL(Q||P) over {0 <= q <= upper, E_P[q] = 1}.
 
-    Backtracking uses the proximal-gradient (quadratic model) test, which
-    keeps the step below the local inverse curvature and the objective
-    monotone; convergence is declared when the unit-step gradient-mapping
-    norm drops to 1e-8.
+    Besides feasibility, the conditions ask for one multiplier theta with
+    q = min(upper, exp((x - theta)/kappa - 1)) on every state. The residual
+    is the larger of the feasibility violation and the minimum over theta of
+    max_i p_i * |q_i - min(upper_i, exp(...))|, found by bisection since the
+    signed gap rises with theta. Weighting by p keeps it finite: a Gibbs
+    weight that underflowed to 0 costs its true, negligible mass, not the
+    infinite log a gradient test would meet.
     """
+    if not kappa > 0.0:
+        raise ValidationError("the KL weight kappa must be > 0")
     p = space.probs
+    x = np.asarray(x, dtype=float)
+    q = np.asarray(q, dtype=float)
+    u, _ = _cap_vector(space, upper)
+    feasibility = max(abs(float(np.dot(p, q)) - 1.0),
+                      float(np.max(p * (q - u))), float(np.max(-p * q)))
 
-    def score(q):
-        pos = q > 0.0
-        ent = np.zeros_like(q)
-        ent[pos] = q[pos] * np.log(q[pos])
-        return float(np.dot(p, x * q) - kappa * np.dot(p, ent))
+    def gaps(theta):
+        # Largest mass of q above, and below, the Gibbs weights at theta.
+        d = p * (q - np.minimum(u, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0))))
+        return float(np.max(d)), float(np.max(-d))
 
-    def grad(q):
-        return p * (x - kappa * (np.log(np.maximum(q, 1e-300)) + 1.0))
-
-    if start is None:
-        start = capped_gibbs_point(space, x, kappa, upper)
-    q = project_to_density(space, np.asarray(start, dtype=float), upper)
-    t = 1.0
-    f_q = score(q)
-    best_q, best_res = q, np.inf
-    for _ in range(_PGA_MAX_ITER):
-        g = grad(q)
-        reference = project_to_density(space, q + g, upper)
-        residual = float(np.linalg.norm(q - reference))
-        if residual < best_res:
-            best_q, best_res = q, residual
-        if residual <= _PGA_GRAD_TOL:
-            return q, score(q)
-        # Quadratic-model test with an absolute slack so rounding-level
-        # objective noise near the optimum cannot reject useful steps.
-        slack = 1e-14 * (1.0 + abs(f_q))
-        while True:
-            q_new = project_to_density(space, q + t * g, upper)
-            delta = q_new - q
-            f_new = score(q_new)
-            model = f_q + float(np.dot(g, delta)) - float(np.dot(delta, delta)) / (2.0 * t)
-            if f_new >= model - slack:
+    # Every exponent is clipped at 700 at lo and underflows to 0 at hi.
+    lo = float(np.min(x)) - 702.0 * kappa
+    hi = float(np.max(x)) + 800.0 * kappa
+    with np.errstate(over="ignore"):
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
                 break
-            t *= 0.5
-            if t < 1e-14:
-                t = 1.0  # step at rounding floor: keep the iterate, retry
-                q_new, f_new = q, f_q
-                break
-        q, f_q = q_new, f_new
-        t = min(t * 1.2, 1e4)
-    raise ConvergenceError(
-        f"projected ascent did not reach gradient-mapping norm {_PGA_GRAD_TOL} "
-        f"within {_PGA_MAX_ITER} iterations",
-        best_point=best_q, residual=best_res,
-    )
+            above, below = gaps(mid)
+            if above < below:
+                lo = mid
+            else:
+                hi = mid
+        stationarity = min(max(gaps(lo)), max(gaps(hi)))
+    return max(feasibility, stationarity)
+
+
+def _certified_gibbs(space, x, kappa, upper):
+    q = project_to_density(space, capped_gibbs_point(space, x, kappa, upper), upper)
+    residual = kkt_residual(space, x, kappa, q, upper)
+    if not residual <= _KKT_TOL:
+        raise ConvergenceError(
+            f"capped Gibbs point has KKT residual {residual:.3e} above {_KKT_TOL}",
+            best_point=q, residual=residual,
+        )
+    p = space.probs
+    pos = q > 0.0
+    ent = np.zeros_like(q)
+    ent[pos] = q[pos] * np.log(q[pos])
+    return space.density(q), float(np.dot(p, x * q) - kappa * np.dot(p, ent))

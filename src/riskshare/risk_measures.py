@@ -183,7 +183,7 @@ def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
     if isinstance(spec, Dilation):
         return spec.gamma * rho(spec.base, space, x / spec.gamma)
     if isinstance(spec, Inflation):
-        value, _ = _inflation_lp(space, spec, x)
+        value, _ = _inflation_max(space, spec, x)
         return value
     raise ValidationError(f"unknown risk spec {type(spec).__name__}")
 
@@ -204,7 +204,7 @@ def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
         value, q = dual_solve(spec.base, space, x / spec.gamma)
         return spec.gamma * value, q
     if isinstance(spec, Inflation):
-        return _inflation_lp(space, spec, x)
+        return _inflation_max(space, spec, x)
     raise ValidationError(f"unknown risk spec {type(spec).__name__}")
 
 
@@ -225,25 +225,11 @@ def gibbs_density(space: ProbSpace, gamma: float, x) -> Density:
 
 
 def _es_sorting_rule(space, alpha, x) -> tuple[float, np.ndarray]:
-    """Average of the worst alpha probability mass, with the boundary state
-    carrying fractional density weight.
-
-    States are ranked by loss descending, ties broken by state index, so the
-    returned optimizer is a deterministic extreme point of {0 <= q <= 1/alpha,
-    E_P[q] = 1}.
-    """
-    p = space.probs
-    n = p.size
-    order = np.lexsort((np.arange(n), -x))
-    cum = np.cumsum(p[order])
-    k = int(np.searchsorted(cum, alpha - 1e-12))
-    if k >= n:
-        k = n - 1
-    before = float(cum[k - 1]) if k > 0 else 0.0
-    q = np.zeros(n)
-    q[order[:k]] = 1.0 / alpha
-    q[order[k]] = (alpha - before) / (alpha * p[order[k]])
-    return float(np.dot(p, q * x)), q
+    """Average of the worst alpha probability mass: the sorting rule with
+    every density entry capped at 1/alpha, the boundary state carrying
+    fractional weight."""
+    q = opt_kernel.sorting_rule_point(space, x, np.full(space.n_states, 1.0 / alpha))
+    return float(np.dot(space.probs, q * x)), q
 
 
 def _scenario_max(space, spec: ScenarioSet, x) -> tuple[float, Density]:
@@ -267,7 +253,7 @@ def _inflated_constraints(space, spec: Inflation) -> opt_kernel.DensityConstrain
     )
 
 
-def _inflation_lp(space, spec: Inflation, x) -> tuple[float, Density]:
+def _inflation_max(space, spec: Inflation, x) -> tuple[float, Density]:
     q, value = opt_kernel.maximize_over_densities(
         space,
         opt_kernel.DensityObjective(payoff=x),

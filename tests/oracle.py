@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_space import Allocation, total_risk
-from .errors import ValidationError
-from .infimal_convolution import Market
-from .opt_kernel import LpProblem, LpSolution, lp_solve
-from .prob_core import ProbSpace
+from riskshare.agent_space import Allocation, total_risk
+from riskshare.errors import ValidationError
+from riskshare.infimal_convolution import Market
+from riskshare.opt_kernel import LpProblem, LpSolution, lp_solve
+from riskshare.prob_core import ProbSpace
 
 ES_ORACLE_MAX_STATES = 12
 BRUTE_FORCE_MAX_DIMS = 6

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 import riskshare as rs
 from riskshare.cli import main
-from riskshare.oracle import brute_force_value, default_grid, es_lp_oracle
 
+from oracle import brute_force_value, default_grid, es_lp_oracle
 from support import (
     random_density,
     random_rv,

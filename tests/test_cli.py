@@ -280,8 +280,8 @@ class TestSpecParsing:
 
 def test_solver_nonconvergence_exits_3(tmp_path, monkeypatch):
     import riskshare.opt_kernel as ok
-    monkeypatch.setattr(ok, "_PGA_MAX_ITER", 2)
-    monkeypatch.setattr(ok, "_PGA_GRAD_TOL", -1.0)
+    # No KKT residual is negative, so the capped Gibbs certificate fails.
+    monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
     spec = tmp_path / "entropic.json"
     spec.write_text(json.dumps({
         "probs": [0.25, 0.75], "loss": [1.0, -0.5],

@@ -8,8 +8,8 @@ from riskshare.errors import (
     ValidationError,
     VacuousExperimentError,
 )
-from riskshare.oracle import brute_force_value, default_grid
 
+from oracle import brute_force_value, default_grid
 from support import (
     random_density,
     random_dilation_market,
@@ -443,7 +443,7 @@ class TestExtraCrossValidation:
         # rebuild the production LP for rho(Inflation(ScenarioSet, gamma))
         # and solve it independently by vertex enumeration
         from riskshare.opt_kernel import LpProblem
-        from riskshare.oracle import vertex_enum_lp
+        from oracle import vertex_enum_lp
 
         rng = np.random.default_rng(150)
         for _ in range(25):

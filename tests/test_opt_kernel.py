@@ -4,9 +4,9 @@ import pytest
 import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, InfeasibleError, ValidationError
-from riskshare.oracle import vertex_enum_lp
 from riskshare.risk_measures import gibbs_density
 
+from oracle import vertex_enum_lp
 from support import random_density, random_rv, random_space
 
 
@@ -159,14 +159,14 @@ class TestMaximizeOverDensities:
                                         abs=1e-9)
             assert np.max(q.q) <= 1.0 / alpha + 1e-8
 
-    def test_entropic_score_recovers_gibbs_density_cold_start(self):
-        # The documented cross-check: the generic ascent path against the
-        # closed-form optimizer, from a cold start.
+    def test_entropic_score_recovers_gibbs_density(self):
+        # The capped Gibbs path with caps that never bind against the
+        # entropic closed form exp(x / kappa) / E_P[exp(x / kappa)].
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
         q, val = ok.maximize_over_densities(
             sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
-            start=np.ones(3),
+            ok.DensityConstraints(upper=np.full(3, 10.0)),
         )
         want = gibbs_density(sp, 1.5, x)
         assert np.max(np.abs(q.q - want.q)) <= 1e-6
@@ -220,15 +220,28 @@ class TestMaximizeOverDensities:
         assert val == pytest.approx(want, abs=1e-9)
 
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
-        monkeypatch.setattr(ok, "_PGA_MAX_ITER", 2)
+        # A certificate above tolerance surfaces the point and its residual.
+        monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
         with pytest.raises(ConvergenceError) as info:
             ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
-                start=np.ones(3))
-        assert info.value.best_point is not None
-        assert info.value.residual is not None
+                sp, ok.DensityObjective(payoff=x, kl_weight=1.5))
+        want = gibbs_density(sp, 1.5, x).q
+        assert np.max(np.abs(info.value.best_point - want)) <= 1e-6
+        assert 0.0 <= info.value.residual <= 1e-9
+
+    def test_kkt_residual_separates_the_optimum_from_other_densities(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            sp = random_space(rng)
+            x = random_rv(rng, sp)
+            cap = np.full(sp.n_states, float(rng.uniform(1.2, 3.0)))
+            q, _ = ok.maximize_over_densities(
+                sp, ok.DensityObjective(payoff=x, kl_weight=0.8),
+                ok.DensityConstraints(upper=cap))
+            assert ok.kkt_residual(sp, x, 0.8, q.q, cap) <= 1e-12
+            assert ok.kkt_residual(sp, x, 0.8, np.ones(sp.n_states), cap) > 1e-3
 
     def test_deterministic(self):
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
@@ -246,3 +259,112 @@ def test_simplex_iteration_cap_is_distinct_error(monkeypatch):
                            a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]))
     with pytest.raises(IterationLimitError):
         ok.lp_solve(problem)
+
+
+# ---------------------------------------------------------------------------
+# General-market duals at n >= 100
+# ---------------------------------------------------------------------------
+
+def _probs(rng, n):
+    p = rng.uniform(0.05, 1.0, n)
+    return p / p.sum()
+
+
+def _caps_market(rng, n):
+    """Three ES-type agents; the dual is a sup of E_Q[x] over q <= cap."""
+    space = rs.ProbSpace(_probs(rng, n))
+    alpha = float(rng.uniform(0.1, 0.9))
+    a2, d = alpha * float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.5, 3.0))
+    g = float(rng.uniform(1.2, 3.0))
+    a3 = min(1.0, alpha * g * float(rng.uniform(0.2, 1.0)))
+    specs = (rs.ExpectedShortfall(alpha), rs.Dilation(rs.ExpectedShortfall(a2), d),
+             rs.Inflation(rs.ExpectedShortfall(a3), g))
+    market = rs.Market.general(space, rs.finite_agents(3), rs.RiskFamily(specs))
+    return market, space.rv(rng.normal(0.0, 1.0, n)), min(1.0 / alpha, 1.0 / a2, g / a3)
+
+
+def _entropic_caps_market(rng, n, scale):
+    """Two entropic agents and one inflated ES: KL weight kappa, caps g/a,
+    losses spread over scale * kappa."""
+    space = rs.ProbSpace(_probs(rng, n))
+    g1, g0 = rng.uniform(0.2, 1.0, 2)
+    d = float(rng.uniform(0.5, 2.0))
+    a, g = float(rng.uniform(0.1, 0.6)), float(rng.uniform(1.0, 2.0))
+    specs = (rs.Entropic(float(g1)), rs.Dilation(rs.Entropic(float(g0)), d),
+             rs.Inflation(rs.ExpectedShortfall(a), g))
+    market = rs.Market.general(space, rs.finite_agents(3), rs.RiskFamily(specs))
+    kappa = float(g1 + d * g0)
+    x = space.rv(kappa * scale * rng.normal(0.0, 1.0, n))
+    return market, x, kappa, g / a
+
+
+def _assert_kkt(p, x, kappa, cap, q):
+    """KKT conditions of max E_Q[x] - kappa * KL(Q||P) over 0 <= q <= cap,
+    E_P[q] = 1, checked in log space: the states strictly between the bounds
+    share one multiplier theta = x_i - kappa * (1 + log q_i), each capped
+    state's multiplier bound x_i - kappa * (1 + log cap) is at least theta,
+    and a state at 0 has a Gibbs weight too small to carry mass."""
+    assert abs(float(p @ q) - 1.0) <= 1e-12
+    assert np.min(q) >= 0.0 and np.max(q) <= cap * (1.0 + 1e-12)
+    free = (q > 0.0) & (q < cap * (1.0 - 1e-9))
+    capped = q >= cap * (1.0 - 1e-9)
+    thetas = x - kappa * (1.0 + np.log(np.where(q > 0.0, q, 1.0)))
+    theta = thetas[np.argmax(np.where(free, p * q, -1.0))]
+    # A state's share of the mismatch scales with its mass.
+    assert np.max(p[free] * q[free] * np.abs(thetas[free] - theta)) <= 1e-9 * kappa
+    assert np.all(x[capped] - kappa * (1.0 + np.log(cap)) >= theta - 1e-9 * kappa)
+    zero = q == 0.0
+    assert np.all(p[zero] * np.exp((x[zero] - theta) / kappa - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+class TestGeneralDualAtScale:
+    def test_caps_only_value_matches_lp_solve(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(2):
+            market, x, cap = _caps_market(rng, n)
+            p = market.space.probs
+            res = rs.value(market, x)
+            problem = ok.LpProblem(objective=p * x, a_ub=np.eye(n), b_ub=np.full(n, cap),
+                                   a_eq=p.reshape(1, -1), b_eq=np.ones(1))
+            sol = ok.lp_solve(problem)
+            assert sol.status == "optimal"
+            assert abs(res.value - sol.value) <= 1e-9
+            q = res.dual_optimizer.q
+            assert np.max(q) <= cap + 1e-9
+            assert abs(float(p @ (q * x)) - res.value) <= 1e-12
+            assert res.duality_gap == 0.0
+
+    def test_caps_only_value_matches_highs(self, n):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            market, x, cap = _caps_market(rng, n)
+            p = market.space.probs
+            ref = linprog(-p * x, A_eq=p.reshape(1, -1), b_eq=[1.0],
+                          bounds=[(0.0, cap)] * n, method="highs")
+            assert ref.status == 0
+            assert abs(rs.value(market, x).value + ref.fun) <= 1e-9
+
+    def test_entropic_caps_satisfies_kkt_and_scores_its_value(self, n):
+        rng = np.random.default_rng(50 + n)
+        for scale in (1.0, 4.0, 8.0, 12.0):
+            market, x, kappa, cap = _entropic_caps_market(rng, n, scale)
+            res = rs.value(market, x)
+            q = res.dual_optimizer
+            _assert_kkt(market.space.probs, x, kappa, cap, q.q)
+            score = rs.expect_under(market.space, q, x) \
+                - kappa * rs.kl_divergence(market.space, q)
+            assert abs(res.value - score) <= 1e-9
+            assert abs(res.duality_gap) <= 1e-9
+
+
+def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
+    # Loss spread 12 kappa at n = 200: the smallest Gibbs weights are far
+    # below the rounding of the largest, so the projection sets them to 0 and
+    # a gradient test on log q cannot be met. These draws have that shape.
+    for seed in (3, 6):
+        market, x, kappa, cap = _entropic_caps_market(np.random.default_rng(seed), 200, 12.0)
+        q = rs.value(market, x).dual_optimizer.q
+        assert np.any(q == 0.0)
+        _assert_kkt(market.space.probs, x, kappa, cap, q)

@@ -4,14 +4,14 @@ import pytest
 import riskshare as rs
 from riskshare.errors import ValidationError
 from riskshare.opt_kernel import LpProblem, lp_solve
-from riskshare.oracle import (
+
+from oracle import (
     GridSpec,
     brute_force_value,
     default_grid,
     es_lp_oracle,
     vertex_enum_lp,
 )
-
 from support import random_rv, random_space
 
 

@@ -3,8 +3,8 @@ import pytest
 
 import riskshare as rs
 from riskshare.errors import ValidationError
-from riskshare.oracle import brute_force_value, default_grid
 
+from oracle import brute_force_value, default_grid
 from support import (
     random_dilation_market,
     random_inflation_market,

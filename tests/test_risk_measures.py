@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import riskshare as rs
 from riskshare.errors import ValidationError
-from riskshare.oracle import es_lp_oracle
 from riskshare.risk_measures import INFINITE_PENALTY, hull_tv_distance
 
+from oracle import es_lp_oracle
 from support import (
     random_density,
     random_rv,
