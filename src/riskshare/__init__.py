@@ -62,6 +62,7 @@ from .risk_measures import (
     ScenarioSet,
     conjugate,
     dilate,
+    dual_set,
     dual_solve,
     inflate,
     left_continuity_sweep,

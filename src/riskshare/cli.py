@@ -73,6 +73,8 @@ EXIT_UNSUPPORTED = 5
 # ---------------------------------------------------------------------------
 
 def _need(doc: dict, key: str, path: str):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected an object, got {doc!r}")
     if key not in doc:
         raise ValidationError(f"{path}.{key}: missing required field")
     return doc[key]
@@ -234,7 +236,7 @@ def _load_json(path: str, what: str) -> tuple[dict, str]:
 
 def _load_allocation(path: str) -> tuple[Allocation, str]:
     doc, digest = _load_json(path, "alloc")
-    body = doc.get("allocation", doc)
+    body = doc.get("allocation", doc) if isinstance(doc, dict) else doc
     if not isinstance(body, dict) or "shares" not in body:
         raise ValidationError("alloc: expected an object with a 'shares' matrix")
     shares = body["shares"]
@@ -322,7 +324,8 @@ def _spec_option(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Seed recorded for reproducibility.")(fn)
     fn = click.option("--tol", type=float, default=None,
-                      help="Override the command's default tolerance.")(fn)
+                      help="Verdict tolerance for pareto; other commands "
+                      "only record it.")(fn)
     return fn
 
 
@@ -490,7 +493,10 @@ def cmd_nonattain(spec_path, out_path, seed, tol, refinements):
                 "is positive (then the intercept is the unattained infimum)"
             )
         target = intercept
-    counts = [int(v) for v in _parse_float_list(refinements, "--refinements")]
+    counts = _parse_float_list(refinements, "--refinements")
+    if not all(v.is_integer() for v in counts):
+        raise ValidationError(f"--refinements: expected whole atom counts, got {refinements!r}")
+    counts = [int(v) for v in counts]
     results = nonattainment_experiment(market.kind.base, fn, target,
                                        market.space, x, counts)
     rows = [(n, v, gap) for n, v, gap in results]

@@ -13,11 +13,11 @@ are handled:
   loading all risk on the minimizing atoms;
 * general families: the value is computed through its dual, maximizing
   E_Q[x] minus the weighted sum of per-atom penalties over densities. The
-  family reduces to one KL weight, one uniform cap and a set of scenario
-  hulls, and opt_kernel solves each structure exactly: the sorting rule
-  for caps alone, the KKT-certified capped Gibbs point for a KL weight with
-  caps, the simplex when hulls are present. No primal allocation is
-  certified on this path.
+  atoms' dual sets (risk_measures.dual_set) merge into one KL weight, one
+  density cap and a set of scenario hulls, and opt_kernel solves each
+  structure exactly: the sorting rule for a cap alone, the KKT-certified
+  capped Gibbs point for a KL weight with a cap, the simplex when hulls are
+  present. No primal allocation is certified on this path.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -37,22 +37,17 @@ from .agent_space import AgentSpace, Allocation, RiskFamily
 from .errors import (
     IllPosedError,
     InfeasibleError,
-    UnsupportedFamilyError,
     ValidationError,
     VacuousExperimentError,
 )
 from .prob_core import Density, ProbSpace, essup, expect_under
 from .risk_measures import (
-    Dilation,
-    Entropic,
-    ExpectedShortfall,
-    Inflation,
     INFINITE_PENALTY,
     Penalty,
     RiskSpec,
-    ScenarioSet,
     conjugate,
     dilate,
+    dual_set,
     dual_solve,
     inflate,
     rho,
@@ -146,14 +141,15 @@ class ShareResult:
 
 
 def aggregate_conjugate(market: Market, q: Density) -> Penalty:
-    """Weighted sum of per-atom penalties at q, with infinity absorbing."""
+    """Weighted sum of per-atom penalties at q, with infinity absorbing.
+    Atoms with equal specs share one conjugate evaluation."""
     total = 0.0
-    cache: dict[int, Penalty] = {}
+    cache: dict[RiskSpec, Penalty] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
-        pen = cache.get(id(spec))
+        pen = cache.get(spec)
         if pen is None:
             pen = conjugate(spec, market.space, q)
-            cache[id(spec)] = pen
+            cache[spec] = pen
         if not pen.finite:
             return INFINITE_PENALTY
         total += float(w) * pen.value
@@ -217,16 +213,22 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
 
 
 def _general_dual_value(market: Market, x) -> tuple[float, Density]:
-    kl_total, caps, member_hulls, dom_hulls = _decompose_family(market)
-    upper = None
-    if caps is not None:
-        upper = caps
+    # Merge the atoms' dual sets: weighted KL weights add up, the tightest
+    # cap binds, and every distinct scenario hull applies.
+    kl_weight, cap = 0.0, math.inf
+    member: dict[bytes, np.ndarray] = {}
+    dominating: dict[tuple[float, bytes], tuple[float, np.ndarray]] = {}
+    for spec, w in zip(market.family.specs, market.agents.weights):
+        kappa, dset = dual_set(spec, float(w))
+        kl_weight += kappa
+        cap = min(cap, dset.cap)
+        for d in dset.member_hulls:
+            member.setdefault(d.tobytes(), d)
+        for gamma, d in dset.dominating_hulls:
+            dominating.setdefault((gamma, d.tobytes()), (gamma, d))
     constraints = opt_kernel.DensityConstraints(
-        upper=upper,
-        member_hulls=tuple(member_hulls),
-        dominating_hulls=tuple(dom_hulls),
-    )
-    objective = opt_kernel.DensityObjective(payoff=x, kl_weight=kl_total)
+        cap, tuple(member.values()), tuple(dominating.values()))
+    objective = opt_kernel.DensityObjective(payoff=x, kl_weight=kl_weight)
     try:
         q, val = opt_kernel.maximize_over_densities(market.space, objective, constraints)
     except InfeasibleError as exc:
@@ -235,57 +237,6 @@ def _general_dual_value(market: Market, x) -> tuple[float, Density]:
             "is -inf (the agents share no prior)"
         ) from exc
     return val, q
-
-
-def _decompose_family(market: Market):
-    """Split the aggregate penalty into one KL coefficient plus polyhedral
-    feasibility pieces (entrywise caps and scenario hulls)."""
-    n = market.space.n_states
-    kl_total = 0.0
-    caps = None
-    member_hulls: list[np.ndarray] = []
-    dom_hulls: list[tuple[float, np.ndarray]] = []
-    seen_member: set[bytes] = set()
-    seen_dom: set[tuple[float, bytes]] = set()
-
-    def tighten(cap_vec):
-        nonlocal caps
-        caps = cap_vec if caps is None else np.minimum(caps, cap_vec)
-
-    def walk(spec: RiskSpec, mult: float):
-        nonlocal kl_total
-        if isinstance(spec, Entropic):
-            kl_total += mult * spec.gamma
-        elif isinstance(spec, ExpectedShortfall):
-            tighten(np.full(n, 1.0 / spec.alpha))
-        elif isinstance(spec, ScenarioSet):
-            key = spec.matrix().tobytes()
-            if key not in seen_member:
-                seen_member.add(key)
-                member_hulls.append(spec.matrix())
-        elif isinstance(spec, Dilation):
-            walk(spec.base, mult * spec.gamma)
-        elif isinstance(spec, Inflation):
-            if isinstance(spec.base, ExpectedShortfall):
-                tighten(np.full(n, spec.gamma / spec.base.alpha))
-            else:
-                key = (spec.gamma, spec.base.matrix().tobytes())
-                if key not in seen_dom:
-                    seen_dom.add(key)
-                    dom_hulls.append((spec.gamma, spec.base.matrix()))
-        else:
-            raise ValidationError(f"unknown risk spec {type(spec).__name__}")
-
-    for spec, w in zip(market.family.specs, market.agents.weights):
-        walk(spec, float(w))
-
-    if kl_total > 0.0 and (member_hulls or dom_hulls):
-        raise UnsupportedFamilyError(
-            "general markets mixing entropic agents with scenario-hull agents "
-            "have no dual solver here; only entrywise caps combine with the "
-            "KL penalty"
-        )
-    return kl_total, caps, member_hulls, dom_hulls
 
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:

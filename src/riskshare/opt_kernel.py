@@ -2,9 +2,10 @@
 maximization over densities.
 
 Maximizing E_Q[x] - kappa * KL(Q||P) over densities has one solve path per
-constraint structure: the sorting rule for caps alone with kappa = 0, the
-capped Gibbs point (certified by its KKT residual) for caps alone with
-kappa > 0, and the simplex for scenario-hull constraints.
+constraint structure: the sorting rule for a density cap alone with
+kappa = 0, the capped Gibbs point (certified by its KKT residual) for a cap
+alone with kappa > 0, and the simplex for scenario-hull constraints. The
+cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism and
@@ -252,14 +253,14 @@ class DensityObjective:
 class DensityConstraints:
     """Feasible densities beyond {q >= 0, E_P[q] = 1}.
 
-    upper: entrywise cap q <= upper (np.inf entries mean uncapped).
+    cap: q <= cap in every state (math.inf means uncapped).
     member_hulls: for each matrix D (rows are densities), q must lie in
         the convex hull of the rows.
     dominating_hulls: for each (gamma, D), there must exist a convex
         combination d of the rows of D with q <= gamma * d entrywise.
     """
 
-    upper: np.ndarray | None = None
+    cap: float = math.inf
     member_hulls: tuple = ()
     dominating_hulls: tuple = ()
 
@@ -294,14 +295,14 @@ def maximize_over_densities(
     if not constraints.polyhedral_only():
         if kappa != 0.0:
             raise UnsupportedFamilyError(
-                "entropic-penalized scores support only box caps; scenario-hull "
+                "entropic-penalized scores support only a density cap; scenario-hull "
                 "constraints mixed with a KL penalty have no solver here"
             )
         return _linear_density_lp(space, x, constraints)
     if kappa == 0.0:
-        q = sorting_rule_point(space, x, constraints.upper)
+        q = sorting_rule_point(space, x, constraints.cap)
         return space.density(q), float(np.dot(space.probs, q * x))
-    return _certified_gibbs(space, x, kappa, constraints.upper)
+    return _certified_gibbs(space, x, kappa, constraints.cap)
 
 
 def _linear_density_lp(space, x, constraints):
@@ -344,14 +345,12 @@ def _linear_density_lp(space, x, constraints):
         offset += size
 
     ub_rows, ub_rhs = [], []
-    if constraints.upper is not None:
-        upper = np.asarray(constraints.upper, dtype=float)
+    if math.isfinite(constraints.cap):
         for i in range(n):
-            if np.isfinite(upper[i]):
-                row = np.zeros(n_total)
-                row[i] = 1.0
-                ub_rows.append(row)
-                ub_rhs.append(float(upper[i]))
+            row = np.zeros(n_total)
+            row[i] = 1.0
+            ub_rows.append(row)
+            ub_rhs.append(constraints.cap)
     offset = n + sum(hull_sizes)
     for (gamma, dmat), size in zip(dom, dom_sizes):
         block = np.zeros((n, n_total))
@@ -376,92 +375,90 @@ def _linear_density_lp(space, x, constraints):
     return space.density(sol.point[:n]), float(sol.value)
 
 
-def _cap_vector(space: ProbSpace, upper) -> tuple[np.ndarray, float]:
-    """Caps as a vector (np.inf where uncapped) and the P-mass they admit,
-    checked to be at least 1 so that some density exists."""
-    if upper is None:
-        return np.full(space.n_states, np.inf), math.inf
-    u = np.asarray(upper, dtype=float)
-    if float(u.min()) < -1e-12:
-        raise ValidationError("upper caps must be nonnegative")
-    cap_mass = float(np.dot(space.probs, u))  # inf when a state is uncapped
-    if cap_mass < 1.0 - 1e-9:
-        raise InfeasibleError(
-            f"caps admit total mass {cap_mass!r} < 1; no density exists"
-        )
-    return u, cap_mass
+def _check_cap(cap: float):
+    """A cap below 1 admits P-mass below 1, so no density exists."""
+    if cap < 1.0 - 1e-9:
+        raise InfeasibleError(f"cap {cap!r} admits total mass < 1; no density exists")
 
 
-def sorting_rule_point(space: ProbSpace, x,
-                       upper: np.ndarray | None = None) -> np.ndarray:
-    """Maximizer of E_Q[x] over {0 <= q <= upper, E_P[q] = 1}.
+def sorting_rule_point(space: ProbSpace, x, cap: float = math.inf) -> np.ndarray:
+    """Maximizer of E_Q[x] over {0 <= q <= cap, E_P[q] = 1}.
 
     States are ranked by x descending, ties broken by state index, and each
     is filled up to its cap until the P-mass reaches 1; the boundary state
     carries the remainder. The result is a deterministic extreme point, found
-    in O(n log n). With every cap at 1/alpha it is the expected-shortfall
-    optimizer. Raises InfeasibleError when the caps admit P-mass below 1.
+    in O(n log n). With the cap at 1/alpha it is the expected-shortfall
+    optimizer. Raises InfeasibleError when the cap is below 1.
     """
     p = space.probs
     x = np.asarray(x, dtype=float)
-    u, _ = _cap_vector(space, upper)
+    _check_cap(cap)
     n = p.size
     order = np.lexsort((np.arange(n), -x))
-    cum = np.cumsum((p * u)[order])
+    cum = np.cumsum(p[order] * cap)
     k = min(int(np.searchsorted(cum, 1.0 - 1e-12)), n - 1)
     before = float(cum[k - 1]) if k > 0 else 0.0
     q = np.zeros(n)
-    q[order[:k]] = u[order[:k]]
+    q[order[:k]] = cap
     q[order[k]] = (1.0 - before) / p[order[k]]
     return q
 
 
 def project_to_density(space: ProbSpace, v: np.ndarray,
-                       upper: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean projection of v onto {q : 0 <= q <= upper, E_P[q] = 1}.
+                       cap: float = math.inf) -> np.ndarray:
+    """Euclidean projection of v onto {q : 0 <= q <= cap, E_P[q] = 1}.
 
-    The projection is clip(v - theta * p, 0, upper) for the multiplier theta
+    The projection is clip(v - theta * p, 0, cap) for the multiplier theta
     solving E_P[q(theta)] = 1; that mass profile is piecewise linear and
-    decreasing in theta, so the crossing segment is found exactly from the
-    sorted clip breakpoints. Feasibility requires E_P[upper] >= 1.
+    decreasing in theta, so the crossing segment is found exactly by a
+    binary search over the sorted clip breakpoints. Feasibility requires
+    cap >= 1.
     """
     p = space.probs
     v = np.asarray(v, dtype=float)
-    u, _ = _cap_vector(space, upper)
+    _check_cap(cap)
 
     def mass(theta):
-        return float(np.dot(p, np.clip(v - theta * p, 0.0, u)))
+        return float(np.dot(p, np.clip(v - theta * p, 0.0, cap)))
 
     def solve_at(theta_probe, lo, hi):
         # Active sets are constant between breakpoints; solve the linear
         # equation for theta there and keep it inside the bracket.
         vals = v - theta_probe * p
-        free = (vals > 0.0) & (vals < u)
-        capped = vals >= u
+        free = (vals > 0.0) & (vals < cap)
+        capped = vals >= cap
         slope = float(np.dot(p[free], p[free]))
         if slope <= 0.0:
             return lo
-        const = float(np.dot(p[free], v[free])) + float(np.dot(p[capped], u[capped]))
+        const = (float(np.dot(p[free], v[free]))
+                 + float(np.dot(p[capped], np.full(np.count_nonzero(capped), cap))))
         theta = (const - 1.0) / slope
         return min(max(theta, lo), hi)
 
     points = [v / p]
-    finite_u = np.isfinite(u)
-    if np.any(finite_u):
-        points.append((v[finite_u] - u[finite_u]) / p[finite_u])
+    if math.isfinite(cap):
+        points.append((v - cap) / p)
     bps = np.unique(np.concatenate(points))
-    masses = np.array([mass(b) for b in bps])
-    if masses[0] <= 1.0:
+    if mass(bps[0]) <= 1.0:
         theta = solve_at(bps[0] - 1.0, -np.inf, bps[0])
     else:
-        k = int(np.searchsorted(-masses, -1.0))  # first index with mass < 1
+        # First breakpoint with mass <= 1. The probes are those of numpy's
+        # left-sided searchsorted over all the masses, so the result is the
+        # same even where rounding breaks their monotonicity.
+        k, hi = 0, bps.size
+        while k < hi:
+            mid = (k + hi) // 2
+            if mass(bps[mid]) > 1.0:
+                k = mid + 1
+            else:
+                hi = mid
         if k >= bps.size:
             theta = bps[-1]
-        elif masses[k] == 1.0:
+        elif mass(bps[k]) == 1.0:
             theta = bps[k]
         else:
             theta = solve_at(0.5 * (bps[k - 1] + bps[k]), bps[k - 1], bps[k])
-    return np.clip(v - theta * p, 0.0, u)
+    return np.clip(v - theta * p, 0.0, cap)
 
 
 # Largest KKT violation, in P-mass, accepted for the capped Gibbs point.
@@ -469,19 +466,19 @@ _KKT_TOL = 1e-9
 
 
 def capped_gibbs_point(space: ProbSpace, x, kappa: float,
-                       upper: np.ndarray | None = None) -> np.ndarray:
+                       cap: float = math.inf) -> np.ndarray:
     """Maximizer of q -> E_Q[x] - kappa * KL(Q||P) on the capped density
     simplex: q = min(cap, exp((x - theta)/kappa - 1)) with the multiplier
     theta fixed by E_P[q] = 1 (bisection). The objective is strictly concave,
     so this KKT point is the unique optimum."""
     p = space.probs
     x = np.asarray(x, dtype=float)
-    u, cap_mass = _cap_vector(space, upper)
-    if cap_mass <= 1.0 + 1e-12:
-        return u.copy()
+    _check_cap(cap)
+    if cap <= 1.0 + 1e-12:
+        return np.full(p.size, cap)
 
     def point(theta):
-        return np.minimum(u, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0)))
+        return np.minimum(cap, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0)))
 
     lo = hi = 0.0
     step = kappa + float(np.max(np.abs(x)))
@@ -502,14 +499,14 @@ def capped_gibbs_point(space: ProbSpace, x, kappa: float,
 
 
 def kkt_residual(space: ProbSpace, x, kappa: float, q: np.ndarray,
-                 upper: np.ndarray | None = None) -> float:
+                 cap: float = math.inf) -> float:
     """Distance, in P-mass, of q from the KKT conditions for maximizing
-    E_Q[x] - kappa * KL(Q||P) over {0 <= q <= upper, E_P[q] = 1}.
+    E_Q[x] - kappa * KL(Q||P) over {0 <= q <= cap, E_P[q] = 1}.
 
     Besides feasibility, the conditions ask for one multiplier theta with
-    q = min(upper, exp((x - theta)/kappa - 1)) on every state. The residual
+    q = min(cap, exp((x - theta)/kappa - 1)) on every state. The residual
     is the larger of the feasibility violation and the minimum over theta of
-    max_i p_i * |q_i - min(upper_i, exp(...))|, found by bisection since the
+    max_i p_i * |q_i - min(cap, exp(...))|, found by bisection since the
     signed gap rises with theta. Weighting by p keeps it finite: a Gibbs
     weight that underflowed to 0 costs its true, negligible mass, not the
     infinite log a gradient test would meet.
@@ -519,13 +516,13 @@ def kkt_residual(space: ProbSpace, x, kappa: float, q: np.ndarray,
     p = space.probs
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float)
-    u, _ = _cap_vector(space, upper)
+    _check_cap(cap)
     feasibility = max(abs(float(np.dot(p, q)) - 1.0),
-                      float(np.max(p * (q - u))), float(np.max(-p * q)))
+                      float(np.max(p * (q - cap))), float(np.max(-p * q)))
 
     def gaps(theta):
         # Largest mass of q above, and below, the Gibbs weights at theta.
-        d = p * (q - np.minimum(u, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0))))
+        d = p * (q - np.minimum(cap, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0))))
         return float(np.max(d)), float(np.max(-d))
 
     # Every exponent is clipped at 700 at lo and underflows to 0 at hi.
@@ -545,9 +542,9 @@ def kkt_residual(space: ProbSpace, x, kappa: float, q: np.ndarray,
     return max(feasibility, stationarity)
 
 
-def _certified_gibbs(space, x, kappa, upper):
-    q = project_to_density(space, capped_gibbs_point(space, x, kappa, upper), upper)
-    residual = kkt_residual(space, x, kappa, q, upper)
+def _certified_gibbs(space, x, kappa, cap):
+    q = project_to_density(space, capped_gibbs_point(space, x, kappa, cap), cap)
+    residual = kkt_residual(space, x, kappa, q, cap)
     if not residual <= _KKT_TOL:
         raise ConvergenceError(
             f"capped Gibbs point has KKT residual {residual:.3e} above {_KKT_TOL}",

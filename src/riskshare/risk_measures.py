@@ -17,6 +17,8 @@ Five families are supported:
 
 Evaluation (``rho``), penalty (``conjugate``), and the attained dual
 optimizer (``dual_solve``) are plain functions dispatching on the spec type.
+``dual_set`` is the one map from a spec to its dual penalty: a KL weight
+plus the set of densities the spec admits.
 """
 
 from __future__ import annotations
@@ -140,29 +142,46 @@ ZERO_PENALTY = Penalty(0.0)
 
 def dilate(spec: RiskSpec, gamma: float) -> RiskSpec:
     """gamma-dilation of a spec. Coherent scenario sets are fixed points."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValidationError("dilation parameter must be finite and > 0")
+    dilated = Dilation(spec, gamma)  # validates, also where spec is returned
     if isinstance(spec, ScenarioSet) or gamma == 1.0:
         return spec
-    return Dilation(spec, gamma)
+    return dilated
 
 
 def inflate(spec: RiskSpec, gamma: float) -> RiskSpec:
     """gamma-inflation of a coherent spec with a scenario-supremum dual form."""
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ValidationError("inflation parameter must be >= 1")
-    if gamma == 1.0:
-        if not isinstance(spec, (ScenarioSet, ExpectedShortfall)):
-            raise ValidationError(
-                "inflation requires a ScenarioSet or ExpectedShortfall base"
-            )
-        if isinstance(spec, ScenarioSet) and not spec.contains_reference():
-            raise ValidationError(
-                "inflation of a scenario set requires the all-ones density "
-                "among the scenarios"
-            )
-        return spec
-    return Inflation(spec, gamma)
+    inflated = Inflation(spec, gamma)  # validates, also where spec is returned
+    return spec if gamma == 1.0 else inflated
+
+
+def dual_set(spec: RiskSpec, weight: float = 1.0
+             ) -> tuple[float, opt_kernel.DensityConstraints]:
+    """The dual penalty of ``weight * spec``: its KL weight kappa and the
+    densities it admits.
+
+    The penalty at a density Q is kappa * KL(Q||P) when Q satisfies the
+    constraints and +inf otherwise. Entropic(g) gives kappa = g and no
+    constraint; expected shortfall caps dQ/dP at 1/alpha; a scenario set
+    admits its hull; an inflation admits its base set enlarged by gamma
+    (within the densities); a dilation by d multiplies kappa by d and keeps
+    the constraints. Weights and dilation factors fold into kappa
+    outermost first, (w * d) * g, so a market's merged KL weight is the sum
+    of its atoms' in atom order.
+    """
+    if isinstance(spec, Dilation):
+        return dual_set(spec.base, weight * spec.gamma)
+    if isinstance(spec, Entropic):
+        return weight * spec.gamma, opt_kernel.DensityConstraints()
+    if isinstance(spec, ExpectedShortfall):
+        return 0.0, opt_kernel.DensityConstraints(cap=1.0 / spec.alpha)
+    if isinstance(spec, ScenarioSet):
+        return 0.0, opt_kernel.DensityConstraints(member_hulls=(spec.matrix(),))
+    if isinstance(spec, Inflation):
+        if isinstance(spec.base, ExpectedShortfall):
+            return 0.0, opt_kernel.DensityConstraints(cap=spec.gamma / spec.base.alpha)
+        return 0.0, opt_kernel.DensityConstraints(
+            dominating_hulls=((spec.gamma, spec.base.matrix()),))
+    raise ValidationError(f"unknown risk spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +194,7 @@ def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
     if isinstance(spec, Entropic):
         return _entropic_value(space, spec.gamma, x)
     if isinstance(spec, ExpectedShortfall):
-        value, _ = _es_sorting_rule(space, spec.alpha, x)
+        value, _ = _es_sorting_rule(space, spec, x)
         return value
     if isinstance(spec, ScenarioSet):
         value, _ = _scenario_max(space, spec, x)
@@ -195,7 +214,7 @@ def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
     if isinstance(spec, Entropic):
         return _entropic_value(space, spec.gamma, x), gibbs_density(space, spec.gamma, x)
     if isinstance(spec, ExpectedShortfall):
-        value, q = _es_sorting_rule(space, spec.alpha, x)
+        value, q = _es_sorting_rule(space, spec, x)
         return value, space.density(q)
     if isinstance(spec, ScenarioSet):
         value, q = _scenario_max(space, spec, x)
@@ -224,11 +243,11 @@ def gibbs_density(space: ProbSpace, gamma: float, x) -> Density:
     return space.density(w / float(np.dot(space.probs, w)))
 
 
-def _es_sorting_rule(space, alpha, x) -> tuple[float, np.ndarray]:
+def _es_sorting_rule(space, spec: ExpectedShortfall, x) -> tuple[float, np.ndarray]:
     """Average of the worst alpha probability mass: the sorting rule with
     every density entry capped at 1/alpha, the boundary state carrying
     fractional weight."""
-    q = opt_kernel.sorting_rule_point(space, x, np.full(space.n_states, 1.0 / alpha))
+    q = opt_kernel.sorting_rule_point(space, x, dual_set(spec)[1].cap)
     return float(np.dot(space.probs, q * x)), q
 
 
@@ -244,20 +263,11 @@ def _scenario_max(space, spec: ScenarioSet, x) -> tuple[float, Density]:
     return best_value, best
 
 
-def _inflated_constraints(space, spec: Inflation) -> opt_kernel.DensityConstraints:
-    if isinstance(spec.base, ExpectedShortfall):
-        cap = spec.gamma / spec.base.alpha
-        return opt_kernel.DensityConstraints(upper=np.full(space.n_states, cap))
-    return opt_kernel.DensityConstraints(
-        dominating_hulls=((spec.gamma, spec.base.matrix()),)
-    )
-
-
 def _inflation_max(space, spec: Inflation, x) -> tuple[float, Density]:
     q, value = opt_kernel.maximize_over_densities(
         space,
         opt_kernel.DensityObjective(payoff=x),
-        _inflated_constraints(space, spec),
+        dual_set(spec)[1],
     )
     return value, q
 
@@ -267,26 +277,30 @@ def _inflation_max(space, spec: Inflation, x) -> tuple[float, Density]:
 # ---------------------------------------------------------------------------
 
 def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> Penalty:
-    """Convex conjugate (penalty) of the spec at a density."""
+    """Convex conjugate (penalty) of the spec at a density. A coherent
+    spec's penalty is 0 on its dual set and +inf off it."""
     if q.q.size != space.n_states:
         raise ValidationError("density dimension does not match space")
     if isinstance(spec, Entropic):
         return Penalty(spec.gamma * kl_divergence(space, q))
-    if isinstance(spec, ExpectedShortfall):
-        if float(np.max(q.q)) <= 1.0 / spec.alpha + MEMBERSHIP_TOL:
-            return ZERO_PENALTY
-        return INFINITE_PENALTY
-    if isinstance(spec, ScenarioSet):
-        if hull_tv_distance(space, spec.matrix(), q) <= MEMBERSHIP_TOL:
-            return ZERO_PENALTY
-        return INFINITE_PENALTY
     if isinstance(spec, Dilation):
         return conjugate(spec.base, space, q).scaled(spec.gamma)
-    if isinstance(spec, Inflation):
-        if _inflation_feasible(space, spec, q):
-            return ZERO_PENALTY
-        return INFINITE_PENALTY
-    raise ValidationError(f"unknown risk spec {type(spec).__name__}")
+    if _admits(space, dual_set(spec)[1], q):
+        return ZERO_PENALTY
+    return INFINITE_PENALTY
+
+
+def _admits(space, constraints: opt_kernel.DensityConstraints, q: Density) -> bool:
+    """Whether q satisfies the constraints, each within MEMBERSHIP_TOL."""
+    if not q.q.max() <= constraints.cap + MEMBERSHIP_TOL:
+        return False
+    for d in constraints.member_hulls:
+        if not hull_tv_distance(space, d, q) <= MEMBERSHIP_TOL:
+            return False
+    for gamma, d in constraints.dominating_hulls:
+        if not _dominated(space, gamma, d, q):
+            return False
+    return True
 
 
 def hull_tv_distance(space: ProbSpace, scenario_matrix: np.ndarray, q: Density) -> float:
@@ -321,11 +335,9 @@ def hull_tv_distance(space: ProbSpace, scenario_matrix: np.ndarray, q: Density) 
     return -float(sol.value)
 
 
-def _inflation_feasible(space, spec: Inflation, q: Density) -> bool:
-    if isinstance(spec.base, ExpectedShortfall):
-        return float(np.max(q.q)) <= spec.gamma / spec.base.alpha + MEMBERSHIP_TOL
-    # Minimize the worst violation of q <= gamma * D^T lam over hull weights.
-    dmat = spec.base.matrix()
+def _dominated(space, gamma: float, dmat: np.ndarray, q: Density) -> bool:
+    """Whether q <= gamma * d for some d in the hull of dmat's rows: the
+    worst violation, minimized over hull weights, is within tolerance."""
     n = space.n_states
     j = dmat.shape[0]
     n_total = j + 1  # hull weights then the violation bound t
@@ -337,7 +349,7 @@ def _inflation_feasible(space, spec: Inflation, q: Density) -> bool:
     b_eq = np.ones(1)
 
     a_ub = np.zeros((n, n_total))
-    a_ub[:, :j] = -spec.gamma * dmat.T
+    a_ub[:, :j] = -gamma * dmat.T
     a_ub[:, -1] = -1.0
     b_ub = -q.q
 

@@ -211,6 +211,42 @@ def test_nonattain_vacuous_loss_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_alloc_file_with_top_level_array_exits_2(tmp_path):
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    out = tmp_path / "verdict.json"
+    result = run_cli(["pareto", "--spec", str(MARKETS / "shapley.json"),
+                      "--alloc", str(alloc_path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "alloc" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["agent_space", "gamma_formula"])
+def test_number_in_place_of_an_object_exits_2(tmp_path, field):
+    doc = json.loads((MARKETS / "aumann.json").read_text())
+    if field == "agent_space":
+        doc["agent_space"] = 20
+    else:
+        doc["profile"]["gamma_formula"] = 2.0
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{field}: expected an object" in result.output
+    assert not out.exists()
+
+
+def test_nonattain_rejects_fractional_refinements(tmp_path):
+    out = tmp_path / "na.json"
+    result = run_cli(["nonattain", "--spec", str(MARKETS / "aumann.json"),
+                      "--refinements", "10.7,100", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--refinements" in result.output
+    assert not out.exists()
+
+
 def test_timing_goes_to_stderr_not_record(tmp_path):
     out = tmp_path / "out.json"
     result = run_cli(["value", "--spec", str(MARKETS / "finite.json"),

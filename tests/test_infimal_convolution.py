@@ -23,6 +23,24 @@ from support import (
 
 
 class TestValueClosedForms:
+    def test_inflated_scenario_value_solves_one_lp_per_distinct_gamma(self, monkeypatch):
+        # Atoms with equal specs share one conjugate, so the certificate's
+        # LP count follows the distinct parameters, not the 400 atoms.
+        from riskshare import opt_kernel
+        rng = np.random.default_rng(59)
+        sp = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
+        levels = np.array([1.25, 1.5, 2.0, 2.75])
+        gammas = levels[rng.integers(0, levels.size, 400)]
+        market = rs.Market.inflation(sp, rs.aumann_agents(400),
+                                     random_scenario_set(rng, sp, 3), gammas)
+        calls = []
+        real = opt_kernel.lp_solve
+        monkeypatch.setattr(opt_kernel, "lp_solve",
+                            lambda problem: calls.append(problem) or real(problem))
+        result = rs.value(market, random_rv(rng, sp))
+        assert 0 < len(calls) <= 1 + np.unique(gammas).size
+        assert 0.0 <= result.duality_gap <= 1e-9
+
     def test_identical_entropic_atoms_merge_tolerances(self):
         rng = np.random.default_rng(60)
         for _ in range(10):

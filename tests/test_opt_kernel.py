@@ -118,16 +118,14 @@ class TestProjectToDensity:
         for _ in range(100):
             sp = random_space(rng)
             v = rng.normal(0.0, 2.0, sp.n_states)
-            cap = np.full(sp.n_states, float(rng.uniform(1.3, 4.0))) \
-                if rng.uniform() < 0.5 else None
+            cap = float(rng.uniform(1.3, 4.0)) if rng.uniform() < 0.5 else np.inf
             proj = ok.project_to_density(sp, v, cap)
             assert abs(float(np.dot(sp.probs, proj)) - 1.0) <= 1e-10
             assert np.min(proj) >= -1e-12
-            if cap is not None:
-                assert np.max(proj - cap) <= 1e-12
+            assert np.max(proj - cap) <= 1e-12
             for _ in range(20):
                 z = random_density(rng, sp).q
-                if cap is not None and np.any(z > cap):
+                if np.any(z > cap):
                     continue
                 assert float(np.dot(v - proj, z - proj)) <= 1e-9
 
@@ -141,7 +139,7 @@ class TestProjectToDensity:
     def test_infeasible_caps_raise(self):
         sp = rs.ProbSpace([0.5, 0.5])
         with pytest.raises(InfeasibleError):
-            ok.project_to_density(sp, np.ones(2), np.array([0.4, 0.4]))
+            ok.project_to_density(sp, np.ones(2), 0.4)
 
 
 class TestMaximizeOverDensities:
@@ -153,7 +151,7 @@ class TestMaximizeOverDensities:
             alpha = float(rng.uniform(0.2, 1.0))
             q, val = ok.maximize_over_densities(
                 sp, ok.DensityObjective(payoff=x),
-                ok.DensityConstraints(upper=np.full(sp.n_states, 1.0 / alpha)),
+                ok.DensityConstraints(cap=1.0 / alpha),
             )
             assert val == pytest.approx(rs.rho(rs.ExpectedShortfall(alpha), sp, x),
                                         abs=1e-9)
@@ -166,7 +164,7 @@ class TestMaximizeOverDensities:
         x = sp.rv([1.0, 2.0, 3.0])
         q, val = ok.maximize_over_densities(
             sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
-            ok.DensityConstraints(upper=np.full(3, 10.0)),
+            ok.DensityConstraints(cap=10.0),
         )
         want = gibbs_density(sp, 1.5, x)
         assert np.max(np.abs(q.q - want.q)) <= 1e-6
@@ -197,11 +195,11 @@ class TestMaximizeOverDensities:
         for _ in range(30):
             sp = random_space(rng)
             x = random_rv(rng, sp)
-            cap = np.full(sp.n_states, float(rng.uniform(1.2, 3.0)))
+            cap = float(rng.uniform(1.2, 3.0))
             kappa = float(rng.uniform(0.0, 2.0))
             q, _ = ok.maximize_over_densities(
                 sp, ok.DensityObjective(payoff=x, kl_weight=kappa),
-                ok.DensityConstraints(upper=cap))
+                ok.DensityConstraints(cap=cap))
             assert np.max(q.q - cap) <= 1e-8
             assert np.min(q.q) >= -1e-8
             assert abs(float(np.dot(sp.probs, q.q)) - 1.0) <= 1e-8
@@ -236,10 +234,10 @@ class TestMaximizeOverDensities:
         for _ in range(20):
             sp = random_space(rng)
             x = random_rv(rng, sp)
-            cap = np.full(sp.n_states, float(rng.uniform(1.2, 3.0)))
+            cap = float(rng.uniform(1.2, 3.0))
             q, _ = ok.maximize_over_densities(
                 sp, ok.DensityObjective(payoff=x, kl_weight=0.8),
-                ok.DensityConstraints(upper=cap))
+                ok.DensityConstraints(cap=cap))
             assert ok.kkt_residual(sp, x, 0.8, q.q, cap) <= 1e-12
             assert ok.kkt_residual(sp, x, 0.8, np.ones(sp.n_states), cap) > 1e-3
 

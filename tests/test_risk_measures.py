@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskshare as rs
+from riskshare import opt_kernel as ok
 from riskshare.errors import ValidationError
 from riskshare.risk_measures import INFINITE_PENALTY, hull_tv_distance
 
@@ -433,3 +434,88 @@ class TestCompositions:
         nested = rs.Dilation(rs.Dilation(rs.Entropic(1.0), 2.0), 3.0)
         assert rs.rho(nested, sp, x) == pytest.approx(
             rs.rho(rs.Entropic(6.0), sp, x), abs=1e-9)
+
+
+def _families(sp):
+    """Each family, and a Dilation of each, on the fixed five-state space."""
+    def completed(head):  # the last entry restores unit P-expectation
+        last = (1.0 - float(np.dot(sp.probs[:-1], head))) / sp.probs[-1]
+        return sp.density(head + [last])
+
+    scen = rs.ScenarioSet((sp.uniform_density(), completed([2.0, 1.5, 1.0, 0.8]),
+                           completed([0.5, 0.5, 0.5, 1.2])))
+    bases = [rs.Entropic(0.8), rs.ExpectedShortfall(0.4), scen,
+             rs.Inflation(rs.ExpectedShortfall(0.5), 2.0), rs.Inflation(scen, 1.5)]
+    return bases + [rs.Dilation(b, 1.7) for b in bases]
+
+
+def _peaked(sp, k, top):
+    """Density equal to top at state k and level elsewhere: its maximum is
+    top whenever 1 <= top <= 1 / p_k."""
+    p = sp.probs
+    q = np.full(sp.n_states, (1.0 - p[k] * top) / (1.0 - p[k]))
+    q[k] = top
+    return sp.density(q)
+
+
+class TestDualSet:
+    SPACE = rs.ProbSpace([0.1, 0.15, 0.2, 0.25, 0.3])
+
+    def test_rho_is_the_maximum_over_the_dual_set(self):
+        sp = self.SPACE
+        rng = np.random.default_rng(45)
+        for spec in _families(sp):
+            kappa, dset = rs.dual_set(spec)
+            for _ in range(5):
+                x = random_rv(rng, sp)
+                if dset.member_hulls:
+                    (hull,) = dset.member_hulls
+                    want = max(float(np.dot(sp.probs, d * x)) for d in hull)
+                else:
+                    _, want = ok.maximize_over_densities(
+                        sp, ok.DensityObjective(payoff=x, kl_weight=kappa), dset)
+                assert rs.rho(spec, sp, x) == pytest.approx(want, abs=1e-9), spec
+
+    def test_conjugate_is_finite_exactly_on_the_dual_set(self):
+        sp = self.SPACE
+        k = 0  # the least likely state: peaked densities reach 1 / p_k = 10
+        for spec in _families(sp):
+            _, dset = rs.dual_set(spec)
+            cases = [(sp.uniform_density(), True)]
+            if math.isfinite(dset.cap):
+                cases += [(_peaked(sp, k, dset.cap), True),
+                          (_peaked(sp, k, dset.cap + 1e-6), False)]
+            for hull in dset.member_hulls:
+                cases += [(sp.density(0.3 * hull[1] + 0.7 * hull[2]), True),
+                          (_peaked(sp, k, hull[:, k].max() + 1e-6), False)]
+            for gamma, hull in dset.dominating_hulls:
+                cases += [(sp.density(0.6 * hull[1] + 0.4 * hull[2]), True),
+                          (_peaked(sp, k, gamma * hull[:, k].max() + 1e-6), False)]
+            if isinstance(spec, rs.Entropic) or isinstance(
+                    getattr(spec, "base", None), rs.Entropic):
+                cases += [(_peaked(sp, k, 9.0), True)]  # KL penalties are finite
+            for q, inside in cases:
+                assert rs.conjugate(spec, sp, q).finite == inside, (spec, q.q)
+
+    def test_weighted_dilated_entropic_kl_weight_folds_outermost_first(self):
+        w, d, g0 = 0.1, 0.7, 0.3  # (w * d) * g0 and w * (d * g0) differ in the last bit
+        kappa, dset = rs.dual_set(rs.Dilation(rs.Entropic(g0), d), weight=w)
+        assert kappa == (w * d) * g0
+        assert kappa != w * (d * g0)
+        assert dset.cap == math.inf and dset.polyhedral_only()
+
+    def test_each_family_maps_to_its_penalty(self):
+        entropic, es, scen, infl_es, infl_scen = _families(self.SPACE)[:5]
+        want = {entropic: (0.8, math.inf, 0, 0), es: (0.0, 2.5, 0, 0),
+                scen: (0.0, math.inf, 1, 0), infl_es: (0.0, 4.0, 0, 0),
+                infl_scen: (0.0, math.inf, 0, 1)}
+        for spec, (kappa, cap, n_member, n_dom) in want.items():
+            for wrapped, scale in ((spec, 1.0), (rs.Dilation(spec, 1.7), 1.7)):
+                got_kappa, dset = rs.dual_set(wrapped, weight=3.0)
+                assert got_kappa == pytest.approx(3.0 * scale * kappa, rel=1e-15)
+                assert dset.cap == cap
+                assert len(dset.member_hulls) == n_member
+                assert len(dset.dominating_hulls) == n_dom
+        assert np.array_equal(rs.dual_set(scen)[1].member_hulls[0], scen.matrix())
+        gamma, hull = rs.dual_set(infl_scen)[1].dominating_hulls[0]
+        assert gamma == 1.5 and np.array_equal(hull, scen.matrix())
