@@ -186,19 +186,14 @@ def is_feasible(agents: AgentSpace, alloc: Allocation, x,
     return float(np.max(np.abs(integral - x))) <= tol
 
 
-def atom_risks(agents: AgentSpace, family: RiskFamily, space: ProbSpace,
-               alloc: Allocation) -> np.ndarray:
-    """Per-atom risks rho_a(alloc_a), in atom order."""
-    if len(family) != agents.n_atoms:
-        raise ValidationError("risk family size does not match agent space")
-    _check_alloc(agents, alloc, space)
-    return np.array([
-        rho(spec, space, alloc.shares[i])
-        for i, spec in enumerate(family.specs)
-    ])
-
-
 def total_risk(agents: AgentSpace, family: RiskFamily, space: ProbSpace,
                alloc: Allocation) -> float:
     """Weighted sum of per-atom risks, reduced in ascending atom order."""
-    return float(np.dot(agents.weights, atom_risks(agents, family, space, alloc)))
+    if len(family) != agents.n_atoms:
+        raise ValidationError("risk family size does not match agent space")
+    _check_alloc(agents, alloc, space)
+    values = np.array([
+        rho(spec, space, alloc.shares[i])
+        for i, spec in enumerate(family.specs)
+    ])
+    return float(np.dot(agents.weights, values))

@@ -141,15 +141,14 @@ class ShareResult:
 
 
 def aggregate_conjugate(market: Market, q: Density) -> Penalty:
-    """Weighted sum of per-atom penalties at q, with infinity absorbing.
-    Atoms with equal specs share one conjugate evaluation."""
+    """Weighted sum of per-atom penalties at q, with infinity absorbing."""
     total = 0.0
-    cache: dict[RiskSpec, Penalty] = {}
+    cache: dict[int, Penalty] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
-        pen = cache.get(spec)
+        pen = cache.get(id(spec))
         if pen is None:
             pen = conjugate(spec, market.space, q)
-            cache[spec] = pen
+            cache[id(spec)] = pen
         if not pen.finite:
             return INFINITE_PENALTY
         total += float(w) * pen.value
@@ -285,9 +284,10 @@ def nonattainment_experiment(base: RiskSpec, gamma_of, target_gamma: float,
     constant above ``target_gamma`` (then every gap would be 0 and the
     experiment shows nothing).
     """
+    refinements = list(refinements)
+    if not refinements or any(not float(n).is_integer() or n < 1 for n in refinements):
+        raise ValidationError(f"refinements must be positive whole atom counts, got {refinements}")
     refinements = [int(n) for n in refinements]
-    if not refinements or any(n < 1 for n in refinements):
-        raise ValidationError("refinements must be positive atom counts")
     if target_gamma < 1.0:
         raise ValidationError("target inflation parameter must be >= 1")
     x = space.rv(x)

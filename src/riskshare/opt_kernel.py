@@ -15,6 +15,7 @@ Identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -445,13 +446,7 @@ def project_to_density(space: ProbSpace, v: np.ndarray,
         # First breakpoint with mass <= 1. The probes are those of numpy's
         # left-sided searchsorted over all the masses, so the result is the
         # same even where rounding breaks their monotonicity.
-        k, hi = 0, bps.size
-        while k < hi:
-            mid = (k + hi) // 2
-            if mass(bps[mid]) > 1.0:
-                k = mid + 1
-            else:
-                hi = mid
+        k = bisect.bisect_left(bps, -1.0, key=lambda b: -mass(b))
         if k >= bps.size:
             theta = bps[-1]
         elif mass(bps[k]) == 1.0:

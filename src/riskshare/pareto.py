@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_space import Allocation, atom_risks, is_feasible
+from .agent_space import Allocation, is_feasible, total_risk
 from .errors import ValidationError
 from .infimal_convolution import Market, value
+from .risk_measures import rho
 
 PARETO_TOL = 1e-7  # looser than feasibility: value() may pass through a solver
 
@@ -33,7 +34,7 @@ def pareto_check(market: Market, x, alloc: Allocation,
 
     When the market carries a closed-form optimal allocation and the input
     is inefficient, the verdict also carries an explicit improvement built
-    as in :func:`pareto_improve`.
+    by :func:`pareto_improve`.
     """
     if tol < 0.0:
         raise ValidationError("tolerance must be >= 0")
@@ -41,21 +42,18 @@ def pareto_check(market: Market, x, alloc: Allocation,
     if not is_feasible(market.agents, alloc, x):
         raise ValidationError("allocation does not integrate to x")
     result = value(market, x)
-    risks = _risks(market, alloc)
-    total = float(np.dot(market.agents.weights, risks))
-    excess = total - result.value
+    excess = total_risk(market.agents, market.family, market.space, alloc) - result.value
     efficient = excess <= tol
     witness = None
     if not efficient and result.allocation is not None:
         better = result.allocation
-        better_risks = _risks(market, better)
-        if float(np.dot(market.agents.weights, better_risks)) < total:
-            witness = _compensate(market, x, better, risks, better_risks)
+        if _total(market, better) < _total(market, alloc):
+            witness = pareto_improve(market, x, alloc, better)
     return ParetoVerdict(efficient, witness, max(float(excess), 0.0))
 
 
-def _risks(market: Market, alloc: Allocation) -> np.ndarray:
-    return atom_risks(market.agents, market.family, market.space, alloc)
+def _total(market: Market, alloc: Allocation) -> float:
+    return total_risk(market.agents, market.family, market.space, alloc)
 
 
 def pareto_improve(market: Market, x, alloc: Allocation,
@@ -74,13 +72,16 @@ def pareto_improve(market: Market, x, alloc: Allocation,
     x = market.space.rv(x)
     if not is_feasible(market.agents, alloc, x):
         raise ValidationError("alloc does not integrate to x")
-    return _compensate(market, x, better, _risks(market, alloc), _risks(market, better))
-
-
-def _compensate(market: Market, x, better: Allocation, risks_old: np.ndarray,
-                risks_new: np.ndarray) -> Allocation:
     if not is_feasible(market.agents, better, x):
         raise ValidationError("better does not integrate to x")
+    risks_old = np.array([
+        rho(spec, market.space, alloc.shares[i])
+        for i, spec in enumerate(market.family.specs)
+    ])
+    risks_new = np.array([
+        rho(spec, market.space, better.shares[i])
+        for i, spec in enumerate(market.family.specs)
+    ])
     saving = float(np.dot(market.agents.weights, risks_old - risks_new))
     if saving <= 0.0:
         raise ValidationError(

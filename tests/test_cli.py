@@ -243,7 +243,7 @@ def test_nonattain_rejects_fractional_refinements(tmp_path):
     result = run_cli(["nonattain", "--spec", str(MARKETS / "aumann.json"),
                       "--refinements", "10.7,100", "--out", str(out)])
     assert result.exit_code == 2
-    assert "--refinements" in result.output
+    assert "whole atom counts" in result.output
     assert not out.exists()
 
 

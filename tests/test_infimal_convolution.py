@@ -23,24 +23,6 @@ from support import (
 
 
 class TestValueClosedForms:
-    def test_inflated_scenario_value_solves_one_lp_per_distinct_gamma(self, monkeypatch):
-        # Atoms with equal specs share one conjugate, so the certificate's
-        # LP count follows the distinct parameters, not the 400 atoms.
-        from riskshare import opt_kernel
-        rng = np.random.default_rng(59)
-        sp = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
-        levels = np.array([1.25, 1.5, 2.0, 2.75])
-        gammas = levels[rng.integers(0, levels.size, 400)]
-        market = rs.Market.inflation(sp, rs.aumann_agents(400),
-                                     random_scenario_set(rng, sp, 3), gammas)
-        calls = []
-        real = opt_kernel.lp_solve
-        monkeypatch.setattr(opt_kernel, "lp_solve",
-                            lambda problem: calls.append(problem) or real(problem))
-        result = rs.value(market, random_rv(rng, sp))
-        assert 0 < len(calls) <= 1 + np.unique(gammas).size
-        assert 0.0 <= result.duality_gap <= 1e-9
-
     def test_identical_entropic_atoms_merge_tolerances(self):
         rng = np.random.default_rng(60)
         for _ in range(10):
@@ -428,6 +410,19 @@ class TestNonattainment:
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         # the quantile curve is affine in gamma here, so the gap scales as 1/N
         assert gaps[2] == pytest.approx(gaps[0] / 100.0, rel=1e-6)
+
+    @pytest.mark.parametrize("counts", [[10.7, 100], [2.5], [0], []])
+    def test_refinements_must_be_positive_whole_counts(self, counts):
+        sp = rs.ProbSpace([0.25, 0.75])
+        with pytest.raises(ValidationError, match="whole atom counts"):
+            rs.nonattainment_experiment(rs.ExpectedShortfall(1.0), lambda t: 2.0 + t,
+                                        2.0, sp, [1.0, 0.0], counts)
+
+    def test_whole_float_and_array_refinements_are_accepted(self):
+        sp = rs.ProbSpace([0.25, 0.75])
+        results = rs.nonattainment_experiment(rs.ExpectedShortfall(1.0), lambda t: 2.0 + t,
+                                              2.0, sp, [1.0, 0.0], np.array([10.0, 100.0]))
+        assert [n for n, _, _ in results] == [10, 100]
 
     def test_profile_must_stay_above_target(self):
         sp = rs.ProbSpace([0.25, 0.75])

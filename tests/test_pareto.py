@@ -39,27 +39,6 @@ class TestParetoCheck:
         assert verdict.excess == pytest.approx(want, abs=1e-9)
         assert verdict.witness is not None
 
-    def test_inefficient_check_evaluates_each_allocation_once(self, monkeypatch):
-        # One rho per atom for the input and one for the optimal allocation:
-        # 2N calls, where recomputing totals and witness risks made 5N.
-        from riskshare import agent_space, infimal_convolution, pareto, risk_measures
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return risk_measures.rho(*args)
-
-        for module in (agent_space, infimal_convolution, pareto):
-            if getattr(module, "rho", None) is risk_measures.rho:
-                monkeypatch.setattr(module, "rho", counted)
-        sp = rs.ProbSpace([0.25, 0.25, 0.5])
-        x = sp.rv([1.0, -0.5, 2.0])
-        market = rs.Market.dilation(sp, rs.finite_agents(5), rs.Entropic(1.0),
-                                    [0.5, 1.0, 2.0, 3.0, 4.0])
-        verdict = rs.pareto_check(market, x, rs.proportional_split(market.agents, x))
-        assert not verdict.efficient and verdict.witness is not None
-        assert len(calls) == 2 * 5
-
     def test_single_atom_market_everything_is_efficient(self):
         rng = np.random.default_rng(91)
         sp = random_space(rng)
