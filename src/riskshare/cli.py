@@ -46,8 +46,6 @@ from .infimal_convolution import (
     InflationProfile,
     Market,
     nonattainment_experiment,
-    optimal_allocation_dilated,
-    optimal_allocation_inflated,
     value,
 )
 from .pareto import pareto_check
@@ -126,7 +124,7 @@ def parse_risk_spec(doc, space: ProbSpace, path: str) -> RiskSpec:
 def _parse_agent_space(doc, path: str) -> AgentSpace:
     kind = _need(doc, "kind", path)
     n = _need(doc, "n", path)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"{path}.n: expected a positive integer")
     if kind == "finite":
         return finite_agents(n)
@@ -365,16 +363,13 @@ def cmd_allocate(spec_path, out_path, seed, tol):
     """Optimal allocation for dilation/inflation profile markets."""
     doc, digest = _load_json(spec_path, "spec")
     market, x = load_market(doc)
-    if isinstance(market.kind, DilationProfile):
-        alloc = optimal_allocation_dilated(market, x)
-    elif isinstance(market.kind, InflationProfile):
-        alloc = optimal_allocation_inflated(market, x)
-    else:
+    if not isinstance(market.kind, (DilationProfile, InflationProfile)):
         raise UnsupportedFamilyError(
             "no optimal-allocation formula for general families; only "
             "dilation and inflation profiles are supported"
         )
     result = value(market, x)
+    alloc = result.allocation
     risk = total_risk(market.agents, market.family, market.space, alloc)
     record = {
         "command": "allocate",
@@ -496,17 +491,16 @@ def cmd_nonattain(spec_path, out_path, seed, tol, refinements):
     counts = _parse_float_list(refinements, "--refinements")
     results = nonattainment_experiment(market.kind.base, fn, target,
                                        market.space, x, counts)
-    rows = [(n, v, gap) for n, v, gap in results]
     record = {
         "command": "nonattain",
         "spec_sha256": digest,
         "seed": seed,
         "tol": tol,
         "target_gamma": target,
-        "rows": [{"parameter": n, "value": v, "gap": gap} for n, v, gap in rows],
+        "rows": [{"parameter": n, "value": v, "gap": gap} for n, v, gap in results],
     }
     _write_record(out_path, record)
-    _write_csv(str(out_path) + ".csv", rows)
+    _write_csv(str(out_path) + ".csv", results)
 
 
 if __name__ == "__main__":

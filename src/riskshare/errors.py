@@ -40,7 +40,8 @@ class ConvergenceError(RiskShareError):
 
 
 class IterationLimitError(ConvergenceError):
-    """The simplex cycling guard tripped (iteration cap exceeded)."""
+    """The simplex iteration cap was exceeded: the Bland-rule loop cycled
+    under floating-point ties, or ran longer than the cap allows."""
 
 
 class UnsupportedFamilyError(RiskShareError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opt_kernel
-from .agent_space import AgentSpace, Allocation, RiskFamily
+from .agent_space import AgentSpace, Allocation, RiskFamily, unit_interval_midpoints
 from .errors import (
     IllPosedError,
     InfeasibleError,
@@ -302,8 +302,7 @@ def nonattainment_experiment(base: RiskSpec, gamma_of, target_gamma: float,
         )
     results = []
     for n in refinements:
-        mids = (np.arange(n) + 0.5) / n
-        gammas = np.array([float(gamma_of(t)) for t in mids])
+        gammas = np.array([float(gamma_of(t)) for t in unit_interval_midpoints(n)])
         if np.any(gammas <= target_gamma):
             raise ValidationError(
                 "profile must stay strictly above the target parameter"

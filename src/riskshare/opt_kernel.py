@@ -8,9 +8,12 @@ alone with kappa > 0, and the simplex for scenario-hull constraints. The
 cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
 
 LP instances here are small (variables on the order of the number of states
-plus a handful of scenario weights), so the simplex favors determinism and
-anti-cycling correctness over speed: Bland's rule, no scaling, no presolve.
-Identical inputs produce bit-identical outputs.
+plus a handful of scenario weights), so the simplex favors determinism over
+speed: Bland's rule, no scaling, no presolve. Identical inputs produce
+bit-identical outputs. Bland's rule prevents cycling only in exact
+arithmetic; with floating-point ties in the reduced costs and ratio test the
+loop can still cycle on degenerate LPs, and then stops at the iteration cap
+with IterationLimitError.
 """
 
 from __future__ import annotations

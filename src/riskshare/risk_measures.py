@@ -291,48 +291,18 @@ def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> Penalty:
 
 
 def _admits(space, constraints: opt_kernel.DensityConstraints, q: Density) -> bool:
-    """Whether q satisfies the constraints, each within MEMBERSHIP_TOL."""
+    """Whether q satisfies the constraints: q exceeds the cap by at most
+    MEMBERSHIP_TOL, and for each hull the largest entrywise violation,
+    minimized over hull weights, is at most MEMBERSHIP_TOL.
+
+    A member hull is tested as a dominating hull at gamma = 1: every state
+    has p > 0, so q <= D^T lam with both sides of P-mass 1 forces q = D^T lam.
+    """
     if not q.q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
-    for d in constraints.member_hulls:
-        if not hull_tv_distance(space, d, q) <= MEMBERSHIP_TOL:
-            return False
-    for gamma, d in constraints.dominating_hulls:
-        if not _dominated(space, gamma, d, q):
-            return False
-    return True
-
-
-def hull_tv_distance(space: ProbSpace, scenario_matrix: np.ndarray, q: Density) -> float:
-    """Total-variation distance from q to the convex hull of scenario rows.
-
-    Solved as a small LP over hull weights and per-state slacks:
-    minimize sum_i p_i s_i / 2 with |D^T lam - q| <= s.
-    """
-    dmat = np.atleast_2d(np.asarray(scenario_matrix, dtype=float))
-    n = space.n_states
-    j = dmat.shape[0]
-    n_total = j + n  # hull weights then slacks
-    c = np.zeros(n_total)
-    c[j:] = -space.probs / 2.0  # maximize the negative TV mass
-
-    a_eq = np.zeros((1, n_total))
-    a_eq[0, :j] = 1.0
-    b_eq = np.ones(1)
-
-    a_ub = np.zeros((2 * n, n_total))
-    b_ub = np.zeros(2 * n)
-    a_ub[:n, :j] = dmat.T
-    a_ub[:n, j:] = -np.eye(n)
-    b_ub[:n] = q.q
-    a_ub[n:, :j] = -dmat.T
-    a_ub[n:, j:] = -np.eye(n)
-    b_ub[n:] = -q.q
-
-    sol = opt_kernel.lp_solve(opt_kernel.LpProblem(c, a_ub, b_ub, a_eq, b_eq))
-    if sol.status != "optimal":
-        raise ValidationError(f"hull distance LP ended with status {sol.status}")
-    return -float(sol.value)
+    hulls = [(1.0, d) for d in constraints.member_hulls]
+    hulls.extend(constraints.dominating_hulls)
+    return all(_dominated(space, gamma, d, q) for gamma, d in hulls)
 
 
 def _dominated(space, gamma: float, dmat: np.ndarray, q: Density) -> bool:

@@ -238,6 +238,19 @@ def test_number_in_place_of_an_object_exits_2(tmp_path, field):
     assert not out.exists()
 
 
+def test_boolean_atom_count_exits_2(tmp_path):
+    # JSON true parses to a Python bool, which isinstance(..., int) accepts.
+    doc = json.loads((MARKETS / "aumann.json").read_text())
+    doc["agent_space"]["n"] = True
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "agent_space.n: expected a positive integer" in result.output
+    assert not out.exists()
+
+
 def test_nonattain_rejects_fractional_refinements(tmp_path):
     out = tmp_path / "na.json"
     result = run_cli(["nonattain", "--spec", str(MARKETS / "aumann.json"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ValidationError
-from riskshare.risk_measures import INFINITE_PENALTY, hull_tv_distance
+from riskshare.risk_measures import INFINITE_PENALTY
 
 from oracle import es_lp_oracle
 from support import (
@@ -140,9 +140,23 @@ class TestConjugateExamples:
         lam = rng.dirichlet(np.ones(3))
         mix = sp.density(sum(l * d.q for l, d in zip(lam, spec.densities)))
         assert rs.conjugate(spec, sp, mix).value == 0.0
+        # Every scenario is positive in every state (random_density adds
+        # 1e-3 before normalising), so no mixture puts zero mass on state 1
+        # and the point mass at state 0 is never in the hull.
         outside = sp.density(np.full(sp.n_states, 0.0) + np.eye(sp.n_states)[0] / sp.probs[0])
-        if hull_tv_distance(sp, spec.matrix(), outside) > 1e-6:
-            assert not rs.conjugate(spec, sp, outside).finite
+        assert not rs.conjugate(spec, sp, outside).finite
+
+    @pytest.mark.parametrize("eps, finite", [(5e-10, True), (2e-9, False)])
+    def test_scenario_hull_membership_cutoff_is_entrywise(self, eps, finite):
+        # Hull of (1, 1) and (1.5, 0.5): its largest state-0 entry is 1.5, so
+        # q = (1.5 + eps, 0.5 - eps) exceeds every hull point in state 0 by at
+        # least eps, and the vertex (1.5, 0.5) attains exactly eps.
+        sp = rs.ProbSpace([0.5, 0.5])
+        vertex = np.array([1.5, 0.5])
+        spec = rs.ScenarioSet((sp.uniform_density(), sp.density(vertex)))
+        q = sp.density([1.5 + eps, 0.5 - eps])
+        assert np.max(q.q - vertex) == pytest.approx(eps, rel=1e-6)
+        assert rs.conjugate(spec, sp, q).finite is finite
 
     def test_dilation_scales_conjugate(self):
         rng = np.random.default_rng(25)
