@@ -10,6 +10,7 @@ from .agent_space import (
     AgentSpace,
     Allocation,
     RiskFamily,
+    atom_risks,
     aumann_agents,
     finite_agents,
     gelfand_integral,

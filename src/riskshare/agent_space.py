@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prob_core import ProbSpace
-from .risk_measures import RiskSpec, rho
+from .risk_measures import RiskSpec, _rho
 
 FEASIBILITY_TOL = 1e-9
 
@@ -149,22 +149,13 @@ class Allocation:
         return int(self.shares.shape[0])
 
 
-def _check_alloc(agents: AgentSpace, alloc: Allocation, space: ProbSpace | None = None):
+def gelfand_integral(agents: AgentSpace, alloc: Allocation) -> np.ndarray:
+    """State-wise weighted sum over atoms: the aggregate payoff the
+    allocation actually distributes."""
     if alloc.n_atoms != agents.n_atoms:
         raise ValidationError(
             f"allocation has {alloc.n_atoms} rows for {agents.n_atoms} atoms"
         )
-    if space is not None and alloc.shares.shape[1] != space.n_states:
-        raise ValidationError(
-            f"allocation has {alloc.shares.shape[1]} columns for "
-            f"{space.n_states} states"
-        )
-
-
-def gelfand_integral(agents: AgentSpace, alloc: Allocation) -> np.ndarray:
-    """State-wise weighted sum over atoms: the aggregate payoff the
-    allocation actually distributes."""
-    _check_alloc(agents, alloc)
     return agents.weights @ alloc.shares
 
 
@@ -177,7 +168,7 @@ def proportional_split(agents: AgentSpace, x) -> Allocation:
 def is_feasible(agents: AgentSpace, alloc: Allocation, x,
                 tol: float = FEASIBILITY_TOL) -> bool:
     """Whether the allocation integrates to x within sup-norm tol."""
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValidationError("feasibility tolerance must be >= 0")
     x = np.asarray(x, dtype=float)
     integral = gelfand_integral(agents, alloc)
@@ -186,14 +177,30 @@ def is_feasible(agents: AgentSpace, alloc: Allocation, x,
     return float(np.max(np.abs(integral - x))) <= tol
 
 
+def atom_risks(family: RiskFamily, space: ProbSpace,
+               alloc: Allocation) -> np.ndarray:
+    """Per-atom risks rho(spec_a, row_a), in atom order.
+
+    This is the one per-atom risk loop. The family size and the share width
+    are checked once; Allocation already holds a finite 2-d matrix, so each
+    row goes to the evaluator without a per-row check.
+    """
+    if len(family) != alloc.n_atoms:
+        raise ValidationError(
+            f"allocation has {alloc.n_atoms} rows for {len(family)} atom risks"
+        )
+    if alloc.shares.shape[1] != space.n_states:
+        raise ValidationError(
+            f"allocation has {alloc.shares.shape[1]} columns for "
+            f"{space.n_states} states"
+        )
+    return np.array([_rho(spec, space, row)
+                     for spec, row in zip(family.specs, alloc.shares)])
+
+
 def total_risk(agents: AgentSpace, family: RiskFamily, space: ProbSpace,
                alloc: Allocation) -> float:
     """Weighted sum of per-atom risks, reduced in ascending atom order."""
     if len(family) != agents.n_atoms:
         raise ValidationError("risk family size does not match agent space")
-    _check_alloc(agents, alloc, space)
-    values = np.array([
-        rho(spec, space, alloc.shares[i])
-        for i, spec in enumerate(family.specs)
-    ])
-    return float(np.dot(agents.weights, values))
+    return float(np.dot(agents.weights, atom_risks(family, space, alloc)))

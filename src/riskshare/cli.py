@@ -48,7 +48,7 @@ from .infimal_convolution import (
     nonattainment_experiment,
     value,
 )
-from .pareto import pareto_check
+from .pareto import PARETO_TOL, pareto_check
 from .prob_core import ProbSpace
 from .risk_measures import (
     Dilation,
@@ -253,7 +253,7 @@ def _load_allocation(path: str) -> tuple[Allocation, str]:
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()  # already plain Python scalars
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
@@ -281,7 +281,7 @@ def _write_csv(out_path: str, rows: list[tuple]):
 
 
 def _alloc_payload(agents: AgentSpace, alloc: Allocation) -> dict:
-    return {"labels": list(agents.labels), "shares": _jsonable(alloc.shares)}
+    return {"labels": list(agents.labels), "shares": alloc.shares}
 
 
 def _guarded(fn):
@@ -348,7 +348,7 @@ def cmd_value(spec_path, out_path, seed, tol):
         "value": result.value,
         "attained": result.attained.value,
         "duality_gap": result.duality_gap,
-        "dual_optimizer": _jsonable(result.dual_optimizer.q)
+        "dual_optimizer": result.dual_optimizer.q
         if result.dual_optimizer is not None else None,
         "allocation": _alloc_payload(market.agents, result.allocation)
         if result.allocation is not None else None,
@@ -395,7 +395,7 @@ def cmd_pareto(spec_path, alloc_path, out_path, seed, tol):
     doc, digest = _load_json(spec_path, "spec")
     market, x = load_market(doc)
     alloc, alloc_digest = _load_allocation(alloc_path)
-    verdict = pareto_check(market, x, alloc, tol=tol if tol is not None else 1e-7)
+    verdict = pareto_check(market, x, alloc, tol=tol if tol is not None else PARETO_TOL)
     record = {
         "command": "pareto",
         "spec_sha256": digest,

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opt_kernel
-from .agent_space import AgentSpace, Allocation, RiskFamily, unit_interval_midpoints
+from .agent_space import (
+    AgentSpace,
+    Allocation,
+    RiskFamily,
+    atom_risks,
+    unit_interval_midpoints,
+)
 from .errors import (
     IllPosedError,
     InfeasibleError,
@@ -45,7 +51,7 @@ from .risk_measures import (
     INFINITE_PENALTY,
     Penalty,
     RiskSpec,
-    conjugate,
+    _conjugate,
     dilate,
     dual_set,
     dual_solve,
@@ -141,14 +147,16 @@ class ShareResult:
 
 
 def aggregate_conjugate(market: Market, q: Density) -> Penalty:
-    """Weighted sum of per-atom penalties at q, with infinity absorbing."""
+    """Weighted sum of per-atom penalties at q, with infinity absorbing.
+
+    q is checked once; the penalties are memoised over the nodes of the
+    spec tree, so atoms dilating one base share one evaluation of it."""
+    if q.q.size != market.space.n_states:
+        raise ValidationError("density dimension does not match space")
     total = 0.0
-    cache: dict[int, Penalty] = {}
+    memo: dict[int, Penalty] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
-        pen = cache.get(id(spec))
-        if pen is None:
-            pen = conjugate(spec, market.space, q)
-            cache[id(spec)] = pen
+        pen = _conjugate(spec, market.space, q, memo)
         if not pen.finite:
             return INFINITE_PENALTY
         total += float(w) * pen.value
@@ -240,7 +248,7 @@ def _general_dual_value(market: Market, x) -> tuple[float, Density]:
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:
     """Whether x belongs to the value function's acceptance set."""
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValidationError("tolerance must be >= 0")
     return value(market, x).value <= tol
 
@@ -261,10 +269,8 @@ def aumann_acceptance_sample(market: Market, n_samples: int,
     w = market.agents.weights
     for _ in range(n_samples):
         draws = rng.normal(0.0, 1.0, (market.agents.n_atoms, market.space.n_states))
-        rows = np.empty_like(draws)
-        for i, spec in enumerate(market.family.specs):
-            rows[i] = draws[i] - rho(spec, market.space, draws[i])
-        out.append(w @ rows)
+        risks = atom_risks(market.family, market.space, Allocation(draws))
+        out.append(w @ (draws - risks[:, None]))
     return out
 
 

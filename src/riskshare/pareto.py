@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_space import Allocation, is_feasible, total_risk
+from .agent_space import Allocation, atom_risks, is_feasible, total_risk
 from .errors import ValidationError
 from .infimal_convolution import Market, value
-from .risk_measures import rho
 
 PARETO_TOL = 1e-7  # looser than feasibility: value() may pass through a solver
 
@@ -36,7 +35,7 @@ def pareto_check(market: Market, x, alloc: Allocation,
     is inefficient, the verdict also carries an explicit improvement built
     by :func:`pareto_improve`.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValidationError("tolerance must be >= 0")
     x = market.space.rv(x)
     if not is_feasible(market.agents, alloc, x):
@@ -74,14 +73,8 @@ def pareto_improve(market: Market, x, alloc: Allocation,
         raise ValidationError("alloc does not integrate to x")
     if not is_feasible(market.agents, better, x):
         raise ValidationError("better does not integrate to x")
-    risks_old = np.array([
-        rho(spec, market.space, alloc.shares[i])
-        for i, spec in enumerate(market.family.specs)
-    ])
-    risks_new = np.array([
-        rho(spec, market.space, better.shares[i])
-        for i, spec in enumerate(market.family.specs)
-    ])
+    risks_old = atom_risks(market.family, market.space, alloc)
+    risks_new = atom_risks(market.family, market.space, better)
     saving = float(np.dot(market.agents.weights, risks_old - risks_new))
     if saving <= 0.0:
         raise ValidationError(

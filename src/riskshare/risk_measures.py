@@ -19,6 +19,12 @@ Evaluation (``rho``), penalty (``conjugate``), and the attained dual
 optimizer (``dual_solve``) are plain functions dispatching on the spec type.
 ``dual_set`` is the one map from a spec to its dual penalty: a KL weight
 plus the set of densities the spec admits.
+
+Validation boundary: the public functions check their inputs; the private
+evaluators ``_rho`` and ``_conjugate`` trust them. Per-atom loops run
+through ``agent_space.atom_risks`` and
+``infimal_convolution.aggregate_conjugate``, which check a whole
+allocation or density once and then call the private evaluators per atom.
 """
 
 from __future__ import annotations
@@ -190,7 +196,11 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
 
 def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
     """Evaluate the risk of a loss vector."""
-    x = space.rv(x)
+    return _rho(spec, space, space.rv(x))
+
+
+def _rho(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> float:
+    """rho on a finite float vector already sized to the space."""
     if isinstance(spec, Entropic):
         return _entropic_value(space, spec.gamma, x)
     if isinstance(spec, ExpectedShortfall):
@@ -200,7 +210,7 @@ def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
         value, _ = _scenario_max(space, spec, x)
         return value
     if isinstance(spec, Dilation):
-        return spec.gamma * rho(spec.base, space, x / spec.gamma)
+        return spec.gamma * _rho(spec.base, space, x / spec.gamma)
     if isinstance(spec, Inflation):
         value, _ = _inflation_max(space, spec, x)
         return value
@@ -281,13 +291,28 @@ def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> Penalty:
     spec's penalty is 0 on its dual set and +inf off it."""
     if q.q.size != space.n_states:
         raise ValidationError("density dimension does not match space")
+    return _conjugate(spec, space, q, {})
+
+
+def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
+               memo: dict[int, Penalty]) -> Penalty:
+    """conjugate at a density already sized to the space, memoised in
+    ``memo`` by spec node: a dilation's penalty is its base's scaled by
+    gamma, so each distinct base object is evaluated once per memo. The
+    keys are object ids, so the memo must not outlive the specs."""
+    pen = memo.get(id(spec))
+    if pen is not None:
+        return pen
     if isinstance(spec, Entropic):
-        return Penalty(spec.gamma * kl_divergence(space, q))
-    if isinstance(spec, Dilation):
-        return conjugate(spec.base, space, q).scaled(spec.gamma)
-    if _admits(space, dual_set(spec)[1], q):
-        return ZERO_PENALTY
-    return INFINITE_PENALTY
+        pen = Penalty(spec.gamma * kl_divergence(space, q))
+    elif isinstance(spec, Dilation):
+        pen = _conjugate(spec.base, space, q, memo).scaled(spec.gamma)
+    elif _admits(space, dual_set(spec)[1], q):
+        pen = ZERO_PENALTY
+    else:
+        pen = INFINITE_PENALTY
+    memo[id(spec)] = pen
+    return pen
 
 
 def _admits(space, constraints: opt_kernel.DensityConstraints, q: Density) -> bool:
@@ -349,4 +374,4 @@ def left_continuity_sweep(spec: RiskSpec, space: ProbSpace, x,
     if any(b > a for a, b in zip(grid[1:], grid)):
         raise ValidationError("gamma grid must be ascending")
     x = space.rv(x)
-    return [(g, rho(inflate(spec, g), space, x)) for g in grid]
+    return [(g, _rho(inflate(spec, g), space, x)) for g in grid]

@@ -5,7 +5,7 @@ import riskshare as rs
 from riskshare.agent_space import agent_positions
 from riskshare.errors import ValidationError
 
-from support import random_rv, random_space
+from support import random_rv, random_scenario_set, random_space
 
 
 class TestAgentSpace:
@@ -104,6 +104,12 @@ class TestIsFeasible:
         with pytest.raises(ValidationError):
             rs.is_feasible(agents, rs.Allocation(np.zeros((1, 2))), [0.0, 0.0], tol=-1.0)
 
+    def test_nan_tolerance_rejected(self):
+        agents = rs.finite_agents(1)
+        with pytest.raises(ValidationError):
+            rs.is_feasible(agents, rs.Allocation(np.zeros((1, 2))), [0.0, 0.0],
+                           tol=float("nan"))
+
 
 class TestTotalRisk:
     def test_zero_shares_normalized_specs(self):
@@ -159,6 +165,68 @@ class TestTotalRisk:
         family = rs.RiskFamily((rs.Entropic(1.0),))
         with pytest.raises(ValidationError):
             rs.total_risk(agents, family, sp, rs.Allocation(np.zeros((2, 2))))
+
+    def test_share_width_checked(self):
+        sp = rs.ProbSpace([0.5, 0.5])
+        agents = rs.finite_agents(2)
+        family = rs.RiskFamily((rs.Entropic(1.0), rs.ExpectedShortfall(0.5)))
+        with pytest.raises(ValidationError, match="3 columns for 2 states"):
+            rs.total_risk(agents, family, sp, rs.Allocation(np.zeros((2, 3))))
+
+    def test_allocation_rows_checked(self):
+        sp = rs.ProbSpace([0.5, 0.5])
+        agents = rs.finite_agents(2)
+        family = rs.RiskFamily((rs.Entropic(1.0), rs.ExpectedShortfall(0.5)))
+        with pytest.raises(ValidationError, match="3 rows for 2 atom risks"):
+            rs.total_risk(agents, family, sp, rs.Allocation(np.zeros((3, 2))))
+
+
+class TestAtomRisks:
+    """atom_risks is the one per-atom risk loop: it must reproduce the
+    public rho of every row bit for bit."""
+
+    def _specs(self, rng, sp):
+        ent = rs.Entropic(float(rng.uniform(0.3, 3.0)))
+        es = rs.ExpectedShortfall(float(rng.uniform(0.1, 1.0)))
+        scen = random_scenario_set(rng, sp, 3)
+        return (
+            ent, es, scen,
+            rs.Dilation(ent, 2.5), rs.Dilation(es, 0.7), rs.Dilation(scen, 1.9),
+            rs.Dilation(rs.Dilation(ent, 0.4), 3.1),
+            rs.Inflation(es, 1.8), rs.Inflation(scen, 2.2),
+            rs.Dilation(rs.Inflation(scen, 1.3), 0.6),
+        )
+
+    def test_matches_public_rho_bit_for_bit(self):
+        rng = np.random.default_rng(56)
+        for _ in range(5):
+            sp = random_space(rng)
+            specs = self._specs(rng, sp)
+            family = rs.RiskFamily(specs)
+            alloc = rs.Allocation(rng.normal(0.0, 2.0, (len(specs), sp.n_states)))
+            got = rs.atom_risks(family, sp, alloc)
+            want = [rs.rho(spec, sp, row) for spec, row in zip(specs, alloc.shares)]
+            assert got.tolist() == want
+
+    def test_total_risk_is_weighted_atom_risks(self):
+        rng = np.random.default_rng(57)
+        sp = random_space(rng)
+        specs = self._specs(rng, sp)
+        agents = rs.AgentSpace(tuple(str(i) for i in range(len(specs))),
+                               rng.uniform(0.3, 2.0, len(specs)))
+        family = rs.RiskFamily(specs)
+        alloc = rs.Allocation(rng.normal(0.0, 2.0, (len(specs), sp.n_states)))
+        want = float(np.dot(agents.weights,
+                            [rs.rho(spec, sp, row) for spec, row in zip(specs, alloc.shares)]))
+        assert rs.total_risk(agents, family, sp, alloc) == want
+
+    def test_shape_checked(self):
+        sp = rs.ProbSpace([0.5, 0.5])
+        family = rs.RiskFamily((rs.Entropic(1.0),))
+        with pytest.raises(ValidationError):
+            rs.atom_risks(family, sp, rs.Allocation(np.zeros((2, 2))))
+        with pytest.raises(ValidationError):
+            rs.atom_risks(family, sp, rs.Allocation(np.zeros((1, 3))))
 
 
 class TestImmutability:

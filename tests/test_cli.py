@@ -62,6 +62,17 @@ def test_golden_experiment_outputs():
             (GOLDEN / "sweep_aumann.json").read_bytes()
 
 
+def test_golden_pareto_record():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [
+            "pareto", "--spec", str(MARKETS / "shapley.json"),
+            "--alloc", str(MARKETS / "shapley_alloc.json"), "--out", "out.json"])
+        assert result.exit_code == 0, result.output
+        got = Path("out.json").read_bytes()
+    assert got == (GOLDEN / "pareto_shapley.json").read_bytes()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     runner = CliRunner()
     outs = []
@@ -174,6 +185,17 @@ def test_pareto_flags_inefficient_allocation(tmp_path):
     assert verdict["efficient"] is False
     assert verdict["excess"] > 1e-6
     assert verdict["witness"] is not None
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-7"])
+def test_pareto_nan_or_negative_tolerance_exits_2(tmp_path, tol):
+    out = tmp_path / "verdict.json"
+    result = run_cli(["pareto", "--spec", str(MARKETS / "shapley.json"),
+                      "--alloc", str(MARKETS / "shapley_alloc.json"),
+                      "--tol", tol, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "tolerance must be >= 0" in result.output
+    assert not out.exists()
 
 
 def test_sweep_column_is_nondecreasing(tmp_path):

@@ -117,6 +117,75 @@ class TestAggregateConjugate:
         q = sp.density([3.0, 0.5])  # exceeds the ES cap of 2
         assert not rs.aggregate_conjugate(market, q).finite
 
+    @staticmethod
+    def _naive(market, q):
+        total = 0.0
+        for spec, w in zip(market.family.specs, market.agents.weights):
+            pen = rs.conjugate(spec, market.space, q)
+            if not pen.finite:
+                return pen
+            total += float(w) * pen.value
+        return rs.Penalty(total)
+
+    def test_matches_naive_atom_order_sum_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            sp = random_space(rng)
+            ent = rs.Entropic(float(rng.uniform(0.3, 3.0)))
+            es = rs.ExpectedShortfall(float(rng.uniform(0.1, 1.0)))
+            scen = random_scenario_set(rng, sp, 3)
+            # shared base objects, nested dilations and repeated atoms
+            specs = (ent, rs.Dilation(ent, 2.5), rs.Dilation(rs.Dilation(ent, 0.4), 3.1),
+                     rs.Entropic(ent.gamma), rs.Dilation(es, 0.7), es,
+                     rs.Dilation(ent, 2.5), ent)
+            agents = rs.AgentSpace(tuple(str(i) for i in range(len(specs))),
+                                   rng.uniform(0.3, 2.0, len(specs)))
+            q = random_density(rng, sp)
+            markets = [
+                rs.Market.general(sp, agents, rs.RiskFamily(specs)),
+                rs.Market.dilation(sp, agents, ent, rng.uniform(0.3, 3.0, len(specs))),
+                rs.Market.inflation(sp, agents, scen, rng.uniform(1.0, 4.0, len(specs))),
+            ]
+            for market in markets:
+                for dens in (q, sp.uniform_density()):
+                    got = rs.aggregate_conjugate(market, dens)
+                    assert got.value == self._naive(market, dens).value
+
+    def test_infinite_atom_returns_before_later_atoms(self, monkeypatch):
+        sp = rs.ProbSpace([0.2, 0.8])
+        family = rs.RiskFamily((rs.Entropic(1.0), rs.ExpectedShortfall(0.5),
+                                rs.Entropic(2.0)))
+        market = rs.Market.general(sp, rs.finite_agents(3), family)
+        q = sp.density([3.0, 0.5])  # exceeds the ES cap of 2
+        assert self._naive(market, q) is rs.risk_measures.INFINITE_PENALTY
+        calls = []
+        real = rs.risk_measures.kl_divergence
+        monkeypatch.setattr(rs.risk_measures, "kl_divergence",
+                            lambda *a: calls.append(1) or real(*a))
+        assert rs.aggregate_conjugate(market, q) is rs.risk_measures.INFINITE_PENALTY
+        assert len(calls) == 1  # the atom after the infinite one is never evaluated
+
+    def test_density_dimension_checked(self):
+        sp = rs.ProbSpace([0.2, 0.8])
+        market = rs.Market.general(sp, rs.finite_agents(1),
+                                   rs.RiskFamily((rs.Entropic(1.0),)))
+        other = rs.ProbSpace([0.2, 0.3, 0.5])
+        with pytest.raises(ValidationError):
+            rs.aggregate_conjugate(market, other.uniform_density())
+
+    def test_dilation_profile_evaluates_base_kl_once(self, monkeypatch):
+        rng = np.random.default_rng(68)
+        sp = random_space(rng)
+        agents = rs.aumann_agents(1000)
+        market = rs.Market.dilation(sp, agents, rs.Entropic(1.0),
+                                    rng.uniform(0.3, 3.0, 1000))
+        calls = []
+        real = rs.risk_measures.kl_divergence
+        monkeypatch.setattr(rs.risk_measures, "kl_divergence",
+                            lambda *a: calls.append(1) or real(*a))
+        rs.value(market, random_rv(rng, sp))
+        assert len(calls) == 1
+
 
 class TestOptimalAllocations:
     def test_single_atom_takes_everything(self):
@@ -349,6 +418,13 @@ class TestAcceptanceSets:
         v = rs.value(market, x).value
         assert rs.acceptance_member(market, x - v, tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [-1e-7, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        rng = np.random.default_rng(85)
+        market = random_dilation_market(rng)
+        with pytest.raises(ValidationError):
+            rs.acceptance_member(market, np.zeros(market.space.n_states), tol=tol)
+
     def test_large_constant_is_not_acceptable(self):
         rng = np.random.default_rng(80)
         market = random_dilation_market(rng)
@@ -384,6 +460,21 @@ class TestAcceptanceSets:
                 continue
             hull_max = max(rs.expect_under(market.space, q, s) for s in samples)
             assert hull_max <= pen.value + 1e-7
+
+    def test_samples_match_per_row_recentering_bit_for_bit(self):
+        rng = np.random.default_rng(86)
+        market = random_general_market(
+            rng, max_atoms=5, variants=("entropic", "es", "dilation", "inflation"))
+        got = rs.aumann_acceptance_sample(market, 3, rng_seed=7)
+        draws_rng = np.random.default_rng(7)
+        for sample in got:
+            draws = draws_rng.normal(0.0, 1.0,
+                                     (market.agents.n_atoms, market.space.n_states))
+            rows = np.vstack([
+                draws[i] - rs.rho(spec, market.space, draws[i])
+                for i, spec in enumerate(market.family.specs)
+            ])
+            assert sample.tolist() == (market.agents.weights @ rows).tolist()
 
     def test_sample_count_validated(self):
         rng = np.random.default_rng(84)

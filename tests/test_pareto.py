@@ -55,6 +55,15 @@ class TestParetoCheck:
         with pytest.raises(ValidationError):
             rs.pareto_check(market, x, bad)
 
+    @pytest.mark.parametrize("tol", [-1e-7, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        rng = np.random.default_rng(93)
+        market = random_dilation_market(rng)
+        x = random_rv(rng, market.space)
+        alloc = rs.optimal_allocation_dilated(market, x)
+        with pytest.raises(ValidationError):
+            rs.pareto_check(market, x, alloc, tol=tol)
+
     def test_verdict_excess_matches_efficiency_flag(self):
         rng = np.random.default_rng(93)
         for _ in range(10):

@@ -59,6 +59,20 @@ class TestSpecValidation:
 
 
 class TestRhoExamples:
+    @pytest.mark.parametrize("spec", [
+        rs.Entropic(1.0),
+        rs.ExpectedShortfall(0.5),
+        rs.Dilation(rs.Entropic(1.0), 2.0),
+        rs.Dilation(rs.Dilation(rs.ExpectedShortfall(0.5), 2.0), 0.5),
+        rs.Inflation(rs.ExpectedShortfall(0.5), 1.5),
+    ])
+    @pytest.mark.parametrize("x", [[1.0, float("nan")], [1.0, float("inf")],
+                                   [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_public_rho_rejects_bad_vectors(self, spec, x):
+        sp = rs.ProbSpace([0.25, 0.75])
+        with pytest.raises(ValidationError):
+            rs.rho(spec, sp, x)
+
     def test_entropic_constant_is_cash(self):
         sp = rs.ProbSpace([0.25, 0.75])
         for gamma in (0.5, 1.0, 3.0):
