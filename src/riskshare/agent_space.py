@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prob_core import ProbSpace
-from .risk_measures import RiskSpec, _rho
+from .risk_measures import RiskSpec, _solve
 
 FEASIBILITY_TOL = 1e-9
 
@@ -194,7 +194,7 @@ def atom_risks(family: RiskFamily, space: ProbSpace,
             f"allocation has {alloc.shares.shape[1]} columns for "
             f"{space.n_states} states"
         )
-    return np.array([_rho(spec, space, row)
+    return np.array([_solve(spec, space, row)[0]
                      for spec, row in zip(family.specs, alloc.shares)])
 
 

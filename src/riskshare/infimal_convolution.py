@@ -262,12 +262,13 @@ def aumann_acceptance_sample(market: Market, n_samples: int,
     of the recentered allocation. Every returned vector passes
     :func:`acceptance_member` at tolerance 1e-7 by construction.
     """
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
+    if not float(n_samples).is_integer() or n_samples < 1:
+        raise ValidationError(
+            f"the sample count must be a positive whole number, got {n_samples!r}")
     rng = np.random.default_rng(rng_seed)
     out = []
     w = market.agents.weights
-    for _ in range(n_samples):
+    for _ in range(int(n_samples)):
         draws = rng.normal(0.0, 1.0, (market.agents.n_atoms, market.space.n_states))
         risks = atom_risks(market.family, market.space, Allocation(draws))
         out.append(w @ (draws - risks[:, None]))

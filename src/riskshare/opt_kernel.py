@@ -6,6 +6,9 @@ constraint structure: the sorting rule for a density cap alone with
 kappa = 0, the capped Gibbs point (certified by its KKT residual) for a cap
 alone with kappa > 0, and the simplex for scenario-hull constraints. The
 cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
+``maximize_over_densities`` checks the payoff and the hull widths, then
+wraps the vector from the private ``_maximize`` as a Density once; callers
+with checked inputs, such as the risk-measure evaluator, call ``_maximize``.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism over
@@ -289,13 +292,30 @@ def maximize_over_densities(
       (:func:`capped_gibbs_point`), projected onto the capped density set
       and certified by its KKT residual (:func:`kkt_residual`).
 
-    Raises InfeasibleError when no density satisfies the constraints,
+    Raises ValidationError when the payoff or a hull matrix does not fit
+    the space, InfeasibleError when no density satisfies the constraints,
     UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
     ConvergenceError (carrying the point and its residual) when the capped
     Gibbs point's KKT residual exceeds the module tolerance.
     """
     x = space.rv(objective.payoff)
-    kappa = objective.kl_weight
+    _check_hulls(space, constraints)
+    q, value = _maximize(space, x, objective.kl_weight, constraints)
+    return space.density(q), value
+
+
+def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
+    """Every hull matrix must have one column per state of the space."""
+    hulls = constraints.member_hulls + tuple(d for _, d in constraints.dominating_hulls)
+    for d in hulls:
+        if np.shape(d)[-1] != space.n_states:
+            raise ValidationError(f"scenario densities have {np.shape(d)[-1]} entries "
+                                  f"but the space has {space.n_states} states")
+
+
+def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
+              constraints: DensityConstraints) -> tuple[np.ndarray, float]:
+    """maximize_over_densities on checked inputs, the optimizer unwrapped."""
     if not constraints.polyhedral_only():
         if kappa != 0.0:
             raise UnsupportedFamilyError(
@@ -305,7 +325,7 @@ def maximize_over_densities(
         return _linear_density_lp(space, x, constraints)
     if kappa == 0.0:
         q = sorting_rule_point(space, x, constraints.cap)
-        return space.density(q), float(np.dot(space.probs, q * x))
+        return q, float(np.dot(space.probs, q * x))
     return _certified_gibbs(space, x, kappa, constraints.cap)
 
 
@@ -376,7 +396,7 @@ def _linear_density_lp(space, x, constraints):
         raise InfeasibleError("no density satisfies the feasibility constraints")
     if sol.status != "optimal":
         raise ConvergenceError(f"density LP ended with status {sol.status}")
-    return space.density(sol.point[:n]), float(sol.value)
+    return sol.point[:n], float(sol.value)
 
 
 def _check_cap(cap: float):
@@ -552,4 +572,4 @@ def _certified_gibbs(space, x, kappa, cap):
     pos = q > 0.0
     ent = np.zeros_like(q)
     ent[pos] = q[pos] * np.log(q[pos])
-    return space.density(q), float(np.dot(p, x * q) - kappa * np.dot(p, ent))
+    return q, float(np.dot(p, x * q) - kappa * np.dot(p, ent))

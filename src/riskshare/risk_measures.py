@@ -15,13 +15,15 @@ Five families are supported:
   factor gamma >= 1 (intersected with the probability densities); generates
   expected shortfall from the plain expectation.
 
-Evaluation (``rho``), penalty (``conjugate``), and the attained dual
-optimizer (``dual_solve``) are plain functions dispatching on the spec type.
 ``dual_set`` is the one map from a spec to its dual penalty: a KL weight
-plus the set of densities the spec admits.
+plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
+one evaluator, ``_solve``: closed forms for Entropic (log-sum-exp and its
+Gibbs weights) and ScenarioSet (the best scenario), and ``opt_kernel`` over
+``dual_set`` for the rest. ``conjugate`` reads ``dual_set`` too.
 
 Validation boundary: the public functions check their inputs; the private
-evaluators ``_rho`` and ``_conjugate`` trust them. Per-atom loops run
+evaluators ``_solve`` and ``_conjugate`` trust them, except for the width of
+a scenario matrix, which only meets the space there. Per-atom loops run
 through ``agent_space.atom_risks`` and
 ``infimal_convolution.aggregate_conjugate``, which check a whole
 allocation or density once and then call the private evaluators per atom.
@@ -83,10 +85,13 @@ class ScenarioSet(RiskSpec):
         if len(sizes) != 1:
             raise ValidationError("scenario members must share one dimension")
         object.__setattr__(self, "densities", dens)
+        matrix = np.vstack([d.q for d in dens])
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
 
     def matrix(self) -> np.ndarray:
-        """Scenario densities stacked as rows."""
-        return np.vstack([d.q for d in self.densities])
+        """Scenario densities stacked as rows, once and read-only."""
+        return self._matrix
 
     def contains_reference(self, tol: float = MEMBERSHIP_TOL) -> bool:
         """Whether P itself (the all-ones density) is listed as a scenario."""
@@ -196,89 +201,40 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
 
 def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
     """Evaluate the risk of a loss vector."""
-    return _rho(spec, space, space.rv(x))
-
-
-def _rho(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> float:
-    """rho on a finite float vector already sized to the space."""
-    if isinstance(spec, Entropic):
-        return _entropic_value(space, spec.gamma, x)
-    if isinstance(spec, ExpectedShortfall):
-        value, _ = _es_sorting_rule(space, spec, x)
-        return value
-    if isinstance(spec, ScenarioSet):
-        value, _ = _scenario_max(space, spec, x)
-        return value
-    if isinstance(spec, Dilation):
-        return spec.gamma * _rho(spec.base, space, x / spec.gamma)
-    if isinstance(spec, Inflation):
-        value, _ = _inflation_max(space, spec, x)
-        return value
-    raise ValidationError(f"unknown risk spec {type(spec).__name__}")
+    return _solve(spec, space, space.rv(x))[0]
 
 
 def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
     """Risk value together with a density attaining the dual supremum
     E_Q[x] - conjugate(Q)."""
-    x = space.rv(x)
-    if isinstance(spec, Entropic):
-        return _entropic_value(space, spec.gamma, x), gibbs_density(space, spec.gamma, x)
-    if isinstance(spec, ExpectedShortfall):
-        value, q = _es_sorting_rule(space, spec, x)
-        return value, space.density(q)
-    if isinstance(spec, ScenarioSet):
-        value, q = _scenario_max(space, spec, x)
-        return value, q
+    value, q = _solve(spec, space, space.rv(x))
+    return value, space.density(q)
+
+
+def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """rho and the vector of a dual optimizer, for a finite float vector
+    already sized to the space. Specs without a closed form maximize E_Q[x]
+    over their dual set in the kernel."""
     if isinstance(spec, Dilation):
-        value, q = dual_solve(spec.base, space, x / spec.gamma)
+        value, q = _solve(spec.base, space, x / spec.gamma)
         return spec.gamma * value, q
-    if isinstance(spec, Inflation):
-        return _inflation_max(space, spec, x)
-    raise ValidationError(f"unknown risk spec {type(spec).__name__}")
-
-
-def _entropic_value(space, gamma, x) -> float:
-    # log-sum-exp with max shift: x / gamma can overflow for small gamma.
-    scaled = x / gamma
-    shift = float(np.max(scaled))
-    return gamma * (shift + math.log(float(np.dot(space.probs, np.exp(scaled - shift)))))
-
-
-def gibbs_density(space: ProbSpace, gamma: float, x) -> Density:
-    """exp(x / gamma) / E_P[exp(x / gamma)]: the entropic dual optimizer."""
-    x = space.rv(x)
-    scaled = x / gamma
-    shift = float(np.max(scaled))
-    w = np.exp(scaled - shift)
-    return space.density(w / float(np.dot(space.probs, w)))
-
-
-def _es_sorting_rule(space, spec: ExpectedShortfall, x) -> tuple[float, np.ndarray]:
-    """Average of the worst alpha probability mass: the sorting rule with
-    every density entry capped at 1/alpha, the boundary state carrying
-    fractional weight."""
-    q = opt_kernel.sorting_rule_point(space, x, dual_set(spec)[1].cap)
-    return float(np.dot(space.probs, q * x)), q
-
-
-def _scenario_max(space, spec: ScenarioSet, x) -> tuple[float, Density]:
-    best_value = -math.inf
-    best = None
-    for d in spec.densities:
-        if d.q.size != space.n_states:
-            raise ValidationError("scenario density dimension does not match space")
-        v = float(np.dot(space.probs, d.q * x))
-        if v > best_value:
-            best_value, best = v, d
-    return best_value, best
-
-
-def _inflation_max(space, spec: Inflation, x) -> tuple[float, Density]:
-    q, value = opt_kernel.maximize_over_densities(
-        space,
-        opt_kernel.DensityObjective(payoff=x),
-        dual_set(spec)[1],
-    )
+    if isinstance(spec, Entropic):
+        # log-sum-exp with max shift: x / gamma can overflow for small gamma.
+        scaled = x / spec.gamma
+        shift = float(scaled.max())  # the method skips np.max's Python dispatch
+        w = np.exp(scaled - shift)
+        mass = float(np.dot(space.probs, w))
+        return spec.gamma * (shift + math.log(mass)), w / mass
+    kappa, constraints = dual_set(spec)
+    opt_kernel._check_hulls(space, constraints)
+    if isinstance(spec, ScenarioSet):
+        best_value, best = -math.inf, None
+        for d in constraints.member_hulls[0]:
+            v = float(np.dot(space.probs, d * x))
+            if v > best_value:
+                best_value, best = v, d
+        return best_value, best
+    q, value = opt_kernel._maximize(space, x, kappa, constraints)
     return value, q
 
 
@@ -303,14 +259,17 @@ def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
     pen = memo.get(id(spec))
     if pen is not None:
         return pen
-    if isinstance(spec, Entropic):
-        pen = Penalty(spec.gamma * kl_divergence(space, q))
-    elif isinstance(spec, Dilation):
+    if isinstance(spec, Dilation):
         pen = _conjugate(spec.base, space, q, memo).scaled(spec.gamma)
-    elif _admits(space, dual_set(spec)[1], q):
-        pen = ZERO_PENALTY
     else:
-        pen = INFINITE_PENALTY
+        kappa, constraints = dual_set(spec)
+        opt_kernel._check_hulls(space, constraints)
+        if not _admits(space, constraints, q):
+            pen = INFINITE_PENALTY
+        elif kappa > 0.0:
+            pen = Penalty(kappa * kl_divergence(space, q))
+        else:
+            pen = ZERO_PENALTY
     memo[id(spec)] = pen
     return pen
 
@@ -374,4 +333,4 @@ def left_continuity_sweep(spec: RiskSpec, space: ProbSpace, x,
     if any(b > a for a, b in zip(grid[1:], grid)):
         raise ValidationError("gamma grid must be ascending")
     x = space.rv(x)
-    return [(g, _rho(inflate(spec, g), space, x)) for g in grid]
+    return [(g, _solve(inflate(spec, g), space, x)[0]) for g in grid]

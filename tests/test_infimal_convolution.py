@@ -482,6 +482,20 @@ class TestAcceptanceSets:
         with pytest.raises(ValidationError):
             rs.aumann_acceptance_sample(market, 0, rng_seed=1)
 
+    @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf")])
+    def test_sample_count_must_be_whole(self, count):
+        rng = np.random.default_rng(85)
+        market = random_general_market(rng)
+        with pytest.raises(ValidationError, match="whole number"):
+            rs.aumann_acceptance_sample(market, count, rng_seed=1)
+
+    def test_whole_float_sample_count_is_a_count(self):
+        rng = np.random.default_rng(85)
+        market = random_general_market(rng)
+        got = rs.aumann_acceptance_sample(market, 2.0, rng_seed=1)
+        want = rs.aumann_acceptance_sample(market, 2, rng_seed=1)
+        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+
 
 class TestNonattainment:
     def test_constant_loss_is_vacuous(self):
@@ -540,6 +554,16 @@ class TestMarketValidation:
         with pytest.raises(ValidationError):
             rs.Market.general(sp, rs.finite_agents(2),
                               rs.RiskFamily((rs.Entropic(1.0),)))
+
+    def test_scenario_set_sized_for_another_space(self):
+        small = rs.ProbSpace([0.2, 0.3, 0.5])
+        scen = rs.ScenarioSet((small.uniform_density(), small.density([2.0, 1.0, 0.6])))
+        sp = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
+        for spec in (scen, rs.Inflation(scen, 1.5)):
+            market = rs.Market.general(sp, rs.finite_agents(2),
+                                       rs.RiskFamily((spec, rs.ExpectedShortfall(0.5))))
+            with pytest.raises(ValidationError, match="3 entries"):
+                rs.value(market, np.arange(4.0))
 
 
 class TestExtraCrossValidation:

@@ -4,7 +4,6 @@ import pytest
 import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, InfeasibleError, ValidationError
-from riskshare.risk_measures import gibbs_density
 
 from oracle import vertex_enum_lp
 from support import random_density, random_rv, random_space
@@ -166,7 +165,7 @@ class TestMaximizeOverDensities:
             sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
             ok.DensityConstraints(cap=10.0),
         )
-        want = gibbs_density(sp, 1.5, x)
+        want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1]
         assert np.max(np.abs(q.q - want.q)) <= 1e-6
         assert val == pytest.approx(rs.rho(rs.Entropic(1.5), sp, x), abs=1e-9)
 
@@ -179,7 +178,8 @@ class TestMaximizeOverDensities:
             q, val = ok.maximize_over_densities(
                 sp, ok.DensityObjective(payoff=x, kl_weight=kappa))
             assert val == pytest.approx(rs.rho(rs.Entropic(kappa), sp, x), abs=1e-9)
-            assert np.max(np.abs(q.q - gibbs_density(sp, kappa, x).q)) <= 1e-6
+            want = rs.dual_solve(rs.Entropic(kappa), sp, x)[1]
+            assert np.max(np.abs(q.q - want.q)) <= 1e-6
 
     def test_constant_payoff_gives_constant_value(self):
         sp = rs.ProbSpace([0.25, 0.75])
@@ -217,6 +217,15 @@ class TestMaximizeOverDensities:
         want = max(rs.expect_under(sp, d1, x), rs.expect_under(sp, d2, x))
         assert val == pytest.approx(want, abs=1e-9)
 
+    def test_hull_width_must_match_the_space(self):
+        sp = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
+        hull = np.ones((2, 3))
+        for constraints in (ok.DensityConstraints(member_hulls=(hull,)),
+                            ok.DensityConstraints(dominating_hulls=((1.5, hull),))):
+            with pytest.raises(ValidationError, match="3 entries"):
+                ok.maximize_over_densities(
+                    sp, ok.DensityObjective(payoff=np.arange(4.0)), constraints)
+
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         # A certificate above tolerance surfaces the point and its residual.
         monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
@@ -225,7 +234,7 @@ class TestMaximizeOverDensities:
         with pytest.raises(ConvergenceError) as info:
             ok.maximize_over_densities(
                 sp, ok.DensityObjective(payoff=x, kl_weight=1.5))
-        want = gibbs_density(sp, 1.5, x).q
+        want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1].q
         assert np.max(np.abs(info.value.best_point - want)) <= 1e-6
         assert 0.0 <= info.value.residual <= 1e-9
 

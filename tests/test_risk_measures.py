@@ -547,3 +547,74 @@ class TestDualSet:
         assert np.array_equal(rs.dual_set(scen)[1].member_hulls[0], scen.matrix())
         gamma, hull = rs.dual_set(infl_scen)[1].dominating_hulls[0]
         assert gamma == 1.5 and np.array_equal(hull, scen.matrix())
+
+    def test_rho_is_dual_solve_value_bit_for_bit(self):
+        sp = self.SPACE
+        rng = np.random.default_rng(46)
+        for spec in _families(sp):
+            for _ in range(5):
+                x = random_rv(rng, sp)
+                assert rs.rho(spec, sp, x) == rs.dual_solve(spec, sp, x)[0], spec
+
+    def test_inflation_checks_its_vector_once(self, monkeypatch):
+        # rho checks x once and builds no density; dual_solve builds one.
+        calls = {"rv": 0, "density": 0}
+
+        def counted(name):
+            fn = getattr(rs.ProbSpace, name)
+
+            def wrapper(self, values):
+                calls[name] += 1
+                return fn(self, values)
+            return wrapper
+
+        sp = self.SPACE
+        x = random_rv(np.random.default_rng(47), sp)
+        monkeypatch.setattr(rs.ProbSpace, "rv", counted("rv"))
+        monkeypatch.setattr(rs.ProbSpace, "density", counted("density"))
+        for spec in _families(sp)[3:5]:
+            for wrapped in (spec, rs.Dilation(spec, 1.7)):
+                calls.update(rv=0, density=0)
+                rs.rho(wrapped, sp, x)
+                assert calls == {"rv": 1, "density": 0}, wrapped
+                calls.update(rv=0, density=0)
+                rs.dual_solve(wrapped, sp, x)
+                assert calls == {"rv": 1, "density": 1}, wrapped
+
+    def test_scenario_matrix_is_stacked_once(self):
+        scen = _families(self.SPACE)[2]
+        mat = scen.matrix()
+        assert scen.matrix() is mat
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, np.vstack([d.q for d in scen.densities]))
+        assert rs.dual_set(scen)[1].member_hulls[0] is mat
+        assert rs.dual_set(rs.Inflation(scen, 2.0))[1].dominating_hulls[0][1] is mat
+
+
+class TestScenarioWidth:
+    """A scenario set built on 3 states, used on a 4-state space."""
+
+    SMALL = rs.ProbSpace([0.2, 0.3, 0.5])
+    SPACE = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
+
+    def _scen(self):
+        sp = self.SMALL
+        return rs.ScenarioSet((sp.uniform_density(),
+                               sp.density([2.0, 1.0, 0.6])))
+
+    @pytest.mark.parametrize("fn", [rs.rho, rs.dual_solve])
+    @pytest.mark.parametrize("inflated", [False, True])
+    def test_evaluation_rejects_the_width(self, fn, inflated):
+        spec = self._scen()
+        if inflated:
+            spec = rs.Inflation(spec, 1.5)
+        with pytest.raises(ValidationError, match="3 entries"):
+            fn(spec, self.SPACE, np.arange(4.0))
+
+    @pytest.mark.parametrize("inflated", [False, True])
+    def test_conjugate_rejects_the_width(self, inflated):
+        spec = self._scen()
+        if inflated:
+            spec = rs.Inflation(spec, 1.5)
+        with pytest.raises(ValidationError, match="3 entries"):
+            rs.conjugate(spec, self.SPACE, self.SPACE.uniform_density())
