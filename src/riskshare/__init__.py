@@ -58,7 +58,6 @@ from .risk_measures import (
     Entropic,
     ExpectedShortfall,
     Inflation,
-    Penalty,
     RiskSpec,
     ScenarioSet,
     conjugate,

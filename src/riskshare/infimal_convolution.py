@@ -48,8 +48,6 @@ from .errors import (
 )
 from .prob_core import Density, ProbSpace, essup, expect_under
 from .risk_measures import (
-    INFINITE_PENALTY,
-    Penalty,
     RiskSpec,
     _conjugate,
     dilate,
@@ -146,21 +144,22 @@ class ShareResult:
     duality_gap: float
 
 
-def aggregate_conjugate(market: Market, q: Density) -> Penalty:
-    """Weighted sum of per-atom penalties at q, with infinity absorbing.
+def aggregate_conjugate(market: Market, q: Density) -> float:
+    """Weighted sum of per-atom penalties at q, in [0, math.inf], with
+    infinity absorbing.
 
     q is checked once; the penalties are memoised over the nodes of the
     spec tree, so atoms dilating one base share one evaluation of it."""
     if q.q.size != market.space.n_states:
         raise ValidationError("density dimension does not match space")
     total = 0.0
-    memo: dict[int, Penalty] = {}
+    memo: dict[int, float] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
         pen = _conjugate(spec, market.space, q, memo)
-        if not pen.finite:
-            return INFINITE_PENALTY
-        total += float(w) * pen.value
-    return Penalty(total)
+        if not math.isfinite(pen):
+            return math.inf
+        total += float(w) * pen
+    return total
 
 
 def optimal_allocation_dilated(market: Market, x) -> Allocation:
@@ -210,8 +209,8 @@ def value(market: Market, x) -> ShareResult:
 
 def _result(market, x, val, alloc, attained, q) -> ShareResult:
     pen = aggregate_conjugate(market, q)
-    if pen.finite:
-        gap = val - (expect_under(market.space, q, x) - pen.value)
+    if math.isfinite(pen):
+        gap = val - (expect_under(market.space, q, x) - pen)
     else:
         gap = math.inf
     if -CERTIFICATE_TOL <= gap < 0.0:

@@ -1,14 +1,17 @@
-"""Small dense optimization routines: a two-phase simplex and exact
-maximization over densities.
+"""Small dense optimization routines: a two-phase simplex, exact
+maximization over densities, and membership in a set of densities.
 
 Maximizing E_Q[x] - kappa * KL(Q||P) over densities has one solve path per
 constraint structure: the sorting rule for a density cap alone with
 kappa = 0, the capped Gibbs point (certified by its KKT residual) for a cap
 alone with kappa > 0, and the simplex for scenario-hull constraints. The
 cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
-``maximize_over_densities`` checks the payoff and the hull widths, then
-wraps the vector from the private ``_maximize`` as a Density once; callers
-with checked inputs, such as the risk-measure evaluator, call ``_maximize``.
+``maximize_over_densities`` checks the payoff and the hulls (one column per
+state, rows of unit P-mass), then wraps the vector from the private
+``_maximize`` as a Density once; callers with checked inputs, such as the
+risk-measure evaluator, call ``_maximize``.
+``_admits`` tests whether a density meets the same constraints, one small
+LP per hull (``_dominated``), so every LP in the package is built here.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism over
@@ -34,12 +37,15 @@ from .errors import (
     UnsupportedFamilyError,
     ValidationError,
 )
-from .prob_core import Density, ProbSpace
+from .prob_core import DENSITY_SUM_TOL, Density, ProbSpace
 
 _RC_TOL = 1e-10     # reduced-cost threshold for entering columns
 _PIV_TOL = 1e-10    # minimum magnitude for a pivot element
 _FEAS_TOL = 1e-9    # phase-1 residual above which the problem is infeasible
 _ITER_FACTOR = 10_000  # iteration cap = factor * number of columns
+# Shared cutoff for the 0-vs-infinity decision in coherent conjugates:
+# constraint residuals up to this size still count as feasible.
+MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +311,18 @@ def maximize_over_densities(
 
 
 def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
-    """Every hull matrix must have one column per state of the space."""
+    """Every hull matrix must have one column per state of the space, and
+    every row P-mass 1 on it: a density checked on another space of the
+    same width need not be a density here."""
     hulls = constraints.member_hulls + tuple(d for _, d in constraints.dominating_hulls)
     for d in hulls:
         if np.shape(d)[-1] != space.n_states:
             raise ValidationError(f"scenario densities have {np.shape(d)[-1]} entries "
                                   f"but the space has {space.n_states} states")
+        for mass in np.atleast_1d(np.dot(d, space.probs)):
+            if abs(mass - 1.0) > DENSITY_SUM_TOL:
+                raise ValidationError(f"scenario density has P-expectation {float(mass)!r} "
+                                      f"on this space; expected 1 within {DENSITY_SUM_TOL}")
 
 
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
@@ -332,12 +344,11 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
 def _linear_density_lp(space, x, constraints):
     p = space.probs
     n = space.n_states
-    hull_sizes = [np.atleast_2d(np.asarray(d, dtype=float)).shape[0]
-                  for d in constraints.member_hulls]
+    member = [np.atleast_2d(np.asarray(d, dtype=float)) for d in constraints.member_hulls]
     dom = [(float(g), np.atleast_2d(np.asarray(d, dtype=float)))
            for g, d in constraints.dominating_hulls]
-    dom_sizes = [d.shape[0] for _, d in dom]
-    n_total = n + sum(hull_sizes) + sum(dom_sizes)
+    n_member = sum(len(d) for d in member)
+    n_total = n + n_member + sum(len(d) for _, d in dom)
 
     c = np.zeros(n_total)
     c[:n] = p * x
@@ -349,24 +360,23 @@ def _linear_density_lp(space, x, constraints):
     eq_rhs.append(1.0)
 
     offset = n
-    for d, size in zip(constraints.member_hulls, hull_sizes):
-        dmat = np.atleast_2d(np.asarray(d, dtype=float))
+    for dmat in member:
         block = np.zeros((n, n_total))
         block[:, :n] = -np.eye(n)
-        block[:, offset:offset + size] = dmat.T
+        block[:, offset:offset + len(dmat)] = dmat.T
         eq_rows.extend(block)
         eq_rhs.extend(np.zeros(n))
         srow = np.zeros(n_total)
-        srow[offset:offset + size] = 1.0
+        srow[offset:offset + len(dmat)] = 1.0
         eq_rows.append(srow)
         eq_rhs.append(1.0)
-        offset += size
-    for (_, dmat), size in zip(dom, dom_sizes):
+        offset += len(dmat)
+    for _, dmat in dom:
         srow = np.zeros(n_total)
-        srow[offset:offset + size] = 1.0
+        srow[offset:offset + len(dmat)] = 1.0
         eq_rows.append(srow)
         eq_rhs.append(1.0)
-        offset += size
+        offset += len(dmat)
 
     ub_rows, ub_rhs = [], []
     if math.isfinite(constraints.cap):
@@ -375,14 +385,14 @@ def _linear_density_lp(space, x, constraints):
             row[i] = 1.0
             ub_rows.append(row)
             ub_rhs.append(constraints.cap)
-    offset = n + sum(hull_sizes)
-    for (gamma, dmat), size in zip(dom, dom_sizes):
+    offset = n + n_member
+    for gamma, dmat in dom:
         block = np.zeros((n, n_total))
         block[:, :n] = np.eye(n)
-        block[:, offset:offset + size] = -gamma * dmat.T
+        block[:, offset:offset + len(dmat)] = -gamma * dmat.T
         ub_rows.extend(block)
         ub_rhs.extend(np.zeros(n))
-        offset += size
+        offset += len(dmat)
 
     problem = LpProblem(
         objective=c,
@@ -397,6 +407,45 @@ def _linear_density_lp(space, x, constraints):
     if sol.status != "optimal":
         raise ConvergenceError(f"density LP ended with status {sol.status}")
     return sol.point[:n], float(sol.value)
+
+
+def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) -> bool:
+    """Whether the density vector q satisfies the constraints: q exceeds the
+    cap by at most MEMBERSHIP_TOL, and for each hull the largest entrywise
+    violation, minimized over hull weights, is at most MEMBERSHIP_TOL.
+
+    A member hull is tested as a dominating hull at gamma = 1: every state
+    has p > 0, so q <= D^T lam with both sides of P-mass 1 forces q = D^T lam.
+    """
+    if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
+        return False
+    hulls = [(1.0, d) for d in constraints.member_hulls]
+    hulls.extend(constraints.dominating_hulls)
+    return all(_dominated(space, gamma, d, q) for gamma, d in hulls)
+
+
+def _dominated(space: ProbSpace, gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
+    """Whether q <= gamma * d for some d in the hull of dmat's rows: the
+    worst violation, minimized over hull weights, is within tolerance."""
+    n = space.n_states
+    j = dmat.shape[0]
+    n_total = j + 1  # hull weights then the violation bound t
+    c = np.zeros(n_total)
+    c[-1] = -1.0
+
+    a_eq = np.zeros((1, n_total))
+    a_eq[0, :j] = 1.0
+    b_eq = np.ones(1)
+
+    a_ub = np.zeros((n, n_total))
+    a_ub[:, :j] = -gamma * dmat.T
+    a_ub[:, -1] = -1.0
+    b_ub = -q
+
+    sol = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, b_eq))
+    if sol.status != "optimal":
+        raise ValidationError(f"inflation feasibility LP ended with status {sol.status}")
+    return -float(sol.value) <= MEMBERSHIP_TOL
 
 
 def _check_cap(cap: float):

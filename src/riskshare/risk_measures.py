@@ -19,12 +19,14 @@ Five families are supported:
 plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
 one evaluator, ``_solve``: closed forms for Entropic (log-sum-exp and its
 Gibbs weights) and ScenarioSet (the best scenario), and ``opt_kernel`` over
-``dual_set`` for the rest. ``conjugate`` reads ``dual_set`` too.
+``dual_set`` for the rest. ``conjugate`` reads ``dual_set`` too and returns
+a float in [0, math.inf]: kappa * KL on the dual set, math.inf off it. This
+module builds no LP: ``opt_kernel`` also tests membership in a dual set.
 
 Validation boundary: the public functions check their inputs; the private
-evaluators ``_solve`` and ``_conjugate`` trust them, except for the width of
-a scenario matrix, which only meets the space there. Per-atom loops run
-through ``agent_space.atom_risks`` and
+evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
+row masses of a scenario matrix, which only meets the space there. Per-atom
+loops run through ``agent_space.atom_risks`` and
 ``infimal_convolution.aggregate_conjugate``, which check a whole
 allocation or density once and then call the private evaluators per atom.
 """
@@ -39,10 +41,6 @@ import numpy as np
 from . import opt_kernel
 from .errors import ValidationError
 from .prob_core import Density, ProbSpace, kl_divergence
-
-# Shared cutoff for the 0-vs-infinity decision in coherent conjugates:
-# constraint residuals up to this size still count as feasible.
-MEMBERSHIP_TOL = 1e-9
 
 
 class RiskSpec:
@@ -69,8 +67,11 @@ class ExpectedShortfall(RiskSpec):
             raise ValidationError("quantile level must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet(RiskSpec):
+    """Compares and hashes by its stacked matrix: Density compares by
+    identity, so two sets listing equal densities would otherwise differ."""
+
     densities: tuple[Density, ...]
 
     def __post_init__(self):
@@ -93,7 +94,16 @@ class ScenarioSet(RiskSpec):
         """Scenario densities stacked as rows, once and read-only."""
         return self._matrix
 
-    def contains_reference(self, tol: float = MEMBERSHIP_TOL) -> bool:
+    def __eq__(self, other):
+        if not isinstance(other, ScenarioSet):
+            return NotImplemented
+        return np.array_equal(self._matrix, other._matrix)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal already equates.
+        return hash((self._matrix + 0.0).tobytes())
+
+    def contains_reference(self, tol: float = opt_kernel.MEMBERSHIP_TOL) -> bool:
         """Whether P itself (the all-ones density) is listed as a scenario."""
         return any(np.max(np.abs(d.q - 1.0)) <= tol for d in self.densities)
 
@@ -128,27 +138,6 @@ class Inflation(RiskSpec):
                 "inflation of a scenario set requires the all-ones density "
                 "(the reference measure) among the scenarios"
             )
-
-
-@dataclass(frozen=True)
-class Penalty:
-    """Extended-real conjugate value in [0, +inf]; math.inf is the explicit
-    infinity marker and only ever feeds comparisons, never raw arithmetic."""
-
-    value: float
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def scaled(self, factor: float) -> "Penalty":
-        if factor <= 0.0:
-            raise ValidationError("penalty scaling factor must be positive")
-        return Penalty(self.value * factor)
-
-
-INFINITE_PENALTY = Penalty(math.inf)
-ZERO_PENALTY = Penalty(0.0)
 
 
 def dilate(spec: RiskSpec, gamma: float) -> RiskSpec:
@@ -242,75 +231,36 @@ def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.n
 # Conjugates
 # ---------------------------------------------------------------------------
 
-def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> Penalty:
-    """Convex conjugate (penalty) of the spec at a density. A coherent
-    spec's penalty is 0 on its dual set and +inf off it."""
+def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> float:
+    """Convex conjugate (penalty) of the spec at a density, in [0, math.inf].
+    A coherent spec's penalty is 0 on its dual set and math.inf off it."""
     if q.q.size != space.n_states:
         raise ValidationError("density dimension does not match space")
     return _conjugate(spec, space, q, {})
 
 
 def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
-               memo: dict[int, Penalty]) -> Penalty:
+               memo: dict[int, float]) -> float:
     """conjugate at a density already sized to the space, memoised in
-    ``memo`` by spec node: a dilation's penalty is its base's scaled by
-    gamma, so each distinct base object is evaluated once per memo. The
-    keys are object ids, so the memo must not outlive the specs."""
+    ``memo`` by spec node: a dilation's penalty is its base's times gamma,
+    so each distinct base object is evaluated once per memo. The keys are
+    object ids, so the memo must not outlive the specs."""
     pen = memo.get(id(spec))
     if pen is not None:
         return pen
     if isinstance(spec, Dilation):
-        pen = _conjugate(spec.base, space, q, memo).scaled(spec.gamma)
+        pen = _conjugate(spec.base, space, q, memo) * spec.gamma
     else:
         kappa, constraints = dual_set(spec)
         opt_kernel._check_hulls(space, constraints)
-        if not _admits(space, constraints, q):
-            pen = INFINITE_PENALTY
+        if not opt_kernel._admits(space, constraints, q.q):
+            pen = math.inf
         elif kappa > 0.0:
-            pen = Penalty(kappa * kl_divergence(space, q))
+            pen = kappa * kl_divergence(space, q)
         else:
-            pen = ZERO_PENALTY
+            pen = 0.0
     memo[id(spec)] = pen
     return pen
-
-
-def _admits(space, constraints: opt_kernel.DensityConstraints, q: Density) -> bool:
-    """Whether q satisfies the constraints: q exceeds the cap by at most
-    MEMBERSHIP_TOL, and for each hull the largest entrywise violation,
-    minimized over hull weights, is at most MEMBERSHIP_TOL.
-
-    A member hull is tested as a dominating hull at gamma = 1: every state
-    has p > 0, so q <= D^T lam with both sides of P-mass 1 forces q = D^T lam.
-    """
-    if not q.q.max() <= constraints.cap + MEMBERSHIP_TOL:
-        return False
-    hulls = [(1.0, d) for d in constraints.member_hulls]
-    hulls.extend(constraints.dominating_hulls)
-    return all(_dominated(space, gamma, d, q) for gamma, d in hulls)
-
-
-def _dominated(space, gamma: float, dmat: np.ndarray, q: Density) -> bool:
-    """Whether q <= gamma * d for some d in the hull of dmat's rows: the
-    worst violation, minimized over hull weights, is within tolerance."""
-    n = space.n_states
-    j = dmat.shape[0]
-    n_total = j + 1  # hull weights then the violation bound t
-    c = np.zeros(n_total)
-    c[-1] = -1.0
-
-    a_eq = np.zeros((1, n_total))
-    a_eq[0, :j] = 1.0
-    b_eq = np.ones(1)
-
-    a_ub = np.zeros((n, n_total))
-    a_ub[:, :j] = -gamma * dmat.T
-    a_ub[:, -1] = -1.0
-    b_ub = -q.q
-
-    sol = opt_kernel.lp_solve(opt_kernel.LpProblem(c, a_ub, b_ub, a_eq, b_eq))
-    if sol.status != "optimal":
-        raise ValidationError(f"inflation feasibility LP ended with status {sol.status}")
-    return -float(sol.value) <= MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------

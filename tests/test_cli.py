@@ -60,6 +60,8 @@ def test_golden_experiment_outputs():
         assert result.exit_code == 0
         assert Path("sw.json").read_bytes() == \
             (GOLDEN / "sweep_aumann.json").read_bytes()
+        assert Path("sw.json.csv").read_bytes() == \
+            (GOLDEN / "sweep_aumann.json.csv").read_bytes()
 
 
 def test_golden_pareto_record():
@@ -386,6 +388,24 @@ def test_sweep_accepts_shared_coherent_spec_without_profile(tmp_path):
                       "--out", str(out)])
     assert result.exit_code == 0
     assert len(json.loads(out.read_text())["rows"]) == 3
+
+
+def test_sweep_accepts_two_agents_listing_one_scenario_set(tmp_path):
+    risk = {"type": "scenario_set", "densities": [[1.0, 1.0], [1.5, 0.5]]}
+
+    def sweep(labels):
+        name = "".join(labels)
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({
+            "probs": [0.5, 0.5], "loss": [1.0, 0.0],
+            "agents": [{"label": a, "weight": 1.0, "risk": risk} for a in labels]}))
+        out = tmp_path / f"{name}_sweep.json"
+        result = run_cli(["sweep", "--spec", str(spec), "--gamma-grid", "1.0,1.5,2.0",
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return json.loads(out.read_text())["rows"]
+
+    assert sweep(["a", "b"]) == sweep(["a"])
 
 
 def test_sweep_rejects_heterogeneous_market_without_profile(tmp_path):

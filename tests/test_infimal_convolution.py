@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,15 +92,15 @@ class TestAggregateConjugate:
             market = random_dilation_market(rng)
             q = random_density(rng, market.space)
             kind = market.kind
-            want = rs.conjugate(kind.base, market.space, q).scaled(kind.gamma_total)
+            want = rs.conjugate(kind.base, market.space, q) * kind.gamma_total
             got = rs.aggregate_conjugate(market, q)
-            assert got.value == pytest.approx(want.value, abs=1e-9)
+            assert got == pytest.approx(want, abs=1e-9)
 
     def test_reference_density_free_for_coherent_families(self):
         rng = np.random.default_rng(65)
         market = random_inflation_market(rng)
         ones = market.space.uniform_density()
-        assert rs.aggregate_conjugate(market, ones).value == 0.0
+        assert rs.aggregate_conjugate(market, ones) == 0.0
 
     def test_entropic_profile_weighted_kl(self):
         rng = np.random.default_rng(66)
@@ -108,24 +110,24 @@ class TestAggregateConjugate:
         market = rs.Market.dilation(sp, agents, rs.Entropic(1.0), gammas)
         q = random_density(rng, sp)
         want = float(np.dot(agents.weights, gammas)) * rs.kl_divergence(sp, q)
-        assert rs.aggregate_conjugate(market, q).value == pytest.approx(want, abs=1e-9)
+        assert rs.aggregate_conjugate(market, q) == pytest.approx(want, abs=1e-9)
 
     def test_infinity_absorbs(self):
         sp = rs.ProbSpace([0.2, 0.8])
         family = rs.RiskFamily((rs.Entropic(1.0), rs.ExpectedShortfall(0.5)))
         market = rs.Market.general(sp, rs.finite_agents(2), family)
         q = sp.density([3.0, 0.5])  # exceeds the ES cap of 2
-        assert not rs.aggregate_conjugate(market, q).finite
+        assert rs.aggregate_conjugate(market, q) == math.inf
 
     @staticmethod
     def _naive(market, q):
         total = 0.0
         for spec, w in zip(market.family.specs, market.agents.weights):
             pen = rs.conjugate(spec, market.space, q)
-            if not pen.finite:
+            if not math.isfinite(pen):
                 return pen
-            total += float(w) * pen.value
-        return rs.Penalty(total)
+            total += float(w) * pen
+        return total
 
     def test_matches_naive_atom_order_sum_bit_for_bit(self):
         rng = np.random.default_rng(67)
@@ -149,7 +151,7 @@ class TestAggregateConjugate:
             for market in markets:
                 for dens in (q, sp.uniform_density()):
                     got = rs.aggregate_conjugate(market, dens)
-                    assert got.value == self._naive(market, dens).value
+                    assert got == self._naive(market, dens)
 
     def test_infinite_atom_returns_before_later_atoms(self, monkeypatch):
         sp = rs.ProbSpace([0.2, 0.8])
@@ -157,12 +159,12 @@ class TestAggregateConjugate:
                                 rs.Entropic(2.0)))
         market = rs.Market.general(sp, rs.finite_agents(3), family)
         q = sp.density([3.0, 0.5])  # exceeds the ES cap of 2
-        assert self._naive(market, q) is rs.risk_measures.INFINITE_PENALTY
+        assert self._naive(market, q) == math.inf
         calls = []
         real = rs.risk_measures.kl_divergence
         monkeypatch.setattr(rs.risk_measures, "kl_divergence",
                             lambda *a: calls.append(1) or real(*a))
-        assert rs.aggregate_conjugate(market, q) is rs.risk_measures.INFINITE_PENALTY
+        assert rs.aggregate_conjugate(market, q) == math.inf
         assert len(calls) == 1  # the atom after the infinite one is never evaluated
 
     def test_density_dimension_checked(self):
@@ -285,8 +287,8 @@ class TestGeneralFamilyDual:
             for _ in range(25):
                 q = random_density(rng, market.space)
                 pen = rs.aggregate_conjugate(market, q)
-                if pen.finite:
-                    bound = rs.expect_under(market.space, q, x) - pen.value
+                if math.isfinite(pen):
+                    bound = rs.expect_under(market.space, q, x) - pen
                     assert res.value >= bound - 1e-9
 
     def test_strong_duality_at_returned_optimizer(self):
@@ -299,8 +301,8 @@ class TestGeneralFamilyDual:
                 res = rs.value(market, x)
                 assert res.dual_optimizer is not None
                 pen = rs.aggregate_conjugate(market, res.dual_optimizer)
-                assert pen.finite
-                dual = rs.expect_under(market.space, res.dual_optimizer, x) - pen.value
+                assert math.isfinite(pen)
+                dual = rs.expect_under(market.space, res.dual_optimizer, x) - pen
                 assert abs(res.value - dual) <= 1e-7
 
     def test_matches_brute_force_on_small_markets(self):
@@ -402,7 +404,7 @@ class TestGammaSetIdentity:
                 q = random_density(rng, market.space)
                 agg = rs.aggregate_conjugate(market, q)
                 single = rs.conjugate(merged, market.space, q)
-                assert agg.finite == single.finite
+                assert math.isfinite(agg) == math.isfinite(single)
 
 
 class TestAcceptanceSets:
@@ -456,10 +458,10 @@ class TestAcceptanceSets:
         for _ in range(20):
             q = random_density(rng, market.space)
             pen = rs.aggregate_conjugate(market, q)
-            if not pen.finite:
+            if not math.isfinite(pen):
                 continue
             hull_max = max(rs.expect_under(market.space, q, s) for s in samples)
-            assert hull_max <= pen.value + 1e-7
+            assert hull_max <= pen + 1e-7
 
     def test_samples_match_per_row_recentering_bit_for_bit(self):
         rng = np.random.default_rng(86)
@@ -566,6 +568,17 @@ class TestMarketValidation:
                 rs.value(market, np.arange(4.0))
 
 
+    def test_scenario_set_checked_on_another_space(self):
+        # (2, 1, 0.6) has P-mass 1 on (0.2, 0.3, 0.5) and 1.2 on the uniform space.
+        small = rs.ProbSpace([0.2, 0.3, 0.5])
+        scen = rs.ScenarioSet((small.uniform_density(), small.density([2.0, 1.0, 0.6])))
+        sp = rs.ProbSpace([1 / 3, 1 / 3, 1 / 3])
+        for spec in (scen, rs.Inflation(scen, 2.0)):
+            market = rs.Market.general(sp, rs.finite_agents(2),
+                                       rs.RiskFamily((spec, rs.ExpectedShortfall(0.5))))
+            with pytest.raises(ValidationError, match="P-expectation 1.2"):
+                rs.value(market, np.ones(3))
+
 class TestExtraCrossValidation:
     def test_scenario_inflation_lp_against_vertex_oracle(self):
         # rebuild the production LP for rho(Inflation(ScenarioSet, gamma))
@@ -625,5 +638,5 @@ class TestExtraCrossValidation:
         for _ in range(50):
             q = random_density(rng, sp)
             pen = rs.aggregate_conjugate(market, q)
-            if pen.finite:
-                assert res.value >= rs.expect_under(sp, q, x) - pen.value - 1e-9
+            if math.isfinite(pen):
+                assert res.value >= rs.expect_under(sp, q, x) - pen - 1e-9

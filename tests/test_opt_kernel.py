@@ -226,6 +226,15 @@ class TestMaximizeOverDensities:
                 ok.maximize_over_densities(
                     sp, ok.DensityObjective(payoff=np.arange(4.0)), constraints)
 
+    def test_hull_rows_must_have_unit_mass(self):
+        sp = rs.ProbSpace([0.25, 0.25, 0.5])
+        hull = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 0.6]])  # masses 1 and 1.05
+        for constraints in (ok.DensityConstraints(member_hulls=(hull,)),
+                            ok.DensityConstraints(dominating_hulls=((1.5, hull),))):
+            with pytest.raises(ValidationError, match="P-expectation 1.05"):
+                ok.maximize_over_densities(
+                    sp, ok.DensityObjective(payoff=np.arange(3.0)), constraints)
+
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         # A certificate above tolerance surfaces the point and its residual.
         monkeypatch.setattr(ok, "_KKT_TOL", -1.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ValidationError
-from riskshare.risk_measures import INFINITE_PENALTY
 
 from oracle import es_lp_oracle
 from support import (
@@ -130,21 +129,21 @@ class TestConjugateExamples:
         ]
         for spec in specs:
             pen = rs.conjugate(spec, sp, ones)
-            assert pen.finite and pen.value == 0.0
+            assert pen == 0.0
 
     def test_entropic_conjugate_is_scaled_kl(self):
         sp = rs.ProbSpace([0.5, 0.5])
         q = sp.density([0.0, 2.0])
         pen = rs.conjugate(rs.Entropic(2.0), sp, q)
-        assert pen.value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert pen == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_es_conjugate_infinite_beyond_cap(self):
         sp = rs.ProbSpace([0.5, 0.5])
         q = sp.density([1.9, 0.1])
-        assert rs.conjugate(rs.ExpectedShortfall(0.5), sp, q).finite
+        assert math.isfinite(rs.conjugate(rs.ExpectedShortfall(0.5), sp, q))
         sp3 = rs.ProbSpace([0.2, 0.8])
         q3 = sp3.density([3.0, 0.5])  # max entry 3 > 1/alpha = 2
-        assert not rs.conjugate(rs.ExpectedShortfall(0.5), sp3, q3).finite
+        assert rs.conjugate(rs.ExpectedShortfall(0.5), sp3, q3) == math.inf
 
     def test_scenario_hull_membership(self):
         rng = np.random.default_rng(24)
@@ -153,12 +152,12 @@ class TestConjugateExamples:
         # mixtures of scenarios are members; far-away densities are not
         lam = rng.dirichlet(np.ones(3))
         mix = sp.density(sum(l * d.q for l, d in zip(lam, spec.densities)))
-        assert rs.conjugate(spec, sp, mix).value == 0.0
+        assert rs.conjugate(spec, sp, mix) == 0.0
         # Every scenario is positive in every state (random_density adds
         # 1e-3 before normalising), so no mixture puts zero mass on state 1
         # and the point mass at state 0 is never in the hull.
         outside = sp.density(np.full(sp.n_states, 0.0) + np.eye(sp.n_states)[0] / sp.probs[0])
-        assert not rs.conjugate(spec, sp, outside).finite
+        assert rs.conjugate(spec, sp, outside) == math.inf
 
     @pytest.mark.parametrize("eps, finite", [(5e-10, True), (2e-9, False)])
     def test_scenario_hull_membership_cutoff_is_entrywise(self, eps, finite):
@@ -170,7 +169,7 @@ class TestConjugateExamples:
         spec = rs.ScenarioSet((sp.uniform_density(), sp.density(vertex)))
         q = sp.density([1.5 + eps, 0.5 - eps])
         assert np.max(q.q - vertex) == pytest.approx(eps, rel=1e-6)
-        assert rs.conjugate(spec, sp, q).finite is finite
+        assert math.isfinite(rs.conjugate(spec, sp, q)) is finite
 
     def test_dilation_scales_conjugate(self):
         rng = np.random.default_rng(25)
@@ -178,7 +177,7 @@ class TestConjugateExamples:
         q = random_density(rng, sp)
         base = rs.Entropic(0.7)
         pen = rs.conjugate(rs.Dilation(base, 3.0), sp, q)
-        assert pen.value == pytest.approx(3.0 * rs.conjugate(base, sp, q).value, abs=1e-12)
+        assert pen == pytest.approx(3.0 * rs.conjugate(base, sp, q), abs=1e-12)
 
     def test_penalty_never_negative_for_normalized_specs(self):
         rng = np.random.default_rng(26)
@@ -187,13 +186,8 @@ class TestConjugateExamples:
             spec = random_spec(rng, sp)
             q = random_density(rng, sp)
             pen = rs.conjugate(spec, sp, q)
-            if pen.finite:
-                assert pen.value >= 0.0
-
-    def test_infinite_penalty_is_marker_not_number(self):
-        assert not INFINITE_PENALTY.finite
-        assert INFINITE_PENALTY.scaled(2.0) is not None
-        assert not INFINITE_PENALTY.scaled(2.0).finite
+            if math.isfinite(pen):
+                assert pen >= 0.0
 
 
 class TestDilate:
@@ -363,8 +357,8 @@ class TestDuality:
                 x = random_rv(rng, sp)
                 q = random_density(rng, sp)
                 pen = rs.conjugate(spec, sp, q)
-                if pen.finite:
-                    slack = rs.rho(spec, sp, x) - (rs.expect_under(sp, q, x) - pen.value)
+                if math.isfinite(pen):
+                    slack = rs.rho(spec, sp, x) - (rs.expect_under(sp, q, x) - pen)
                     assert slack >= -1e-9
 
     def test_dual_attainment_for_every_variant(self):
@@ -377,8 +371,8 @@ class TestDuality:
                 val, q = rs.dual_solve(spec, sp, x)
                 assert val == pytest.approx(rs.rho(spec, sp, x), abs=1e-9)
                 pen = rs.conjugate(spec, sp, q)
-                assert pen.finite
-                gap = val - (rs.expect_under(sp, q, x) - pen.value)
+                assert math.isfinite(pen)
+                gap = val - (rs.expect_under(sp, q, x) - pen)
                 assert abs(gap) <= 1e-7
 
     def test_es_sorting_rule_matches_lp_oracle(self):
@@ -450,10 +444,11 @@ class TestCompositions:
         wrapped = rs.Dilation(inner, 3.0)
         assert rs.rho(wrapped, sp, x) == pytest.approx(rs.rho(inner, sp, x), abs=1e-9)
         q = random_density(rng, sp)
-        assert rs.conjugate(wrapped, sp, q).finite == rs.conjugate(inner, sp, q).finite
+        assert math.isfinite(rs.conjugate(wrapped, sp, q)) == \
+            math.isfinite(rs.conjugate(inner, sp, q))
         val, opt = rs.dual_solve(wrapped, sp, x)
         assert val == pytest.approx(rs.rho(wrapped, sp, x), abs=1e-9)
-        assert rs.conjugate(wrapped, sp, opt).finite
+        assert math.isfinite(rs.conjugate(wrapped, sp, opt))
 
     def test_nested_dilations_multiply(self):
         rng = np.random.default_rng(44)
@@ -523,7 +518,31 @@ class TestDualSet:
                     getattr(spec, "base", None), rs.Entropic):
                 cases += [(_peaked(sp, k, 9.0), True)]  # KL penalties are finite
             for q, inside in cases:
-                assert rs.conjugate(spec, sp, q).finite == inside, (spec, q.q)
+                assert math.isfinite(rs.conjugate(spec, sp, q)) == inside, (spec, q.q)
+
+    def test_conjugate_is_a_float_and_inf_off_the_dual_set(self):
+        sp = self.SPACE
+        far = _peaked(sp, 0, 9.0)  # above every cap and hull entry in state 0
+        for spec in _families(sp):
+            inside = rs.conjugate(spec, sp, sp.uniform_density())
+            outside = rs.conjugate(spec, sp, far)
+            assert type(inside) is float and type(outside) is float, spec
+            kappa, _ = rs.dual_set(spec)
+            if kappa > 0.0:
+                assert math.isfinite(outside), spec
+            else:
+                assert inside == 0.0 and outside == math.inf, spec
+
+    def test_conjugate_lp_count(self, monkeypatch):
+        sp = self.SPACE
+        scen = _families(sp)[2]
+        calls = []
+        real = ok.lp_solve
+        monkeypatch.setattr(ok, "lp_solve", lambda problem: calls.append(1) or real(problem))
+        rs.conjugate(rs.Inflation(scen, 1.5), sp, sp.uniform_density())
+        assert len(calls) == 1
+        rs.conjugate(rs.ExpectedShortfall(0.4), sp, sp.uniform_density())
+        assert len(calls) == 1
 
     def test_weighted_dilated_entropic_kl_weight_folds_outermost_first(self):
         w, d, g0 = 0.1, 0.7, 0.3  # (w * d) * g0 and w * (d * g0) differ in the last bit
@@ -618,3 +637,41 @@ class TestScenarioWidth:
             spec = rs.Inflation(spec, 1.5)
         with pytest.raises(ValidationError, match="3 entries"):
             rs.conjugate(spec, self.SPACE, self.SPACE.uniform_density())
+
+
+class TestScenarioMass:
+    """Scenario densities checked on P = (0.2, 0.3, 0.5), used on the uniform
+    3-state space, where (2, 1, 0.6) has P-mass 1.2."""
+
+    SMALL = rs.ProbSpace([0.2, 0.3, 0.5])
+    SPACE = rs.ProbSpace([1 / 3, 1 / 3, 1 / 3])
+
+    def _scen(self):
+        sp = self.SMALL
+        return rs.ScenarioSet((sp.density([1.0, 1.0, 1.0]), sp.density([2.0, 1.0, 0.6])))
+
+    @pytest.mark.parametrize("inflated", [False, True])
+    def test_rho_rejects_the_mass(self, inflated):
+        spec = rs.Inflation(self._scen(), 2.0) if inflated else self._scen()
+        with pytest.raises(ValidationError, match="P-expectation 1.2"):
+            rs.rho(spec, self.SPACE, np.ones(3))
+
+    def test_conjugate_rejects_the_mass(self):
+        with pytest.raises(ValidationError, match="P-expectation 1.2"):
+            rs.conjugate(self._scen(), self.SPACE, self.SPACE.uniform_density())
+
+
+class TestScenarioEquality:
+    def test_equal_densities_give_equal_sets(self):
+        sp = rs.ProbSpace([0.2, 0.3, 0.5])
+
+        def build():
+            return rs.ScenarioSet((sp.uniform_density(), sp.density([2.0, 1.0, 0.6])))
+
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert rs.Inflation(a, 1.5) == rs.Inflation(b, 1.5)
+        assert a != rs.ScenarioSet((sp.uniform_density(),))
+        assert a != rs.ScenarioSet((sp.density([2.0, 1.0, 0.6]), sp.uniform_density()))
+        assert a != rs.ExpectedShortfall(0.5)
