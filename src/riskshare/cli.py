@@ -1,10 +1,12 @@
 """Command-line front end: load market spec files, run the solvers, write
 machine-readable result records.
 
-Spec files are JSON with one canonical schema (see README and the fixture
-markets under ``markets/``). Result files are deterministic: identical spec
-files and seeds produce byte-identical output, so wall-clock timing goes to
-stderr instead of into the record.
+Every command runs through one pipeline, :func:`_command`: check ``--tol``,
+load the spec (JSON with one canonical schema, see README and ``markets/``),
+solve, stamp the command, spec digest, seed and tol into the record, and
+write it, plus ``<out>.csv`` for the experiments. Records are deterministic:
+identical spec files and seeds produce byte-identical output, so wall-clock
+timing goes to stderr instead of into the record.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 4 ill-posed market (value -inf), 5 unsupported family for the operation.
@@ -17,6 +19,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -121,18 +124,19 @@ def parse_risk_spec(doc, space: ProbSpace, path: str) -> RiskSpec:
     raise ValidationError(f"{path}.type: unknown risk type {kind!r}")
 
 
+_AGENT_SPACES = {"finite": finite_agents, "aumann": aumann_agents,
+                 "shapley": shapley_agents}
+
+
 def _parse_agent_space(doc, path: str) -> AgentSpace:
     kind = _need(doc, "kind", path)
     n = _need(doc, "n", path)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"{path}.n: expected a positive integer")
-    if kind == "finite":
-        return finite_agents(n)
-    if kind == "aumann":
-        return aumann_agents(n)
-    if kind == "shapley":
-        return shapley_agents(n)
-    raise ValidationError(f"{path}.kind: unknown agent space kind {kind!r}")
+    factory = _AGENT_SPACES.get(kind) if isinstance(kind, str) else None
+    if factory is None:
+        raise ValidationError(f"{path}.kind: unknown agent space kind {kind!r}")
+    return factory(n)
 
 
 def _parse_atom_list(entries, path: str, want_risks: bool,
@@ -251,20 +255,13 @@ def _load_allocation(path: str) -> tuple[Allocation, str]:
 # Result records
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()  # already plain Python scalars
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+_CSV_COLUMNS = ("parameter", "value", "gap")
 
 
 def _write_record(out_path: str, record: dict):
-    text = json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n"
+    # numpy arrays and scalars become lists and scalars; a float64 is a float
+    text = json.dumps(record, sort_keys=True, indent=2,
+                      default=lambda obj: obj.tolist()) + "\n"
     path = Path(out_path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -274,7 +271,7 @@ def _write_record(out_path: str, record: dict):
 def _write_csv(out_path: str, rows: list[tuple]):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["parameter", "value", "gap"])
+    writer.writerow(_CSV_COLUMNS)
     for row in rows:
         writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     Path(out_path).write_text(buf.getvalue(), encoding="utf-8")
@@ -284,47 +281,25 @@ def _alloc_payload(agents: AgentSpace, alloc: Allocation) -> dict:
     return {"labels": list(agents.labels), "shares": alloc.shares}
 
 
-def _guarded(fn):
-    """Map package errors to the documented exit codes; log timing to stderr."""
+# Error class -> exit code; the first match wins, so subclasses come first.
+_EXIT_CODES = (
+    (ValidationError, EXIT_VALIDATION),
+    (IllPosedError, EXIT_ILL_POSED),
+    (UnsupportedFamilyError, EXIT_UNSUPPORTED),
+    (ConvergenceError, EXIT_NO_CONVERGENCE),
+    (RiskShareError, EXIT_VALIDATION),
+)
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            fn(*args, **kwargs)
-        except ValidationError as exc:
-            _fail(EXIT_VALIDATION, exc)
-        except IllPosedError as exc:
-            _fail(EXIT_ILL_POSED, exc)
-        except UnsupportedFamilyError as exc:
-            _fail(EXIT_UNSUPPORTED, exc)
-        except ConvergenceError as exc:
-            _fail(EXIT_NO_CONVERGENCE, exc)
-        except RiskShareError as exc:
-            _fail(EXIT_VALIDATION, exc)
-        finally:
-            elapsed = time.perf_counter() - start
-            click.echo(f"timing_s={elapsed:.6f}", err=True)
-
-    return wrapper
-
-
-def _fail(code: int, exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
-def _spec_option(fn):
-    fn = click.option("--spec", "spec_path", required=True,
-                      type=click.Path(), help="Market spec file (JSON).")(fn)
-    fn = click.option("--out", "out_path", required=True,
-                      type=click.Path(), help="Result file to write.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed recorded for reproducibility.")(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help="Verdict tolerance for pareto; other commands "
-                      "only record it.")(fn)
-    return fn
+_SHARED_OPTIONS = (
+    click.option("--spec", "spec_path", required=True,
+                 type=click.Path(), help="Market spec file (JSON)."),
+    click.option("--out", "out_path", required=True,
+                 type=click.Path(), help="Result file to write."),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Seed recorded for reproducibility."),
+    click.option("--tol", type=float, default=None,
+                 help="Verdict tolerance for pareto; other commands only record it."),
+)
 
 
 @click.group()
@@ -332,19 +307,48 @@ def main():
     """Risk-sharing solver: values, allocations, Pareto checks, experiments."""
 
 
-@main.command("value")
-@_spec_option
-@_guarded
-def cmd_value(spec_path, out_path, seed, tol):
+def _command(name: str, *extra_options):
+    """Register ``fn(doc, market, x, tol, **opts) -> (fields, rows)`` as a
+    command: check ``--tol``, load the spec, run ``fn``, stamp the shared
+    keys into ``fields`` and write the record. ``rows`` other than None go
+    into the record under ``"rows"`` and into ``<out>.csv``."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def callback(spec_path, out_path, seed, tol, **opts):
+            start = time.perf_counter()
+            try:
+                if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+                    raise ValidationError(
+                        f"--tol: tolerance must be >= 0 and finite, got {tol!r}")
+                doc, digest = _load_json(spec_path, "spec")
+                market, x = load_market(doc)
+                fields, rows = fn(doc, market, x, tol, **opts)
+                record = {"command": name, "spec_sha256": digest, "seed": seed,
+                          "tol": tol, **fields}
+                if rows is not None:
+                    record["rows"] = [dict(zip(_CSV_COLUMNS, row)) for row in rows]
+                _write_record(out_path, record)
+                if rows is not None:
+                    _write_csv(f"{out_path}.csv", rows)
+            except RiskShareError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+            finally:
+                click.echo(f"timing_s={time.perf_counter() - start:.6f}", err=True)
+
+        for option in _SHARED_OPTIONS + extra_options:
+            callback = option(callback)
+        return main.command(name)(callback)
+
+    return register
+
+
+@_command("value")
+def cmd_value(doc, market, x, tol):
     """Sharing value of the market's loss, with dual certificate."""
-    doc, digest = _load_json(spec_path, "spec")
-    market, x = load_market(doc)
     result = value(market, x)
-    record = {
-        "command": "value",
-        "spec_sha256": digest,
-        "seed": seed,
-        "tol": tol,
+    return {
         "value": result.value,
         "attained": result.attained.value,
         "duality_gap": result.duality_gap,
@@ -352,17 +356,12 @@ def cmd_value(spec_path, out_path, seed, tol):
         if result.dual_optimizer is not None else None,
         "allocation": _alloc_payload(market.agents, result.allocation)
         if result.allocation is not None else None,
-    }
-    _write_record(out_path, record)
+    }, None
 
 
-@main.command("allocate")
-@_spec_option
-@_guarded
-def cmd_allocate(spec_path, out_path, seed, tol):
+@_command("allocate")
+def cmd_allocate(doc, market, x, tol):
     """Optimal allocation for dilation/inflation profile markets."""
-    doc, digest = _load_json(spec_path, "spec")
-    market, x = load_market(doc)
     if not isinstance(market.kind, (DilationProfile, InflationProfile)):
         raise UnsupportedFamilyError(
             "no optimal-allocation formula for general families; only "
@@ -371,43 +370,28 @@ def cmd_allocate(spec_path, out_path, seed, tol):
     result = value(market, x)
     alloc = result.allocation
     risk = total_risk(market.agents, market.family, market.space, alloc)
-    record = {
-        "command": "allocate",
-        "spec_sha256": digest,
-        "seed": seed,
-        "tol": tol,
+    return {
         "value": result.value,
         "total_risk": risk,
         "gap": risk - result.value,
         "attained": result.attained.value,
         "allocation": _alloc_payload(market.agents, alloc),
-    }
-    _write_record(out_path, record)
+    }, None
 
 
-@main.command("pareto")
-@click.option("--alloc", "alloc_path", required=True, type=click.Path(),
-              help="Allocation file (JSON with a 'shares' matrix).")
-@_spec_option
-@_guarded
-def cmd_pareto(spec_path, alloc_path, out_path, seed, tol):
+@_command("pareto", click.option("--alloc", "alloc_path", required=True, type=click.Path(),
+                                 help="Allocation file (JSON with a 'shares' matrix)."))
+def cmd_pareto(doc, market, x, tol, alloc_path):
     """Pareto-efficiency verdict for an allocation of the market's loss."""
-    doc, digest = _load_json(spec_path, "spec")
-    market, x = load_market(doc)
     alloc, alloc_digest = _load_allocation(alloc_path)
     verdict = pareto_check(market, x, alloc, tol=tol if tol is not None else PARETO_TOL)
-    record = {
-        "command": "pareto",
-        "spec_sha256": digest,
+    return {
         "alloc_sha256": alloc_digest,
-        "seed": seed,
-        "tol": tol,
         "efficient": verdict.efficient,
         "excess": verdict.excess,
         "witness": _alloc_payload(market.agents, verdict.witness)
         if verdict.witness is not None else None,
-    }
-    _write_record(out_path, record)
+    }, None
 
 
 def _sweep_base(market: Market) -> RiskSpec:
@@ -433,44 +417,22 @@ def _parse_float_list(raw: str, name: str) -> list[float]:
     return values
 
 
-@main.command("sweep")
-@click.option("--gamma-grid", "gamma_grid", required=True,
-              help="Comma-separated ascending inflation parameters, all >= 1.")
-@_spec_option
-@_guarded
-def cmd_sweep(spec_path, out_path, seed, tol, gamma_grid):
+@_command("sweep", click.option("--gamma-grid", "gamma_grid", required=True,
+                                help="Comma-separated ascending inflation parameters, "
+                                "all >= 1."))
+def cmd_sweep(doc, market, x, tol, gamma_grid):
     """Inflation value along a parameter grid (CSV next to the record)."""
-    doc, digest = _load_json(spec_path, "spec")
-    market, x = load_market(doc)
     grid = _parse_float_list(gamma_grid, "--gamma-grid")
-    base = _sweep_base(market)
-    points = left_continuity_sweep(base, market.space, x, grid)
-    rows = []
-    previous = None
-    for g, v in points:
-        gap = 0.0 if previous is None else v - previous
-        rows.append((g, v, gap))
-        previous = v
-    record = {
-        "command": "sweep",
-        "spec_sha256": digest,
-        "seed": seed,
-        "tol": tol,
-        "rows": [{"parameter": g, "value": v, "gap": gap} for g, v, gap in rows],
-    }
-    _write_record(out_path, record)
-    _write_csv(str(out_path) + ".csv", rows)
+    points = left_continuity_sweep(_sweep_base(market), market.space, x, grid)
+    values = [v for _, v in points]
+    gaps = [0.0] + [b - a for a, b in zip(values, values[1:])]
+    return {}, [(g, v, gap) for (g, v), gap in zip(points, gaps)]
 
 
-@main.command("nonattain")
-@click.option("--refinements", required=True,
-              help="Comma-separated atom counts, e.g. 10,100,1000.")
-@_spec_option
-@_guarded
-def cmd_nonattain(spec_path, out_path, seed, tol, refinements):
+@_command("nonattain", click.option("--refinements", required=True,
+                                    help="Comma-separated atom counts, e.g. 10,100,1000."))
+def cmd_nonattain(doc, market, x, tol, refinements):
     """Discretization-gap experiment for a formula inflation profile."""
-    doc, digest = _load_json(spec_path, "spec")
-    market, x = load_market(doc)
     if not isinstance(market.kind, InflationProfile):
         raise ValidationError("nonattain needs an inflation profile market")
     profile = doc["profile"]
@@ -491,16 +453,7 @@ def cmd_nonattain(spec_path, out_path, seed, tol, refinements):
     counts = _parse_float_list(refinements, "--refinements")
     results = nonattainment_experiment(market.kind.base, fn, target,
                                        market.space, x, counts)
-    record = {
-        "command": "nonattain",
-        "spec_sha256": digest,
-        "seed": seed,
-        "tol": tol,
-        "target_gamma": target,
-        "rows": [{"parameter": n, "value": v, "gap": gap} for n, v, gap in results],
-    }
-    _write_record(out_path, record)
-    _write_csv(str(out_path) + ".csv", results)
+    return {"target_gamma": target}, results
 
 
 if __name__ == "__main__":

@@ -220,10 +220,13 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
 
 def _general_dual_value(market: Market, x) -> tuple[float, Density]:
     # Merge the atoms' dual sets: weighted KL weights add up, the tightest
-    # cap binds, and every distinct scenario hull applies.
+    # cap binds, and each distinct scenario matrix D applies once. The set
+    # {q <= gamma * D^T lam} grows with gamma, so a dominating hull keeps its
+    # smallest gamma (at its first-seen position) and is dropped when D is
+    # also a member hull (q = D^T lam already implies it).
     kl_weight, cap = 0.0, math.inf
     member: dict[bytes, np.ndarray] = {}
-    dominating: dict[tuple[float, bytes], tuple[float, np.ndarray]] = {}
+    dominating: dict[bytes, tuple[float, np.ndarray]] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
         kappa, dset = dual_set(spec, float(w))
         kl_weight += kappa
@@ -231,9 +234,12 @@ def _general_dual_value(market: Market, x) -> tuple[float, Density]:
         for d in dset.member_hulls:
             member.setdefault(d.tobytes(), d)
         for gamma, d in dset.dominating_hulls:
-            dominating.setdefault((gamma, d.tobytes()), (gamma, d))
+            key = d.tobytes()
+            if key not in dominating or gamma < dominating[key][0]:
+                dominating[key] = (gamma, d)
     constraints = opt_kernel.DensityConstraints(
-        cap, tuple(member.values()), tuple(dominating.values()))
+        cap, tuple(member.values()),
+        tuple(hull for key, hull in dominating.items() if key not in member))
     objective = opt_kernel.DensityObjective(payoff=x, kl_weight=kl_weight)
     try:
         q, val = opt_kernel.maximize_over_densities(market.space, objective, constraints)

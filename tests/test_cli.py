@@ -200,6 +200,21 @@ def test_pareto_nan_or_negative_tolerance_exits_2(tmp_path, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["value", "--spec", str(MARKETS / "finite.json"), "--tol", "nan"],
+    ["pareto", "--spec", str(MARKETS / "shapley.json"),
+     "--alloc", str(MARKETS / "shapley_alloc.json"), "--tol", "inf"],
+])
+def test_non_finite_tolerance_exits_2_before_writing(tmp_path, args):
+    # JSON has no NaN or Infinity, and an infinite pareto tolerance would
+    # declare every allocation efficient.
+    out = tmp_path / "record.json"
+    result = run_cli(args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert "tolerance must be >= 0 and finite" in result.output
+    assert not out.exists()
+
+
 def test_sweep_column_is_nondecreasing(tmp_path):
     out = tmp_path / "sweep.json"
     result = run_cli(["sweep", "--spec", str(MARKETS / "aumann.json"),

@@ -275,6 +275,15 @@ class TestOptimalAllocations:
                 assert risk >= base - 1e-9
 
 
+def _recorded_lps(monkeypatch):
+    """The LpProblems handed to opt_kernel.lp_solve, in call order."""
+    problems = []
+    real = rs.opt_kernel.lp_solve
+    monkeypatch.setattr(rs.opt_kernel, "lp_solve",
+                        lambda problem: problems.append(problem) or real(problem))
+    return problems
+
+
 class TestGeneralFamilyDual:
     def test_weak_duality_on_random_pairs(self):
         rng = np.random.default_rng(69)
@@ -328,6 +337,36 @@ class TestGeneralFamilyDual:
         res = rs.value(market, x)
         # identical coherent agents: the value is the single-agent risk
         assert res.value == pytest.approx(rs.rho(shared, sp, x), abs=1e-8)
+
+    @pytest.mark.parametrize("n_atoms", [1, 10, 100])
+    def test_atoms_sharing_a_matrix_give_one_hull_at_the_smallest_gamma(
+            self, monkeypatch, n_atoms):
+        rng = np.random.default_rng(74)
+        sp = random_space(rng, max_states=8, min_states=8)
+        x = random_rv(rng, sp)
+        shared = random_scenario_set(rng, sp, 3)
+        gammas = [float(g) for g in rng.uniform(1.5, 4.0, n_atoms)]
+        market = rs.Market.general(sp, rs.finite_agents(n_atoms), rs.RiskFamily(
+            tuple(rs.Inflation(shared, g) for g in gammas)))
+        single = rs.Market.general(sp, rs.finite_agents(1), rs.RiskFamily(
+            (rs.Inflation(shared, min(gammas)),)))
+        problems = _recorded_lps(monkeypatch)
+        got = rs.value(market, x).value
+        # the first LP is the density LP; the rest are membership checks
+        assert problems[0].a_ub.shape[0] == sp.n_states
+        assert got == rs.value(single, x).value
+
+    def test_member_hull_subsumes_its_inflation(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        sp = random_space(rng, max_states=6, min_states=4)
+        x = random_rv(rng, sp)
+        shared = random_scenario_set(rng, sp, 3)
+        market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(
+            (rs.Inflation(shared, 2.0), shared)))
+        problems = _recorded_lps(monkeypatch)
+        got = rs.value(market, x).value
+        assert problems[0].a_ub.shape[0] == 0
+        assert got == pytest.approx(rs.rho(shared, sp, x), abs=1e-9)
 
     def test_disjoint_scenario_supports_are_ill_posed(self):
         sp = rs.ProbSpace([0.5, 0.5])

@@ -3,10 +3,10 @@ import pytest
 
 import riskshare as rs
 from riskshare import opt_kernel as ok
-from riskshare.errors import ConvergenceError, InfeasibleError, ValidationError
+from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
 from oracle import vertex_enum_lp
-from support import random_density, random_rv, random_space
+from support import random_density, random_rv, random_scenario_set, random_space
 
 
 def _random_bounded_problem(rng):
@@ -384,3 +384,53 @@ def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
         q = rs.value(market, x).dual_optimizer.q
         assert np.any(q == 0.0)
         _assert_kkt(market.space.probs, x, kappa, cap, q)
+
+
+# ---------------------------------------------------------------------------
+# Density LP with a cap and a scenario hull
+# ---------------------------------------------------------------------------
+
+def _highs_cap_and_hull(linprog, p, x, cap, dmat, gamma):
+    """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and one hull of the rows of
+    dmat: q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the simplex."""
+    n, j = len(p), len(dmat)
+    link = np.hstack([np.eye(n), -(1.0 if gamma is None else gamma) * dmat.T])
+    mass = np.concatenate([p, np.zeros(j)])
+    simplex = np.concatenate([np.zeros(n), np.ones(j)])
+    a_eq, b_eq = [mass, simplex], [1.0, 1.0]
+    a_ub = b_ub = None
+    if gamma is None:
+        a_eq, b_eq = np.vstack([link, a_eq]), np.concatenate([np.zeros(n), b_eq])
+    else:
+        a_ub, b_ub = link, np.zeros(n)
+    ref = linprog(-np.concatenate([p * x, np.zeros(j)]), A_ub=a_ub, b_ub=b_ub,
+                  A_eq=np.vstack(a_eq), b_eq=b_eq,
+                  bounds=[(0.0, cap)] * n + [(0.0, None)] * j, method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+@pytest.mark.parametrize("inflated", [False, True])
+def test_es_with_scenario_hull_matches_highs(inflated):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(90 + inflated)
+    for _ in range(40):
+        sp = random_space(rng, max_states=12, min_states=3)
+        x = random_rv(rng, sp)
+        hull = random_scenario_set(rng, sp, int(rng.integers(2, 5)))
+        alpha = float(rng.uniform(0.1, 0.9))
+        gamma = float(rng.uniform(1.0, 3.0)) if inflated else None
+        risk = rs.Inflation(hull, gamma) if inflated else hull
+        market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(
+            (rs.ExpectedShortfall(alpha), risk)))
+        want = _highs_cap_and_hull(linprog, sp.probs, x, 1.0 / alpha, hull.matrix(), gamma)
+        assert abs(rs.value(market, x).value - want) <= 1e-9
+
+
+def test_es_cap_that_excludes_the_scenario_hull_is_ill_posed():
+    sp = rs.ProbSpace([0.5, 0.5])
+    hull = rs.ScenarioSet((sp.density([1.8, 0.2]),))
+    market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(
+        (rs.ExpectedShortfall(0.8), hull)))  # cap 1.25 < 1.8
+    with pytest.raises(IllPosedError):
+        rs.value(market, [1.0, 0.0])
