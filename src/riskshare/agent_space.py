@@ -8,6 +8,7 @@ weighted sum over atoms, one number per state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +166,17 @@ def proportional_split(agents: AgentSpace, x) -> Allocation:
     return Allocation(np.tile(x / agents.total_mass, (agents.n_atoms, 1)))
 
 
+def _check_tol(tol: float, name: str = "tolerance"):
+    """A tolerance must be finite and >= 0: at math.inf every check it
+    bounds passes, whatever the input."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"{name} must be >= 0 and finite, got {tol!r}")
+
+
 def is_feasible(agents: AgentSpace, alloc: Allocation, x,
                 tol: float = FEASIBILITY_TOL) -> bool:
     """Whether the allocation integrates to x within sup-norm tol."""
-    if not tol >= 0.0:
-        raise ValidationError("feasibility tolerance must be >= 0")
+    _check_tol(tol, "feasibility tolerance")
     x = np.asarray(x, dtype=float)
     integral = gelfand_integral(agents, alloc)
     if integral.shape != x.shape:

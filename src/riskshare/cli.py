@@ -19,7 +19,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,7 @@ from .agent_space import (
     AgentSpace,
     Allocation,
     RiskFamily,
+    _check_tol,
     agent_positions,
     aumann_agents,
     finite_agents,
@@ -318,9 +318,8 @@ def _command(name: str, *extra_options):
         def callback(spec_path, out_path, seed, tol, **opts):
             start = time.perf_counter()
             try:
-                if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-                    raise ValidationError(
-                        f"--tol: tolerance must be >= 0 and finite, got {tol!r}")
+                if tol is not None:
+                    _check_tol(tol, "--tol: tolerance")
                 doc, digest = _load_json(spec_path, "spec")
                 market, x = load_market(doc)
                 fields, rows = fn(doc, market, x, tol, **opts)

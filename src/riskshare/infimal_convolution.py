@@ -14,10 +14,11 @@ are handled:
 * general families: the value is computed through its dual, maximizing
   E_Q[x] minus the weighted sum of per-atom penalties over densities. The
   atoms' dual sets (risk_measures.dual_set) merge into one KL weight, one
-  density cap and a set of scenario hulls, and opt_kernel solves each
-  structure exactly: the sorting rule for a cap alone, the KKT-certified
-  capped Gibbs point for a KL weight with a cap, the simplex when hulls are
-  present. No primal allocation is certified on this path.
+  density cap and one scenario hull per distinct matrix, at the smallest
+  gamma any atom gives it (a plain set is gamma = 1). opt_kernel solves
+  each structure exactly: the sorting rule for a cap alone, the
+  KKT-certified capped Gibbs point for a KL weight with a cap, the simplex
+  when hulls are present. No primal allocation is certified on this path.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -37,6 +38,7 @@ from .agent_space import (
     AgentSpace,
     Allocation,
     RiskFamily,
+    _check_tol,
     atom_risks,
     unit_interval_midpoints,
 )
@@ -221,25 +223,19 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
 def _general_dual_value(market: Market, x) -> tuple[float, Density]:
     # Merge the atoms' dual sets: weighted KL weights add up, the tightest
     # cap binds, and each distinct scenario matrix D applies once. The set
-    # {q <= gamma * D^T lam} grows with gamma, so a dominating hull keeps its
-    # smallest gamma (at its first-seen position) and is dropped when D is
-    # also a member hull (q = D^T lam already implies it).
+    # {q <= gamma * D^T lam} grows with gamma, so D keeps its smallest gamma
+    # (at its first-seen position); a plain set is gamma = 1, the least.
     kl_weight, cap = 0.0, math.inf
-    member: dict[bytes, np.ndarray] = {}
-    dominating: dict[bytes, tuple[float, np.ndarray]] = {}
+    hulls: dict[bytes, tuple[float, np.ndarray]] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
         kappa, dset = dual_set(spec, float(w))
         kl_weight += kappa
         cap = min(cap, dset.cap)
-        for d in dset.member_hulls:
-            member.setdefault(d.tobytes(), d)
-        for gamma, d in dset.dominating_hulls:
+        for gamma, d in dset.hulls:
             key = d.tobytes()
-            if key not in dominating or gamma < dominating[key][0]:
-                dominating[key] = (gamma, d)
-    constraints = opt_kernel.DensityConstraints(
-        cap, tuple(member.values()),
-        tuple(hull for key, hull in dominating.items() if key not in member))
+            if key not in hulls or gamma < hulls[key][0]:
+                hulls[key] = (gamma, d)
+    constraints = opt_kernel.DensityConstraints(cap, tuple(hulls.values()))
     objective = opt_kernel.DensityObjective(payoff=x, kl_weight=kl_weight)
     try:
         q, val = opt_kernel.maximize_over_densities(market.space, objective, constraints)
@@ -253,8 +249,7 @@ def _general_dual_value(market: Market, x) -> tuple[float, Density]:
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:
     """Whether x belongs to the value function's acceptance set."""
-    if not tol >= 0.0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     return value(market, x).value <= tol
 
 

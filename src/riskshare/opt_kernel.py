@@ -6,6 +6,8 @@ constraint structure: the sorting rule for a density cap alone with
 kappa = 0, the capped Gibbs point (certified by its KKT residual) for a cap
 alone with kappa > 0, and the simplex for scenario-hull constraints. The
 cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
+The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam for some
+weights lam on the simplex; a plain scenario set is its gamma = 1 entry.
 ``maximize_over_densities`` checks the payoff and the hulls (one column per
 state, rows of unit P-mass), then wraps the vector from the private
 ``_maximize`` as a Density once; callers with checked inputs, such as the
@@ -267,18 +269,14 @@ class DensityConstraints:
     """Feasible densities beyond {q >= 0, E_P[q] = 1}.
 
     cap: q <= cap in every state (math.inf means uncapped).
-    member_hulls: for each matrix D (rows are densities), q must lie in
-        the convex hull of the rows.
-    dominating_hulls: for each (gamma, D), there must exist a convex
-        combination d of the rows of D with q <= gamma * d entrywise.
+    hulls: for each (gamma, D), there must exist a convex combination d of
+        the rows of D (densities) with q <= gamma * d entrywise. At
+        gamma = 1 this is q = d, since both sides have P-mass 1: q lies in
+        the hull of D's rows.
     """
 
     cap: float = math.inf
-    member_hulls: tuple = ()
-    dominating_hulls: tuple = ()
-
-    def polyhedral_only(self) -> bool:
-        return not self.member_hulls and not self.dominating_hulls
+    hulls: tuple = ()
 
 
 def maximize_over_densities(
@@ -290,8 +288,8 @@ def maximize_over_densities(
 
     Each constraint structure has one exact solve path:
 
-    * scenario hulls (member or dominating, with or without caps) and a
-      linear score: the dense simplex on the density LP;
+    * scenario hulls (plain at gamma = 1 or inflated, with or without
+      caps) and a linear score: the dense simplex on the density LP;
     * caps only and a linear score: the sorting rule
       (:func:`sorting_rule_point`), O(n log n);
     * caps only and kl_weight > 0: the capped Gibbs point
@@ -314,8 +312,7 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
     """Every hull matrix must have one column per state of the space, and
     every row P-mass 1 on it: a density checked on another space of the
     same width need not be a density here."""
-    hulls = constraints.member_hulls + tuple(d for _, d in constraints.dominating_hulls)
-    for d in hulls:
+    for _, d in constraints.hulls:
         if np.shape(d)[-1] != space.n_states:
             raise ValidationError(f"scenario densities have {np.shape(d)[-1]} entries "
                                   f"but the space has {space.n_states} states")
@@ -328,7 +325,7 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
               constraints: DensityConstraints) -> tuple[np.ndarray, float]:
     """maximize_over_densities on checked inputs, the optimizer unwrapped."""
-    if not constraints.polyhedral_only():
+    if constraints.hulls:
         if kappa != 0.0:
             raise UnsupportedFamilyError(
                 "entropic-penalized scores support only a density cap; scenario-hull "
@@ -344,54 +341,40 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
 def _linear_density_lp(space, x, constraints):
     p = space.probs
     n = space.n_states
-    member = [np.atleast_2d(np.asarray(d, dtype=float)) for d in constraints.member_hulls]
-    dom = [(float(g), np.atleast_2d(np.asarray(d, dtype=float)))
-           for g, d in constraints.dominating_hulls]
-    n_member = sum(len(d) for d in member)
-    n_total = n + n_member + sum(len(d) for _, d in dom)
+    # A stable sort puts the plain hulls (gamma = 1) first, so their weight
+    # columns lead. A plain hull enters as n equality rows rather than the
+    # equivalent q <= D^T lam, on which the Bland simplex can cycle.
+    hulls = sorted(((float(g), np.atleast_2d(np.asarray(d, dtype=float)))
+                    for g, d in constraints.hulls), key=lambda hull: hull[0] != 1.0)
+    n_total = n + sum(len(d) for _, d in hulls)
 
     c = np.zeros(n_total)
     c[:n] = p * x
 
-    eq_rows, eq_rhs = [], []
-    row = np.zeros(n_total)
-    row[:n] = p
-    eq_rows.append(row)
-    eq_rhs.append(1.0)
-
-    offset = n
-    for dmat in member:
-        block = np.zeros((n, n_total))
-        block[:, :n] = -np.eye(n)
-        block[:, offset:offset + len(dmat)] = dmat.T
-        eq_rows.extend(block)
-        eq_rhs.extend(np.zeros(n))
-        srow = np.zeros(n_total)
-        srow[offset:offset + len(dmat)] = 1.0
-        eq_rows.append(srow)
-        eq_rhs.append(1.0)
-        offset += len(dmat)
-    for _, dmat in dom:
-        srow = np.zeros(n_total)
-        srow[offset:offset + len(dmat)] = 1.0
-        eq_rows.append(srow)
-        eq_rhs.append(1.0)
-        offset += len(dmat)
-
+    eq_rows, eq_rhs = [np.concatenate([p, np.zeros(n_total - n)])], [1.0]
     ub_rows, ub_rhs = [], []
     if math.isfinite(constraints.cap):
-        for i in range(n):
-            row = np.zeros(n_total)
-            row[i] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(constraints.cap)
-    offset = n + n_member
-    for gamma, dmat in dom:
+        ub_rows.extend(np.eye(n, n_total))
+        ub_rhs.extend(np.full(n, constraints.cap))
+
+    offset = n
+    for gamma, dmat in hulls:
+        weights = slice(offset, offset + len(dmat))
         block = np.zeros((n, n_total))
-        block[:, :n] = np.eye(n)
-        block[:, offset:offset + len(dmat)] = -gamma * dmat.T
-        ub_rows.extend(block)
-        ub_rhs.extend(np.zeros(n))
+        if gamma == 1.0:  # q = D^T lam
+            block[:, :n] = -np.eye(n)
+            block[:, weights] = dmat.T
+            eq_rows.extend(block)
+            eq_rhs.extend(np.zeros(n))
+        else:  # q <= gamma * D^T lam
+            block[:, :n] = np.eye(n)
+            block[:, weights] = -gamma * dmat.T
+            ub_rows.extend(block)
+            ub_rhs.extend(np.zeros(n))
+        srow = np.zeros(n_total)
+        srow[weights] = 1.0
+        eq_rows.append(srow)
+        eq_rhs.append(1.0)
         offset += len(dmat)
 
     problem = LpProblem(
@@ -414,14 +397,13 @@ def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) ->
     cap by at most MEMBERSHIP_TOL, and for each hull the largest entrywise
     violation, minimized over hull weights, is at most MEMBERSHIP_TOL.
 
-    A member hull is tested as a dominating hull at gamma = 1: every state
-    has p > 0, so q <= D^T lam with both sides of P-mass 1 forces q = D^T lam.
+    A hull at gamma = 1 (a plain scenario set) takes the same test: every
+    state has p > 0, so q <= D^T lam with both sides of P-mass 1 forces
+    q = D^T lam.
     """
     if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
-    hulls = [(1.0, d) for d in constraints.member_hulls]
-    hulls.extend(constraints.dominating_hulls)
-    return all(_dominated(space, gamma, d, q) for gamma, d in hulls)
+    return all(_dominated(space, gamma, d, q) for gamma, d in constraints.hulls)
 
 
 def _dominated(space: ProbSpace, gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:

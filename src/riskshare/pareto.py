@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_space import Allocation, atom_risks, is_feasible, total_risk
+from .agent_space import Allocation, _check_tol, atom_risks, is_feasible, total_risk
 from .errors import ValidationError
 from .infimal_convolution import Market, value
 
@@ -35,8 +35,7 @@ def pareto_check(market: Market, x, alloc: Allocation,
     is inefficient, the verdict also carries an explicit improvement built
     by :func:`pareto_improve`.
     """
-    if not tol >= 0.0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     x = market.space.rv(x)
     if not is_feasible(market.agents, alloc, x):
         raise ValidationError("allocation does not integrate to x")

@@ -162,8 +162,8 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
     The penalty at a density Q is kappa * KL(Q||P) when Q satisfies the
     constraints and +inf otherwise. Entropic(g) gives kappa = g and no
     constraint; expected shortfall caps dQ/dP at 1/alpha; a scenario set
-    admits its hull; an inflation admits its base set enlarged by gamma
-    (within the densities); a dilation by d multiplies kappa by d and keeps
+    admits its hull, the hull at gamma = 1; an inflation admits its base set
+    enlarged by gamma (within the densities); a dilation by d multiplies kappa by d and keeps
     the constraints. Weights and dilation factors fold into kappa
     outermost first, (w * d) * g, so a market's merged KL weight is the sum
     of its atoms' in atom order.
@@ -175,12 +175,11 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
     if isinstance(spec, ExpectedShortfall):
         return 0.0, opt_kernel.DensityConstraints(cap=1.0 / spec.alpha)
     if isinstance(spec, ScenarioSet):
-        return 0.0, opt_kernel.DensityConstraints(member_hulls=(spec.matrix(),))
+        return 0.0, opt_kernel.DensityConstraints(hulls=((1.0, spec.matrix()),))
     if isinstance(spec, Inflation):
         if isinstance(spec.base, ExpectedShortfall):
             return 0.0, opt_kernel.DensityConstraints(cap=spec.gamma / spec.base.alpha)
-        return 0.0, opt_kernel.DensityConstraints(
-            dominating_hulls=((spec.gamma, spec.base.matrix()),))
+        return 0.0, opt_kernel.DensityConstraints(hulls=((spec.gamma, spec.base.matrix()),))
     raise ValidationError(f"unknown risk spec {type(spec).__name__}")
 
 
@@ -218,7 +217,7 @@ def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.n
     opt_kernel._check_hulls(space, constraints)
     if isinstance(spec, ScenarioSet):
         best_value, best = -math.inf, None
-        for d in constraints.member_hulls[0]:
+        for d in spec.matrix():
             v = float(np.dot(space.probs, d * x))
             if v > best_value:
                 best_value, best = v, d

@@ -368,6 +368,21 @@ class TestGeneralFamilyDual:
         assert problems[0].a_ub.shape[0] == 0
         assert got == pytest.approx(rs.rho(shared, sp, x), abs=1e-9)
 
+    def test_inflation_at_one_is_the_plain_hull(self, monkeypatch):
+        # Inflation(S, 1.0) admits S's hull: its rows are equalities, so the
+        # density LP's only inequalities are the n cap rows.
+        rng = np.random.default_rng(76)
+        sp = random_space(rng, max_states=8, min_states=5)
+        x = random_rv(rng, sp)
+        shared = random_scenario_set(rng, sp, 3)
+        es = rs.ExpectedShortfall(float(rng.uniform(0.2, 0.8)))
+        plain, at_one = (rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily((es, risk)))
+                         for risk in (shared, rs.Inflation(shared, 1.0)))
+        problems = _recorded_lps(monkeypatch)
+        got = rs.value(at_one, x).value
+        assert problems[0].a_ub.shape[0] == sp.n_states
+        assert got == rs.value(plain, x).value
+
     def test_disjoint_scenario_supports_are_ill_posed(self):
         sp = rs.ProbSpace([0.5, 0.5])
         first = rs.ScenarioSet((sp.density([2.0, 0.0]),))

@@ -213,15 +213,15 @@ class TestMaximizeOverDensities:
         hull = np.vstack([d1.q, d2.q])
         q, val = ok.maximize_over_densities(
             sp, ok.DensityObjective(payoff=x),
-            ok.DensityConstraints(member_hulls=(hull,)))
+            ok.DensityConstraints(hulls=((1.0, hull),)))
         want = max(rs.expect_under(sp, d1, x), rs.expect_under(sp, d2, x))
         assert val == pytest.approx(want, abs=1e-9)
 
     def test_hull_width_must_match_the_space(self):
         sp = rs.ProbSpace([0.1, 0.2, 0.3, 0.4])
         hull = np.ones((2, 3))
-        for constraints in (ok.DensityConstraints(member_hulls=(hull,)),
-                            ok.DensityConstraints(dominating_hulls=((1.5, hull),))):
+        for constraints in (ok.DensityConstraints(hulls=((1.0, hull),)),
+                            ok.DensityConstraints(hulls=((1.5, hull),))):
             with pytest.raises(ValidationError, match="3 entries"):
                 ok.maximize_over_densities(
                     sp, ok.DensityObjective(payoff=np.arange(4.0)), constraints)
@@ -229,8 +229,8 @@ class TestMaximizeOverDensities:
     def test_hull_rows_must_have_unit_mass(self):
         sp = rs.ProbSpace([0.25, 0.25, 0.5])
         hull = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 0.6]])  # masses 1 and 1.05
-        for constraints in (ok.DensityConstraints(member_hulls=(hull,)),
-                            ok.DensityConstraints(dominating_hulls=((1.5, hull),))):
+        for constraints in (ok.DensityConstraints(hulls=((1.0, hull),)),
+                            ok.DensityConstraints(hulls=((1.5, hull),))):
             with pytest.raises(ValidationError, match="P-expectation 1.05"):
                 ok.maximize_over_densities(
                     sp, ok.DensityObjective(payoff=np.arange(3.0)), constraints)
@@ -390,40 +390,55 @@ def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
 # Density LP with a cap and a scenario hull
 # ---------------------------------------------------------------------------
 
-def _highs_cap_and_hull(linprog, p, x, cap, dmat, gamma):
-    """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and one hull of the rows of
-    dmat: q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the simplex."""
-    n, j = len(p), len(dmat)
-    link = np.hstack([np.eye(n), -(1.0 if gamma is None else gamma) * dmat.T])
-    mass = np.concatenate([p, np.zeros(j)])
-    simplex = np.concatenate([np.zeros(n), np.ones(j)])
-    a_eq, b_eq = [mass, simplex], [1.0, 1.0]
-    a_ub = b_ub = None
-    if gamma is None:
-        a_eq, b_eq = np.vstack([link, a_eq]), np.concatenate([np.zeros(n), b_eq])
-    else:
-        a_ub, b_ub = link, np.zeros(n)
-    ref = linprog(-np.concatenate([p * x, np.zeros(j)]), A_ub=a_ub, b_ub=b_ub,
-                  A_eq=np.vstack(a_eq), b_eq=b_eq,
-                  bounds=[(0.0, cap)] * n + [(0.0, None)] * j, method="highs")
+def _highs_cap_and_hulls(linprog, p, x, cap, hulls):
+    """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and, for each (gamma, D) in
+    hulls, q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the
+    simplex."""
+    n = len(p)
+    n_vars = n + sum(len(dmat) for _, dmat in hulls)
+    a_eq, b_eq = [np.concatenate([p, np.zeros(n_vars - n)])], [1.0]
+    a_ub, b_ub = [], []
+    offset = n
+    for gamma, dmat in hulls:
+        link = np.zeros((n, n_vars))
+        link[:, :n] = np.eye(n)
+        link[:, offset:offset + len(dmat)] = -(1.0 if gamma is None else gamma) * dmat.T
+        rows, rhs = (a_eq, b_eq) if gamma is None else (a_ub, b_ub)
+        rows.extend(link)
+        rhs.extend(np.zeros(n))
+        simplex = np.zeros(n_vars)
+        simplex[offset:offset + len(dmat)] = 1.0
+        a_eq.append(simplex)
+        b_eq.append(1.0)
+        offset += len(dmat)
+    ref = linprog(-np.concatenate([p * x, np.zeros(n_vars - n)]),
+                  A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                  A_eq=np.array(a_eq), b_eq=b_eq,
+                  bounds=[(0.0, cap)] * n + [(0.0, None)] * (n_vars - n), method="highs")
     assert ref.status == 0
     return -ref.fun
 
 
-@pytest.mark.parametrize("inflated", [False, True])
-def test_es_with_scenario_hull_matches_highs(inflated):
+# Each market holds an ES cap and one scenario set per flag, inflated or
+# plain; "mixed" puts equality hull rows, inequality hull rows and cap rows
+# in one LP.
+@pytest.mark.parametrize("seed,inflated", [(90, (False,)), (91, (True,)), (92, (False, True))],
+                         ids=["False", "True", "mixed"])
+def test_es_with_scenario_hull_matches_highs(seed, inflated):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = np.random.default_rng(90 + inflated)
+    rng = np.random.default_rng(seed)
     for _ in range(40):
         sp = random_space(rng, max_states=12, min_states=3)
         x = random_rv(rng, sp)
-        hull = random_scenario_set(rng, sp, int(rng.integers(2, 5)))
+        sets = [random_scenario_set(rng, sp, int(rng.integers(2, 5))) for _ in inflated]
         alpha = float(rng.uniform(0.1, 0.9))
-        gamma = float(rng.uniform(1.0, 3.0)) if inflated else None
-        risk = rs.Inflation(hull, gamma) if inflated else hull
-        market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(
-            (rs.ExpectedShortfall(alpha), risk)))
-        want = _highs_cap_and_hull(linprog, sp.probs, x, 1.0 / alpha, hull.matrix(), gamma)
+        gammas = [float(rng.uniform(1.0, 3.0)) if flag else None for flag in inflated]
+        risks = tuple(hull if g is None else rs.Inflation(hull, g)
+                      for hull, g in zip(sets, gammas))
+        market = rs.Market.general(sp, rs.finite_agents(1 + len(risks)), rs.RiskFamily(
+            (rs.ExpectedShortfall(alpha),) + risks))
+        want = _highs_cap_and_hulls(linprog, sp.probs, x, 1.0 / alpha,
+                                    [(g, hull.matrix()) for hull, g in zip(sets, gammas)])
         assert abs(rs.value(market, x).value - want) <= 1e-9
 
 

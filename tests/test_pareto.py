@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,21 @@ class TestBiconditionalAgainstOracle:
                 total = rs.total_risk(market.agents, market.family, sp, alloc)
                 oracle_efficient = total <= optimum + 1e-5
                 assert verdict.efficient == oracle_efficient
+
+
+@pytest.mark.parametrize("check", ["pareto_check", "acceptance_member", "is_feasible"])
+def test_infinite_tolerance_rejected(check):
+    # At tol = inf each check passes whatever its input: here an inefficient
+    # split, a loss 100 above the acceptance set and a split of 2x given as x.
+    rng = np.random.default_rng(94)
+    market = random_dilation_market(rng)
+    x = random_rv(rng, market.space)
+    split = rs.proportional_split(market.agents, x)
+    calls = {
+        "pareto_check": lambda: rs.pareto_check(market, x, split, tol=math.inf),
+        "acceptance_member": lambda: rs.acceptance_member(market, x + 100.0, tol=math.inf),
+        "is_feasible": lambda: rs.is_feasible(
+            market.agents, rs.proportional_split(market.agents, 2.0 * x), x, tol=math.inf),
+    }
+    with pytest.raises(ValidationError, match="tolerance must be >= 0 and finite, got inf"):
+        calls[check]()

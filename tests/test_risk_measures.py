@@ -491,8 +491,9 @@ class TestDualSet:
             kappa, dset = rs.dual_set(spec)
             for _ in range(5):
                 x = random_rv(rng, sp)
-                if dset.member_hulls:
-                    (hull,) = dset.member_hulls
+                plain = [hull for gamma, hull in dset.hulls if gamma == 1.0]
+                if plain:
+                    (hull,) = plain
                     want = max(float(np.dot(sp.probs, d * x)) for d in hull)
                 else:
                     _, want = ok.maximize_over_densities(
@@ -508,11 +509,9 @@ class TestDualSet:
             if math.isfinite(dset.cap):
                 cases += [(_peaked(sp, k, dset.cap), True),
                           (_peaked(sp, k, dset.cap + 1e-6), False)]
-            for hull in dset.member_hulls:
+            for gamma, hull in dset.hulls:
                 cases += [(sp.density(0.3 * hull[1] + 0.7 * hull[2]), True),
-                          (_peaked(sp, k, hull[:, k].max() + 1e-6), False)]
-            for gamma, hull in dset.dominating_hulls:
-                cases += [(sp.density(0.6 * hull[1] + 0.4 * hull[2]), True),
+                          (sp.density(0.6 * hull[1] + 0.4 * hull[2]), True),
                           (_peaked(sp, k, gamma * hull[:, k].max() + 1e-6), False)]
             if isinstance(spec, rs.Entropic) or isinstance(
                     getattr(spec, "base", None), rs.Entropic):
@@ -549,23 +548,22 @@ class TestDualSet:
         kappa, dset = rs.dual_set(rs.Dilation(rs.Entropic(g0), d), weight=w)
         assert kappa == (w * d) * g0
         assert kappa != w * (d * g0)
-        assert dset.cap == math.inf and dset.polyhedral_only()
+        assert dset.cap == math.inf and not dset.hulls
 
     def test_each_family_maps_to_its_penalty(self):
         entropic, es, scen, infl_es, infl_scen = _families(self.SPACE)[:5]
-        want = {entropic: (0.8, math.inf, 0, 0), es: (0.0, 2.5, 0, 0),
-                scen: (0.0, math.inf, 1, 0), infl_es: (0.0, 4.0, 0, 0),
-                infl_scen: (0.0, math.inf, 0, 1)}
-        for spec, (kappa, cap, n_member, n_dom) in want.items():
+        # a scenario set is its hull at gamma = 1
+        want = {entropic: (0.8, math.inf, ()), es: (0.0, 2.5, ()),
+                scen: (0.0, math.inf, (1.0,)), infl_es: (0.0, 4.0, ()),
+                infl_scen: (0.0, math.inf, (1.5,))}
+        for spec, (kappa, cap, gammas) in want.items():
             for wrapped, scale in ((spec, 1.0), (rs.Dilation(spec, 1.7), 1.7)):
                 got_kappa, dset = rs.dual_set(wrapped, weight=3.0)
                 assert got_kappa == pytest.approx(3.0 * scale * kappa, rel=1e-15)
                 assert dset.cap == cap
-                assert len(dset.member_hulls) == n_member
-                assert len(dset.dominating_hulls) == n_dom
-        assert np.array_equal(rs.dual_set(scen)[1].member_hulls[0], scen.matrix())
-        gamma, hull = rs.dual_set(infl_scen)[1].dominating_hulls[0]
-        assert gamma == 1.5 and np.array_equal(hull, scen.matrix())
+                assert tuple(gamma for gamma, _ in dset.hulls) == gammas
+                for _, hull in dset.hulls:
+                    assert np.array_equal(hull, scen.matrix())
 
     def test_rho_is_dual_solve_value_bit_for_bit(self):
         sp = self.SPACE
@@ -606,8 +604,8 @@ class TestDualSet:
         assert scen.matrix() is mat
         assert not mat.flags.writeable
         assert np.array_equal(mat, np.vstack([d.q for d in scen.densities]))
-        assert rs.dual_set(scen)[1].member_hulls[0] is mat
-        assert rs.dual_set(rs.Inflation(scen, 2.0))[1].dominating_hulls[0][1] is mat
+        assert rs.dual_set(scen)[1].hulls[0][1] is mat
+        assert rs.dual_set(rs.Inflation(scen, 2.0))[1].hulls[0][1] is mat
 
 
 class TestScenarioWidth:
