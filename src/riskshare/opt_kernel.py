@@ -2,18 +2,22 @@
 maximization over densities, and membership in a set of densities.
 
 Maximizing E_Q[x] - kappa * KL(Q||P) over densities has one solve path per
-constraint structure: the sorting rule for a density cap alone with
-kappa = 0, the capped Gibbs point (certified by its KKT residual) for a cap
-alone with kappa > 0, and the simplex for scenario-hull constraints. The
-cap is one number bounding every entry of dQ/dP; math.inf means uncapped.
-The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam for some
-weights lam on the simplex; a plain scenario set is its gamma = 1 entry.
-``maximize_over_densities`` checks the payoff and the hulls (one column per
-state, rows of unit P-mass), then wraps the vector from the private
-``_maximize`` as a Density once; callers with checked inputs, such as the
-risk-measure evaluator, call ``_maximize``.
-``_admits`` tests whether a density meets the same constraints, one small
-LP per hull (``_dominated``), so every LP in the package is built here.
+constraint structure, and the private ``_maximize`` is the one place that
+picks it: the sorting rule for a density cap alone with kappa = 0, the
+Gibbs closed form (log-sum-exp) for kappa > 0 and no cap, the capped Gibbs
+point (certified by its KKT residual) for a finite cap with kappa > 0, the
+best scenario for one hull at gamma = 1 and no cap, and the simplex for any
+other scenario-hull constraints. The cap is one number bounding every entry
+of dQ/dP; math.inf means uncapped. The hulls are one list of (gamma, D)
+pairs, q <= gamma * D^T lam for some weights lam on the simplex; a plain
+scenario set is its gamma = 1 entry. ``_maximize`` checks the hulls (one
+column per state, rows of unit P-mass); ``maximize_over_densities`` also
+checks the payoff, then wraps the vector from ``_maximize`` as a Density
+once. Callers with a checked payoff, such as the risk-measure evaluator,
+call ``_maximize``.
+``_admits`` checks the hulls the same way and tests whether a density meets
+the constraints, one small LP per hull (``_dominated``), so every LP in the
+package is built here.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism over
@@ -288,22 +292,27 @@ def maximize_over_densities(
 
     Each constraint structure has one exact solve path:
 
-    * scenario hulls (plain at gamma = 1 or inflated, with or without
-      caps) and a linear score: the dense simplex on the density LP;
     * caps only and a linear score: the sorting rule
       (:func:`sorting_rule_point`), O(n log n);
-    * caps only and kl_weight > 0: the capped Gibbs point
+    * no cap, no hull and kl_weight > 0: the Gibbs density
+      exp(x / kl_weight) / E_P[exp(x / kl_weight)], by log-sum-exp;
+    * a finite cap and kl_weight > 0: the capped Gibbs point
       (:func:`capped_gibbs_point`), projected onto the capped density set
-      and certified by its KKT residual (:func:`kkt_residual`).
+      and certified by its KKT residual (:func:`kkt_residual`);
+    * one hull at gamma = 1 (a plain scenario set), no cap and a linear
+      score: the best scenario, a vertex of the hull;
+    * any other scenario hulls (several, inflated, or beside a cap) and a
+      linear score: the dense simplex on the density LP.
 
     Raises ValidationError when the payoff or a hull matrix does not fit
     the space, InfeasibleError when no density satisfies the constraints,
     UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
-    ConvergenceError (carrying the point and its residual) when the capped
-    Gibbs point's KKT residual exceeds the module tolerance.
+    ConvergenceError (carrying the point and its residual) only on the
+    capped Gibbs path, when the point's KKT residual exceeds the module
+    tolerance; the density LP's simplex may also raise it or
+    IterationLimitError.
     """
     x = space.rv(objective.payoff)
-    _check_hulls(space, constraints)
     q, value = _maximize(space, x, objective.kl_weight, constraints)
     return space.density(q), value
 
@@ -324,18 +333,39 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
 
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
               constraints: DensityConstraints) -> tuple[np.ndarray, float]:
-    """maximize_over_densities on checked inputs, the optimizer unwrapped."""
+    """maximize_over_densities on a payoff already sized to the space, the
+    optimizer unwrapped. This is the one place that picks the algorithm for
+    a dual-set structure; it checks the hulls itself."""
+    cap = constraints.cap
     if constraints.hulls:
+        _check_hulls(space, constraints)
         if kappa != 0.0:
             raise UnsupportedFamilyError(
                 "entropic-penalized scores support only a density cap; scenario-hull "
                 "constraints mixed with a KL penalty have no solver here"
             )
+        (gamma, dmat), *others = constraints.hulls
+        if gamma == 1.0 and not others and cap == math.inf:
+            # A plain scenario set: the best scenario, a vertex of its hull.
+            best_value, best = -math.inf, None
+            for d in np.atleast_2d(dmat):
+                v = float(np.dot(space.probs, d * x))
+                if v > best_value:
+                    best_value, best = v, d
+            return best, best_value
         return _linear_density_lp(space, x, constraints)
     if kappa == 0.0:
-        q = sorting_rule_point(space, x, constraints.cap)
+        q = sorting_rule_point(space, x, cap)
         return q, float(np.dot(space.probs, q * x))
-    return _certified_gibbs(space, x, kappa, constraints.cap)
+    if cap == math.inf:
+        # The Gibbs density, by log-sum-exp with a max shift: x / kappa can
+        # overflow for small kappa.
+        scaled = x / kappa
+        shift = float(scaled.max())  # the method skips np.max's Python dispatch
+        w = np.exp(scaled - shift)
+        mass = float(np.dot(space.probs, w))
+        return w / mass, kappa * (shift + math.log(mass))
+    return _certified_gibbs(space, x, kappa, cap)
 
 
 def _linear_density_lp(space, x, constraints):
@@ -401,6 +431,7 @@ def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) ->
     state has p > 0, so q <= D^T lam with both sides of P-mass 1 forces
     q = D^T lam.
     """
+    _check_hulls(space, constraints)
     if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
     return all(_dominated(space, gamma, d, q) for gamma, d in constraints.hulls)

@@ -17,18 +17,21 @@ Five families are supported:
 
 ``dual_set`` is the one map from a spec to its dual penalty: a KL weight
 plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
-one evaluator, ``_solve``: closed forms for Entropic (log-sum-exp and its
-Gibbs weights) and ScenarioSet (the best scenario), and ``opt_kernel`` over
-``dual_set`` for the rest. ``conjugate`` reads ``dual_set`` too and returns
-a float in [0, math.inf]: kappa * KL on the dual set, math.inf off it. This
-module builds no LP: ``opt_kernel`` also tests membership in a dual set.
+one evaluator, ``_solve``: a dilation rescales its base, and every other
+spec maximizes E_Q[x] over its ``dual_set`` in ``opt_kernel._maximize``,
+which picks the solve path, closed forms included (log-sum-exp and its Gibbs
+weights for a KL weight alone, the best scenario for a plain set).
+``conjugate`` reads ``dual_set`` too and returns a float in [0, math.inf]:
+kappa * KL on the dual set, math.inf off it. This module builds no LP:
+``opt_kernel`` also tests membership in a dual set.
 
 Validation boundary: the public functions check their inputs; the private
 evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
-row masses of a scenario matrix, which only meets the space there. Per-atom
-loops run through ``agent_space.atom_risks`` and
-``infimal_convolution.aggregate_conjugate``, which check a whole
-allocation or density once and then call the private evaluators per atom.
+row masses of a scenario matrix, which ``opt_kernel`` checks itself where
+the matrix meets the space. Per-atom loops run through
+``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
+which check a whole allocation or density once and then call the private
+evaluators per atom.
 """
 
 from __future__ import annotations
@@ -154,6 +157,9 @@ def inflate(spec: RiskSpec, gamma: float) -> RiskSpec:
     return spec if gamma == 1.0 else inflated
 
 
+_UNCONSTRAINED = opt_kernel.DensityConstraints()
+
+
 def dual_set(spec: RiskSpec, weight: float = 1.0
              ) -> tuple[float, opt_kernel.DensityConstraints]:
     """The dual penalty of ``weight * spec``: its KL weight kappa and the
@@ -171,7 +177,7 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
     if isinstance(spec, Dilation):
         return dual_set(spec.base, weight * spec.gamma)
     if isinstance(spec, Entropic):
-        return weight * spec.gamma, opt_kernel.DensityConstraints()
+        return weight * spec.gamma, _UNCONSTRAINED
     if isinstance(spec, ExpectedShortfall):
         return 0.0, opt_kernel.DensityConstraints(cap=1.0 / spec.alpha)
     if isinstance(spec, ScenarioSet):
@@ -201,28 +207,12 @@ def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
 
 def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray]:
     """rho and the vector of a dual optimizer, for a finite float vector
-    already sized to the space. Specs without a closed form maximize E_Q[x]
-    over their dual set in the kernel."""
+    already sized to the space: a dilation rescales its base, and every
+    other spec maximizes E_Q[x] over its dual set in the kernel."""
     if isinstance(spec, Dilation):
         value, q = _solve(spec.base, space, x / spec.gamma)
         return spec.gamma * value, q
-    if isinstance(spec, Entropic):
-        # log-sum-exp with max shift: x / gamma can overflow for small gamma.
-        scaled = x / spec.gamma
-        shift = float(scaled.max())  # the method skips np.max's Python dispatch
-        w = np.exp(scaled - shift)
-        mass = float(np.dot(space.probs, w))
-        return spec.gamma * (shift + math.log(mass)), w / mass
-    kappa, constraints = dual_set(spec)
-    opt_kernel._check_hulls(space, constraints)
-    if isinstance(spec, ScenarioSet):
-        best_value, best = -math.inf, None
-        for d in spec.matrix():
-            v = float(np.dot(space.probs, d * x))
-            if v > best_value:
-                best_value, best = v, d
-        return best_value, best
-    q, value = opt_kernel._maximize(space, x, kappa, constraints)
+    q, value = opt_kernel._maximize(space, x, *dual_set(spec))
     return value, q
 
 
@@ -251,7 +241,6 @@ def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
         pen = _conjugate(spec.base, space, q, memo) * spec.gamma
     else:
         kappa, constraints = dual_set(spec)
-        opt_kernel._check_hulls(space, constraints)
         if not opt_kernel._admits(space, constraints, q.q):
             pen = math.inf
         elif kappa > 0.0:

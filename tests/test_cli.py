@@ -369,12 +369,16 @@ class TestSpecParsing:
 def test_solver_nonconvergence_exits_3(tmp_path, monkeypatch):
     import riskshare.opt_kernel as ok
     # No KKT residual is negative, so the capped Gibbs certificate fails.
+    # The ES cap of 10 never binds on two states, but it is what puts the
+    # market on the capped Gibbs path: uncapped KL has a closed form.
     monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
     spec = tmp_path / "entropic.json"
     spec.write_text(json.dumps({
         "probs": [0.25, 0.75], "loss": [1.0, -0.5],
         "agents": [{"label": "a", "weight": 1.0,
-                    "risk": {"type": "entropic", "gamma": 1.0}}]}))
+                    "risk": {"type": "entropic", "gamma": 1.0}},
+                   {"label": "b", "weight": 1.0,
+                    "risk": {"type": "es", "alpha": 0.1}}]}))
     out = tmp_path / "out.json"
     result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
     assert result.exit_code == 3

@@ -237,12 +237,14 @@ class TestMaximizeOverDensities:
 
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         # A certificate above tolerance surfaces the point and its residual.
+        # The cap of 10 never binds here but selects the capped Gibbs path.
         monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
         with pytest.raises(ConvergenceError) as info:
             ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=1.5))
+                sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
+                ok.DensityConstraints(cap=10.0))
         want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1].q
         assert np.max(np.abs(info.value.best_point - want)) <= 1e-6
         assert 0.0 <= info.value.residual <= 1e-9
@@ -373,6 +375,43 @@ class TestGeneralDualAtScale:
                 - kappa * rs.kl_divergence(market.space, q)
             assert abs(res.value - score) <= 1e-9
             assert abs(res.duality_gap) <= 1e-9
+
+    def test_entropic_only_value_is_the_entropic_closed_form(self, n):
+        # Sharing among entropic agents gives the entropic measure at the
+        # summed tolerance: the market's value and dual optimizer are
+        # rho(Entropic(kappa)) and its Gibbs density, bit for bit.
+        rng = np.random.default_rng(60 + n)
+        for scale in (0.5, 4.0, 40.0):
+            space = rs.ProbSpace(_probs(rng, n))
+            specs = (rs.Entropic(float(rng.uniform(0.2, 2.0))),
+                     rs.Dilation(rs.Entropic(float(rng.uniform(0.2, 2.0))),
+                                 float(rng.uniform(0.5, 3.0))),
+                     rs.Entropic(float(rng.uniform(0.2, 2.0))))
+            agents = rs.AgentSpace(("a", "b", "c"), rng.uniform(0.3, 2.0, 3))
+            market = rs.Market.general(space, agents, rs.RiskFamily(specs))
+            kappa = 0.0
+            for spec, w in zip(specs, agents.weights):
+                kappa += rs.dual_set(spec, float(w))[0]
+            x = space.rv(scale * rng.normal(0.0, 1.0, n))
+            res = rs.value(market, x)
+            want, gibbs = rs.dual_solve(rs.Entropic(kappa), space, x)
+            assert res.value == want == rs.rho(rs.Entropic(kappa), space, x)
+            assert np.array_equal(res.dual_optimizer.q, gibbs.q)
+            assert abs(res.duality_gap) <= 1e-9
+
+    def test_one_plain_hull_is_its_best_scenario(self, n):
+        rng = np.random.default_rng(70 + n)
+        for n_scenarios in (1, 3, 12):
+            space = rs.ProbSpace(_probs(rng, n))
+            dmat = random_scenario_set(rng, space, n_scenarios).matrix()
+            x = space.rv(rng.normal(0.0, 1.0, n))
+            scores = [float(np.dot(space.probs, d * x)) for d in dmat]
+            best = int(np.argmax(scores))
+            q, val = ok.maximize_over_densities(
+                space, ok.DensityObjective(payoff=x),
+                ok.DensityConstraints(hulls=((1.0, dmat),)))
+            assert val == scores[best]
+            assert np.array_equal(q.q, dmat[best])
 
 
 def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():

@@ -242,6 +242,23 @@ class TestInflate:
         spec = random_scenario_set(rng, sp, 3)
         assert rs.inflate(spec, 1.0) is spec
 
+    def test_literal_unit_inflation_is_the_plain_set_without_lp(self, monkeypatch):
+        # Inflation(S, 1.0) admits S's hull, so it takes S's vertex maximum.
+        calls = []
+        real = ok.lp_solve
+        monkeypatch.setattr(ok, "lp_solve", lambda problem: calls.append(1) or real(problem))
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            sp = random_space(rng)
+            x = random_rv(rng, sp)
+            spec = random_scenario_set(rng, sp, int(rng.integers(1, 5)))
+            literal = rs.Inflation(spec, 1.0)
+            assert rs.rho(literal, sp, x) == rs.rho(spec, sp, x)
+            got, want = rs.dual_solve(literal, sp, x), rs.dual_solve(spec, sp, x)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1].q, want[1].q)
+        assert calls == []
+
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
