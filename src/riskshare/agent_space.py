@@ -9,6 +9,7 @@ weighted sum over atoms, one number per state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +59,21 @@ class AgentSpace:
                    np.array([w for _, w in atoms], dtype=float))
 
 
+def _whole_count(n, what: str) -> int:
+    """n as an int, when it is a positive whole number (3 and 3.0 alike)."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= 1):
+        raise ValidationError(f"{what} must be a positive whole number, got {n!r}")
+    return int(n)
+
+
 def finite_agents(n: int) -> AgentSpace:
     """N discrete agents under the counting measure (each weight 1)."""
-    if n < 1:
-        raise ValidationError("need at least one agent")
+    n = _whole_count(n, "the agent count")
     return AgentSpace(tuple(str(i + 1) for i in range(n)), np.ones(n))
 
 
 def unit_interval_midpoints(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValidationError("need at least one quadrature atom")
+    n = _whole_count(n, "the quadrature atom count")
     return (np.arange(n) + 0.5) / n
 
 
@@ -76,7 +82,7 @@ def aumann_agents(n: int) -> AgentSpace:
     measure: N atoms of weight 1/N, a pure continuum discretization."""
     mids = unit_interval_midpoints(n)
     labels = tuple(f"t{t:.12g}" for t in mids)
-    return AgentSpace(labels, np.full(n, 1.0 / n))
+    return AgentSpace(labels, np.full(mids.size, 1.0 / mids.size))
 
 
 def shapley_agents(n: int) -> AgentSpace:
@@ -84,7 +90,7 @@ def shapley_agents(n: int) -> AgentSpace:
     two large agents and a continuum of small ones, total mass 3."""
     mids = unit_interval_midpoints(n)
     labels = ("dirac0",) + tuple(f"t{t:.12g}" for t in mids) + ("dirac1",)
-    weights = np.concatenate([[1.0], np.full(n, 1.0 / n), [1.0]])
+    weights = np.concatenate([[1.0], np.full(mids.size, 1.0 / mids.size), [1.0]])
     return AgentSpace(labels, weights)
 
 

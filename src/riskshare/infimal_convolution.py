@@ -15,10 +15,11 @@ are handled:
   E_Q[x] minus the weighted sum of per-atom penalties over densities. The
   atoms' dual sets (risk_measures.dual_set) merge into one KL weight, one
   density cap and one scenario hull per distinct matrix, at the smallest
-  gamma any atom gives it (a plain set is gamma = 1). opt_kernel solves
-  each structure exactly: the sorting rule for a cap alone, the
-  KKT-certified capped Gibbs point for a KL weight with a cap, the simplex
-  when hulls are present. No primal allocation is certified on this path.
+  gamma any atom gives it (a plain set is gamma = 1). The merged set goes
+  to opt_kernel._maximize, the entry that also evaluates rho, which picks
+  the exact solve path for its structure; the certificate tests the
+  optimizer's membership through opt_kernel._admits. No primal allocation
+  is certified on this path.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -39,6 +40,7 @@ from .agent_space import (
     Allocation,
     RiskFamily,
     _check_tol,
+    _whole_count,
     atom_risks,
     unit_interval_midpoints,
 )
@@ -236,15 +238,14 @@ def _general_dual_value(market: Market, x) -> tuple[float, Density]:
             if key not in hulls or gamma < hulls[key][0]:
                 hulls[key] = (gamma, d)
     constraints = opt_kernel.DensityConstraints(cap, tuple(hulls.values()))
-    objective = opt_kernel.DensityObjective(payoff=x, kl_weight=kl_weight)
     try:
-        q, val = opt_kernel.maximize_over_densities(market.space, objective, constraints)
+        q, val = opt_kernel._maximize(market.space, x, kl_weight, constraints)
     except InfeasibleError as exc:
         raise IllPosedError(
             "every density has infinite aggregate penalty; the sharing value "
             "is -inf (the agents share no prior)"
         ) from exc
-    return val, q
+    return val, market.space.density(q)
 
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:
@@ -262,13 +263,11 @@ def aumann_acceptance_sample(market: Market, n_samples: int,
     of the recentered allocation. Every returned vector passes
     :func:`acceptance_member` at tolerance 1e-7 by construction.
     """
-    if not float(n_samples).is_integer() or n_samples < 1:
-        raise ValidationError(
-            f"the sample count must be a positive whole number, got {n_samples!r}")
+    n_samples = _whole_count(n_samples, "the sample count")
     rng = np.random.default_rng(rng_seed)
     out = []
     w = market.agents.weights
-    for _ in range(int(n_samples)):
+    for _ in range(n_samples):
         draws = rng.normal(0.0, 1.0, (market.agents.n_atoms, market.space.n_states))
         risks = atom_risks(market.family, market.space, Allocation(draws))
         out.append(w @ (draws - risks[:, None]))

@@ -1,23 +1,19 @@
 """Small dense optimization routines: a two-phase simplex, exact
 maximization over densities, and membership in a set of densities.
 
-Maximizing E_Q[x] - kappa * KL(Q||P) over densities has one solve path per
-constraint structure, and the private ``_maximize`` is the one place that
-picks it: the sorting rule for a density cap alone with kappa = 0, the
-Gibbs closed form (log-sum-exp) for kappa > 0 and no cap, the capped Gibbs
-point (certified by its KKT residual) for a finite cap with kappa > 0, the
-best scenario for one hull at gamma = 1 and no cap, and the simplex for any
-other scenario-hull constraints. The cap is one number bounding every entry
-of dQ/dP; math.inf means uncapped. The hulls are one list of (gamma, D)
-pairs, q <= gamma * D^T lam for some weights lam on the simplex; a plain
-scenario set is its gamma = 1 entry. ``_maximize`` checks the hulls (one
-column per state, rows of unit P-mass); ``maximize_over_densities`` also
-checks the payoff, then wraps the vector from ``_maximize`` as a Density
-once. Callers with a checked payoff, such as the risk-measure evaluator,
-call ``_maximize``.
-``_admits`` checks the hulls the same way and tests whether a density meets
-the constraints, one small LP per hull (``_dominated``), so every LP in the
-package is built here.
+The package reaches this module through two entries. ``_maximize`` solves:
+it maximizes E_Q[x] - kappa * KL(Q||P) over densities and is the one place
+that picks the solve path for a constraint structure (the risk-measure
+evaluator and the general sharing value both call it). ``_admits`` tests
+whether a density meets the constraints, one small LP per hull
+(``_dominated``). So every LP in the package is built here. Both check the
+hulls themselves (one column per state, rows of unit P-mass); the payoff
+and the density are the caller's to check.
+
+The cap is one number bounding every entry of dQ/dP; math.inf means
+uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
+for some weights lam on the simplex; a plain scenario set is its gamma = 1
+entry.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism over
@@ -43,7 +39,7 @@ from .errors import (
     UnsupportedFamilyError,
     ValidationError,
 )
-from .prob_core import DENSITY_SUM_TOL, Density, ProbSpace
+from .prob_core import DENSITY_SUM_TOL, ProbSpace
 
 _RC_TOL = 1e-10     # reduced-cost threshold for entering columns
 _PIV_TOL = 1e-10    # minimum magnitude for a pivot element
@@ -257,18 +253,6 @@ def _verify_residuals(problem: LpProblem, x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DensityObjective:
-    """Score q -> E_Q[payoff] - kl_weight * KL(Q || P); concave in q."""
-
-    payoff: np.ndarray
-    kl_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.kl_weight < 0.0:
-            raise ValidationError("kl_weight must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
 class DensityConstraints:
     """Feasible densities beyond {q >= 0, E_P[q] = 1}.
 
@@ -281,40 +265,6 @@ class DensityConstraints:
 
     cap: float = math.inf
     hulls: tuple = ()
-
-
-def maximize_over_densities(
-    space: ProbSpace,
-    objective: DensityObjective,
-    constraints: DensityConstraints = DensityConstraints(),
-) -> tuple[Density, float]:
-    """Maximize the score over feasible densities.
-
-    Each constraint structure has one exact solve path:
-
-    * caps only and a linear score: the sorting rule
-      (:func:`sorting_rule_point`), O(n log n);
-    * no cap, no hull and kl_weight > 0: the Gibbs density
-      exp(x / kl_weight) / E_P[exp(x / kl_weight)], by log-sum-exp;
-    * a finite cap and kl_weight > 0: the capped Gibbs point
-      (:func:`capped_gibbs_point`), projected onto the capped density set
-      and certified by its KKT residual (:func:`kkt_residual`);
-    * one hull at gamma = 1 (a plain scenario set), no cap and a linear
-      score: the best scenario, a vertex of the hull;
-    * any other scenario hulls (several, inflated, or beside a cap) and a
-      linear score: the dense simplex on the density LP.
-
-    Raises ValidationError when the payoff or a hull matrix does not fit
-    the space, InfeasibleError when no density satisfies the constraints,
-    UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
-    ConvergenceError (carrying the point and its residual) only on the
-    capped Gibbs path, when the point's KKT residual exceeds the module
-    tolerance; the density LP's simplex may also raise it or
-    IterationLimitError.
-    """
-    x = space.rv(objective.payoff)
-    q, value = _maximize(space, x, objective.kl_weight, constraints)
-    return space.density(q), value
 
 
 def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
@@ -333,9 +283,33 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
 
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
               constraints: DensityConstraints) -> tuple[np.ndarray, float]:
-    """maximize_over_densities on a payoff already sized to the space, the
-    optimizer unwrapped. This is the one place that picks the algorithm for
-    a dual-set structure; it checks the hulls itself."""
+    """Maximize E_Q[x] - kappa * KL(Q||P) over the densities that meet the
+    constraints; returns the optimizer's vector and the value. x must be a
+    finite float vector already sized to the space; the hulls are checked
+    here.
+
+    Each constraint structure has one exact solve path:
+
+    * kappa = 0 and a cap alone (or none): the sorting rule
+      (:func:`sorting_rule_point`), O(n log n);
+    * kappa > 0, no cap and no hull: the Gibbs density
+      exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp;
+    * kappa > 0 and a finite cap: the capped Gibbs point
+      (:func:`capped_gibbs_point`), projected onto the capped density set
+      and certified by its KKT residual (:func:`kkt_residual`);
+    * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
+      the best scenario, a vertex of the hull;
+    * kappa = 0 and any other scenario hulls (several, inflated, or beside
+      a cap): the dense simplex on the density LP.
+
+    Raises ValidationError when a hull matrix does not fit the space,
+    InfeasibleError when no density satisfies the constraints,
+    UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
+    ConvergenceError (carrying the point and its residual) on the capped
+    Gibbs path when the point's KKT residual exceeds the module tolerance;
+    the density LP's simplex may also raise ConvergenceError or
+    IterationLimitError.
+    """
     cap = constraints.cap
     if constraints.hulls:
         _check_hulls(space, constraints)
@@ -424,8 +398,8 @@ def _linear_density_lp(space, x, constraints):
 
 def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) -> bool:
     """Whether the density vector q satisfies the constraints: q exceeds the
-    cap by at most MEMBERSHIP_TOL, and for each hull the largest entrywise
-    violation, minimized over hull weights, is at most MEMBERSHIP_TOL.
+    cap by at most MEMBERSHIP_TOL, and for each hull q is dominated by
+    gamma times a point of the hull, up to MEMBERSHIP_TOL (:func:`_dominated`).
 
     A hull at gamma = 1 (a plain scenario set) takes the same test: every
     state has p > 0, so q <= D^T lam with both sides of P-mass 1 forces
@@ -434,31 +408,35 @@ def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) ->
     _check_hulls(space, constraints)
     if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
-    return all(_dominated(space, gamma, d, q) for gamma, d in constraints.hulls)
+    return all(_dominated(gamma, d, q) for gamma, d in constraints.hulls)
 
 
-def _dominated(space: ProbSpace, gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
-    """Whether q <= gamma * d for some d in the hull of dmat's rows: the
-    worst violation, minimized over hull weights, is within tolerance."""
-    n = space.n_states
-    j = dmat.shape[0]
-    n_total = j + 1  # hull weights then the violation bound t
-    c = np.zeros(n_total)
-    c[-1] = -1.0
+def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
+    """Whether q <= gamma * D^T lam for some weights lam on the simplex, up
+    to MEMBERSHIP_TOL in every state.
 
-    a_eq = np.zeros((1, n_total))
-    a_eq[0, :j] = 1.0
-    b_eq = np.ones(1)
+    The smallest worst violation, min over lam of max(0, max_i (q - gamma *
+    D^T lam)_i), equals by LP duality
 
-    a_ub = np.zeros((n, n_total))
-    a_ub[:, :j] = -gamma * dmat.T
-    a_ub[:, -1] = -1.0
-    b_ub = -q
+        max  q @ mu - gamma * s   over mu >= 0 (one per state), s >= 0,
+        s.t. D mu <= s (one row per scenario),  sum(mu) <= 1.
 
-    sol = lp_solve(LpProblem(c, a_ub, b_ub, a_eq, b_eq))
+    Every right-hand side is >= 0, so the origin is feasible. (The primal
+    form, with right-hand side -q, can end its phase 1 unbounded or cycle
+    under Bland's rule on a hull's own vertex.)
+    """
+    j, n = np.atleast_2d(dmat).shape
+    c = np.concatenate([q, [-gamma]])
+    a_ub = np.zeros((j + 1, n + 1))
+    a_ub[:j, :n] = dmat
+    a_ub[:j, n] = -1.0
+    a_ub[j, :n] = 1.0
+    b_ub = np.zeros(j + 1)
+    b_ub[j] = 1.0
+    sol = lp_solve(LpProblem(c, a_ub, b_ub))
     if sol.status != "optimal":
         raise ValidationError(f"inflation feasibility LP ended with status {sol.status}")
-    return -float(sol.value) <= MEMBERSHIP_TOL
+    return float(sol.value) <= MEMBERSHIP_TOL
 
 
 def _check_cap(cap: float):

@@ -1,10 +1,11 @@
 """Brute-force reference implementations, for tests only.
 
 These deliberately avoid the code paths they check: the expected-shortfall
-oracle solves the defining LP instead of the sorting rule, the sharing-value
-oracle searches allocation space directly instead of using closed forms or
-the dual, and the LP oracle enumerates basic solutions instead of pivoting.
-Everything is capped at desk scale.
+oracle takes the Rockafellar-Uryasev minimum over the loss values in numpy
+instead of the sorting rule or any package LP, the sharing-value oracle
+searches allocation space directly instead of using closed forms or the
+dual, and the LP oracle enumerates basic solutions instead of pivoting.
+The allocation search and the vertex enumeration are capped at desk scale.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 from riskshare.agent_space import Allocation, total_risk
 from riskshare.errors import ValidationError
 from riskshare.infimal_convolution import Market
-from riskshare.opt_kernel import LpProblem, LpSolution, lp_solve
+from riskshare.opt_kernel import LpProblem, LpSolution
 from riskshare.prob_core import ProbSpace
 
-ES_ORACLE_MAX_STATES = 12
 BRUTE_FORCE_MAX_DIMS = 6
 VERTEX_ENUM_MAX_VARS = 6
 VERTEX_ENUM_MAX_CONSTRAINTS = 8
@@ -60,28 +60,17 @@ def default_grid(x, n_dims: int, points_per_axis: int = 13) -> GridSpec:
 
 
 def es_lp_oracle(space: ProbSpace, alpha: float, x) -> float:
-    """Expected shortfall by its defining LP: maximize E_Q[x] over densities
-    capped at 1/alpha. Independent of the sorting-rule implementation."""
-    if space.n_states > ES_ORACLE_MAX_STATES:
-        raise ValidationError(
-            f"oracle capped at {ES_ORACLE_MAX_STATES} states, got {space.n_states}"
-        )
+    """Expected shortfall by the dual of its defining LP (maximize E_Q[x]
+    over densities capped at 1/alpha), the Rockafellar-Uryasev form
+    min_t t + E_P[(x - t)^+] / alpha. The function of t is convex and
+    piecewise linear with its kinks at the loss values, so the minimum over
+    them is exact. O(n^2) numpy, independent of the sorting rule and of
+    the package's simplex."""
     if not (0.0 < alpha <= 1.0):
         raise ValidationError("quantile level must lie in (0, 1]")
     x = space.rv(x)
-    n = space.n_states
-    p = space.probs
-    problem = LpProblem(
-        objective=p * x,
-        a_ub=np.eye(n),
-        b_ub=np.full(n, 1.0 / alpha),
-        a_eq=p.reshape(1, -1),
-        b_eq=np.ones(1),
-    )
-    sol = lp_solve(problem)
-    if sol.status != "optimal":
-        raise ValidationError(f"oracle LP ended with status {sol.status}")
-    return float(sol.value)
+    excess = np.maximum(x[None, :] - x[:, None], 0.0) @ space.probs
+    return float(np.min(x + excess / alpha))
 
 
 def brute_force_value(market: Market, x, grid: GridSpec) -> float:

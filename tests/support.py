@@ -31,6 +31,19 @@ def random_scenario_set(rng, space, n_scenarios=3, include_reference=True):
     return rs.ScenarioSet(tuple(dens))
 
 
+def spread_scenario_set(seed, n=200, n_scenarios=4):
+    """A space of n states (P uniform(0.2, 1), normalised) and the matrix of
+    a scenario set: the uniform density, then n_scenarios - 1 densities
+    drawn uniform(0.1, 2) and rescaled to P-mass 1. At n = 200 the
+    membership LP must decide many of these hulls' own vertices."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 1.0, n)
+    space = rs.ProbSpace(p / p.sum())
+    rows = rng.uniform(0.1, 2.0, (n_scenarios - 1, n))
+    rows /= (rows @ space.probs)[:, None]
+    return space, np.vstack([np.ones(n), rows])
+
+
 def random_spec(rng, space, variant=None) -> rs.RiskSpec:
     """One random spec; variant in {entropic, es, scenario, dilation, inflation}."""
     if variant is None:

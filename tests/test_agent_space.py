@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import riskshare as rs
-from riskshare.agent_space import agent_positions
+from riskshare.agent_space import agent_positions, unit_interval_midpoints
 from riskshare.errors import ValidationError
 
 from support import random_rv, random_scenario_set, random_space
@@ -33,6 +33,18 @@ class TestAgentSpace:
             assert agents.total_mass == pytest.approx(3.0, abs=1e-12)
             assert agents.labels[0] == "dirac0"
             assert agents.labels[-1] == "dirac1"
+
+    @pytest.mark.parametrize("factory", [rs.finite_agents, rs.aumann_agents,
+                                         rs.shapley_agents, unit_interval_midpoints])
+    def test_factories_take_positive_whole_counts(self, factory):
+        for bad in (0, -2, 2.5, float("nan"), float("inf"), "3"):
+            with pytest.raises(ValidationError, match="positive whole number"):
+                factory(bad)
+        got, want = factory(3.0), factory(3)
+        if isinstance(want, rs.AgentSpace):
+            assert got.labels == want.labels
+            got, want = got.weights, want.weights
+        assert np.array_equal(got, want)
 
     def test_positions_recover_quadrature_midpoints(self):
         agents = rs.shapley_agents(4)

@@ -20,6 +20,7 @@ from support import (
     random_rv,
     random_scenario_set,
     random_space,
+    spread_scenario_set,
     zero_integral_noise,
 )
 
@@ -366,10 +367,27 @@ class TestGeneralFamilyDual:
         problems = _recorded_lps(monkeypatch)
         got = rs.value(market, x).value
         # One plain hull is left, solved as its best scenario: the only LPs
-        # are the certificate's membership LPs (J weights and a bound).
+        # are the certificate's membership LPs, in dual form (a weight per
+        # state and a scale; a row per scenario and the weight-sum row).
         assert problems
-        assert all(problem.n_vars == 3 + 1 for problem in problems)
+        for problem in problems:
+            assert problem.n_vars == sp.n_states + 1
+            assert problem.a_ub.shape[0] == 3 + 1
+            assert problem.b_eq.size == 0
         assert got == rs.rho(shared, sp, x)
+
+    def test_plain_and_inflated_spread_set_is_certified(self):
+        # {S, Inflation(S, 2)} merges to S itself; the certificate then
+        # tests S's best vertex against both atoms' hulls at n = 200.
+        for seed in range(20):
+            sp, dmat = spread_scenario_set(seed)
+            shared = rs.ScenarioSet(tuple(sp.density(d) for d in dmat))
+            market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(
+                (shared, rs.Inflation(shared, 2.0))))
+            x = sp.rv(np.random.default_rng(seed + 100).normal(0.0, 1.0, sp.n_states))
+            res = rs.value(market, x)
+            assert res.value == rs.rho(shared, sp, x)
+            assert abs(res.duality_gap) <= 1e-9
 
     def test_inflation_at_one_is_the_plain_hull(self, monkeypatch):
         # Inflation(S, 1.0) admits S's hull: its rows are equalities, so the

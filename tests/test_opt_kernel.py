@@ -6,7 +6,13 @@ from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
 from oracle import vertex_enum_lp
-from support import random_density, random_rv, random_scenario_set, random_space
+from support import (
+    random_density,
+    random_rv,
+    random_scenario_set,
+    random_space,
+    spread_scenario_set,
+)
 
 
 def _random_bounded_problem(rng):
@@ -148,25 +154,20 @@ class TestMaximizeOverDensities:
             sp = random_space(rng)
             x = random_rv(rng, sp)
             alpha = float(rng.uniform(0.2, 1.0))
-            q, val = ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x),
-                ok.DensityConstraints(cap=1.0 / alpha),
-            )
+            q, val = ok._maximize(sp, sp.rv(x), 0.0,
+                                  ok.DensityConstraints(cap=1.0 / alpha))
             assert val == pytest.approx(rs.rho(rs.ExpectedShortfall(alpha), sp, x),
                                         abs=1e-9)
-            assert np.max(q.q) <= 1.0 / alpha + 1e-8
+            assert np.max(q) <= 1.0 / alpha + 1e-8
 
     def test_entropic_score_recovers_gibbs_density(self):
         # The capped Gibbs path with caps that never bind against the
         # entropic closed form exp(x / kappa) / E_P[exp(x / kappa)].
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
-        q, val = ok.maximize_over_densities(
-            sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
-            ok.DensityConstraints(cap=10.0),
-        )
+        q, val = ok._maximize(sp, sp.rv(x), 1.5, ok.DensityConstraints(cap=10.0))
         want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1]
-        assert np.max(np.abs(q.q - want.q)) <= 1e-6
+        assert np.max(np.abs(q - want.q)) <= 1e-6
         assert val == pytest.approx(rs.rho(rs.Entropic(1.5), sp, x), abs=1e-9)
 
     def test_entropic_score_warm_start_matches_closed_form(self):
@@ -175,20 +176,18 @@ class TestMaximizeOverDensities:
             sp = random_space(rng)
             x = random_rv(rng, sp)
             kappa = float(rng.uniform(0.3, 3.0))
-            q, val = ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=kappa))
+            q, val = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints())
             assert val == pytest.approx(rs.rho(rs.Entropic(kappa), sp, x), abs=1e-9)
             want = rs.dual_solve(rs.Entropic(kappa), sp, x)[1]
-            assert np.max(np.abs(q.q - want.q)) <= 1e-6
+            assert np.max(np.abs(q - want.q)) <= 1e-6
 
     def test_constant_payoff_gives_constant_value(self):
         sp = rs.ProbSpace([0.25, 0.75])
         c = 1.5
-        q, val = ok.maximize_over_densities(
-            sp, ok.DensityObjective(payoff=np.full(2, c), kl_weight=0.8))
+        q, val = ok._maximize(sp, sp.rv(np.full(2, c)), 0.8, ok.DensityConstraints())
         # minimal penalty is KL = 0 at the reference density
         assert val == pytest.approx(c, abs=1e-9)
-        assert np.max(np.abs(q.q - 1.0)) <= 1e-6
+        assert np.max(np.abs(q - 1.0)) <= 1e-6
 
     def test_solution_satisfies_constraints_within_tolerance(self):
         rng = np.random.default_rng(19)
@@ -197,12 +196,10 @@ class TestMaximizeOverDensities:
             x = random_rv(rng, sp)
             cap = float(rng.uniform(1.2, 3.0))
             kappa = float(rng.uniform(0.0, 2.0))
-            q, _ = ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=kappa),
-                ok.DensityConstraints(cap=cap))
-            assert np.max(q.q - cap) <= 1e-8
-            assert np.min(q.q) >= -1e-8
-            assert abs(float(np.dot(sp.probs, q.q)) - 1.0) <= 1e-8
+            q, _ = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints(cap=cap))
+            assert np.max(q - cap) <= 1e-8
+            assert np.min(q) >= -1e-8
+            assert abs(float(np.dot(sp.probs, q)) - 1.0) <= 1e-8
 
     def test_member_hull_restricts_to_hull(self):
         rng = np.random.default_rng(20)
@@ -211,9 +208,7 @@ class TestMaximizeOverDensities:
         d1 = random_density(rng, sp)
         d2 = random_density(rng, sp)
         hull = np.vstack([d1.q, d2.q])
-        q, val = ok.maximize_over_densities(
-            sp, ok.DensityObjective(payoff=x),
-            ok.DensityConstraints(hulls=((1.0, hull),)))
+        q, val = ok._maximize(sp, sp.rv(x), 0.0, ok.DensityConstraints(hulls=((1.0, hull),)))
         want = max(rs.expect_under(sp, d1, x), rs.expect_under(sp, d2, x))
         assert val == pytest.approx(want, abs=1e-9)
 
@@ -223,8 +218,7 @@ class TestMaximizeOverDensities:
         for constraints in (ok.DensityConstraints(hulls=((1.0, hull),)),
                             ok.DensityConstraints(hulls=((1.5, hull),))):
             with pytest.raises(ValidationError, match="3 entries"):
-                ok.maximize_over_densities(
-                    sp, ok.DensityObjective(payoff=np.arange(4.0)), constraints)
+                ok._maximize(sp, sp.rv(np.arange(4.0)), 0.0, constraints)
 
     def test_hull_rows_must_have_unit_mass(self):
         sp = rs.ProbSpace([0.25, 0.25, 0.5])
@@ -232,8 +226,7 @@ class TestMaximizeOverDensities:
         for constraints in (ok.DensityConstraints(hulls=((1.0, hull),)),
                             ok.DensityConstraints(hulls=((1.5, hull),))):
             with pytest.raises(ValidationError, match="P-expectation 1.05"):
-                ok.maximize_over_densities(
-                    sp, ok.DensityObjective(payoff=np.arange(3.0)), constraints)
+                ok._maximize(sp, sp.rv(np.arange(3.0)), 0.0, constraints)
 
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         # A certificate above tolerance surfaces the point and its residual.
@@ -242,9 +235,7 @@ class TestMaximizeOverDensities:
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
         with pytest.raises(ConvergenceError) as info:
-            ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=1.5),
-                ok.DensityConstraints(cap=10.0))
+            ok._maximize(sp, x, 1.5, ok.DensityConstraints(cap=10.0))
         want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1].q
         assert np.max(np.abs(info.value.best_point - want)) <= 1e-6
         assert 0.0 <= info.value.residual <= 1e-9
@@ -255,19 +246,16 @@ class TestMaximizeOverDensities:
             sp = random_space(rng)
             x = random_rv(rng, sp)
             cap = float(rng.uniform(1.2, 3.0))
-            q, _ = ok.maximize_over_densities(
-                sp, ok.DensityObjective(payoff=x, kl_weight=0.8),
-                ok.DensityConstraints(cap=cap))
-            assert ok.kkt_residual(sp, x, 0.8, q.q, cap) <= 1e-12
+            q, _ = ok._maximize(sp, sp.rv(x), 0.8, ok.DensityConstraints(cap=cap))
+            assert ok.kkt_residual(sp, x, 0.8, q, cap) <= 1e-12
             assert ok.kkt_residual(sp, x, 0.8, np.ones(sp.n_states), cap) > 1e-3
 
     def test_deterministic(self):
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
-        runs = [ok.maximize_over_densities(sp, ok.DensityObjective(x, 0.7))
-                for _ in range(2)]
+        runs = [ok._maximize(sp, x, 0.7, ok.DensityConstraints()) for _ in range(2)]
         assert runs[0][1] == runs[1][1]
-        assert np.array_equal(runs[0][0].q, runs[1][0].q)
+        assert np.array_equal(runs[0][0], runs[1][0])
 
 
 def test_simplex_iteration_cap_is_distinct_error(monkeypatch):
@@ -407,11 +395,20 @@ class TestGeneralDualAtScale:
             x = space.rv(rng.normal(0.0, 1.0, n))
             scores = [float(np.dot(space.probs, d * x)) for d in dmat]
             best = int(np.argmax(scores))
-            q, val = ok.maximize_over_densities(
-                space, ok.DensityObjective(payoff=x),
-                ok.DensityConstraints(hulls=((1.0, dmat),)))
+            q, val = ok._maximize(space, x, 0.0, ok.DensityConstraints(hulls=((1.0, dmat),)))
             assert val == scores[best]
-            assert np.array_equal(q.q, dmat[best])
+            assert np.array_equal(q, dmat[best])
+
+
+def test_spread_hull_admits_its_own_vertices():
+    # Each row of a spread scenario set, at gamma 1 and 2, is a member of
+    # the hull: 60 sets of J = 4 at n = 200, 480 membership LPs.
+    for seed in range(60):
+        sp, dmat = spread_scenario_set(seed)
+        for gamma in (1.0, 2.0):
+            constraints = ok.DensityConstraints(hulls=((gamma, dmat),))
+            for q in dmat:
+                assert ok._admits(sp, constraints, q), (seed, gamma)
 
 
 def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():

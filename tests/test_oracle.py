@@ -39,10 +39,11 @@ class TestEsLpOracle:
             want = rs.rho(rs.ExpectedShortfall(alpha), sp, x)
             assert es_lp_oracle(sp, alpha, x) == pytest.approx(want, abs=1e-9)
 
-    def test_size_cap(self):
-        sp = rs.ProbSpace(np.full(13, 1.0 / 13.0))
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+    def test_level_outside_unit_interval_is_rejected(self, alpha):
+        sp = rs.ProbSpace([0.5, 0.5])
         with pytest.raises(ValidationError):
-            es_lp_oracle(sp, 0.5, np.zeros(13))
+            es_lp_oracle(sp, alpha, np.zeros(2))
 
 
 class TestBruteForceValue:
