@@ -17,11 +17,12 @@ entry.
 
 LP instances here are small (variables on the order of the number of states
 plus a handful of scenario weights), so the simplex favors determinism over
-speed: Bland's rule, no scaling, no presolve. Identical inputs produce
-bit-identical outputs. Bland's rule prevents cycling only in exact
-arithmetic; with floating-point ties in the reduced costs and ratio test the
-loop can still cycle on degenerate LPs, and then stops at the iteration cap
-with IterationLimitError.
+speed: Bland's rule, no scaling, no presolve, and a dense tableau whose last
+row is the reduced-cost row (no artificial column is stored). Identical
+inputs produce bit-identical outputs. Bland's rule prevents cycling only in
+exact arithmetic; with floating-point ties in the reduced costs and ratio
+test the loop can still cycle on degenerate LPs, and then stops at the
+iteration cap with IterationLimitError.
 """
 
 from __future__ import annotations
@@ -104,41 +105,42 @@ class LpSolution:
 
 
 def _objective_row(tableau, basis, cost):
-    """Reduced-cost row z - c for the current basis (rhs slot carries c_B b)."""
-    row = np.concatenate([-cost, [0.0]])
+    """Reduced-cost row z - c of the stored columns for the current basis
+    (rhs slot carries c_B b); in phase 1, cost runs on over the artificials."""
+    row = np.concatenate([-cost[:tableau.shape[1] - 1], [0.0]])
     for i, b in enumerate(basis):
         if cost[b] != 0.0:
             row += cost[b] * tableau[i]
     return row
 
 
-def _pivot(tableau, obj, basis, row, col):
+def _pivot(tableau, basis, row, col):
+    """One Gauss-Jordan pivot on (row, col). The reduced-cost row is the
+    tableau's last row, so the one outer-product update refreshes it too."""
     tableau[row] /= tableau[row, col]
-    piv = tableau[row].copy()
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, piv)
-    obj -= obj[col] * piv
+    tableau -= factors[:, None] * tableau[row]  # np.outer, without its call overhead
     basis[row] = col
 
 
-def _simplex_loop(tableau, obj, basis, allowed_cols, cap, counter):
+def _simplex_loop(tableau, basis, cap, counter):
     """Run Bland-rule pivots to optimality. Returns 'optimal' or 'unbounded'."""
+    m = len(basis)
     while True:
         entering = -1
-        for j in allowed_cols:
-            if obj[j] < -_RC_TOL:
+        for j, rc in enumerate(tableau[-1, :-1].tolist()):
+            if rc < -_RC_TOL:
                 entering = j
                 break
         if entering < 0:
             return "optimal"
-        col = tableau[:, entering]
-        rhs = tableau[:, -1]
+        rhs = tableau[:m, -1].tolist()
         best_ratio = None
         leave = -1
-        for i in range(tableau.shape[0]):
-            if col[i] > _PIV_TOL:
-                ratio = rhs[i] / col[i]
+        for i, a in enumerate(tableau[:m, entering].tolist()):
+            if a > _PIV_TOL:
+                ratio = rhs[i] / a
                 if leave < 0 or ratio < best_ratio - 1e-12:
                     best_ratio = ratio
                     leave = i
@@ -146,7 +148,7 @@ def _simplex_loop(tableau, obj, basis, allowed_cols, cap, counter):
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, obj, basis, leave, entering)
+        _pivot(tableau, basis, leave, entering)
         counter[0] += 1
         if counter[0] > cap:
             raise IterationLimitError(
@@ -157,8 +159,13 @@ def _simplex_loop(tableau, obj, basis, allowed_cols, cap, counter):
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Dense two-phase simplex with Bland's rule.
 
-    Deterministic given the input; primal residuals of an optimal point are
-    verified to be within 1e-9.
+    The tableau is (m + 1) x (n_cols + 1): the constraint rows over the
+    original and slack columns, then the reduced-cost row; the last column
+    is the right-hand side. No pivot may enter a phase-1 artificial, so none
+    is stored; each keeps its index n_cols + i in the basis, where the tie
+    rule reads it. Pivots and numbers match a tableau that stores them
+    (tests/oracle.py, bland_tableau_lp). Deterministic given the input;
+    primal residuals of an optimal point are verified to be within 1e-9.
     """
     n = problem.n_vars
     m_ub = problem.b_ub.size
@@ -171,61 +178,52 @@ def lp_solve(problem: LpProblem) -> LpSolution:
             return LpSolution("unbounded")
         return LpSolution("optimal", np.zeros(n), 0.0)
 
-    body = np.zeros((m, n_cols))
-    body[:m_ub, :n] = problem.a_ub
-    body[:m_ub, n:] = np.eye(m_ub)
-    body[m_ub:, :n] = problem.a_eq
+    tableau = np.zeros((m + 1, n_cols + 1))
+    tableau[:m_ub, :n] = problem.a_ub
+    tableau[:m_ub, n:n_cols] = np.eye(m_ub)
+    tableau[m_ub:m, :n] = problem.a_eq
     rhs = np.concatenate([problem.b_ub, problem.b_eq])
-    neg = rhs < 0.0
-    body[neg] *= -1.0
-    rhs = np.abs(rhs)
+    tableau[np.flatnonzero(rhs < 0.0)] *= -1.0
+    tableau[:m, -1] = np.abs(rhs)
 
     # Phase 1: artificial basis, minimize the artificial mass.
-    total_cols = n_cols + m
-    tableau = np.zeros((m, total_cols + 1))
-    tableau[:, :n_cols] = body
-    tableau[:, n_cols:total_cols] = np.eye(m)
-    tableau[:, -1] = rhs
-    basis = list(range(n_cols, total_cols))
-    cost1 = np.zeros(total_cols)
+    basis = list(range(n_cols, n_cols + m))
+    cost1 = np.zeros(n_cols + m)
     cost1[n_cols:] = -1.0
-    obj = _objective_row(tableau, basis, cost1)
-    cap = _ITER_FACTOR * total_cols
+    tableau[-1] = _objective_row(tableau, basis, cost1)
+    cap = _ITER_FACTOR * (n_cols + m)
     counter = [0]
-    status = _simplex_loop(tableau, obj, basis, range(n_cols), cap, counter)
+    status = _simplex_loop(tableau, basis, cap, counter)
     if status != "optimal":  # phase 1 is always bounded below by 0
         raise ConvergenceError("phase-1 simplex reported unbounded")
-    if obj[-1] < -_FEAS_TOL:
+    if tableau[-1, -1] < -_FEAS_TOL:
         return LpSolution("infeasible")
 
     # Drive artificials out of the basis; drop rows that are redundant.
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(m + 1, dtype=bool)
+    in_basis = set(basis)
     for i in range(m):
         if basis[i] >= n_cols:
-            pivot_col = -1
-            for j in range(n_cols):
-                if j not in basis and abs(tableau[i, j]) > _PIV_TOL:
-                    pivot_col = j
-                    break
+            pivot_col = next((j for j, a in enumerate(tableau[i, :n_cols].tolist())
+                              if j not in in_basis and abs(a) > _PIV_TOL), -1)
             if pivot_col >= 0:
-                _pivot(tableau, obj, basis, i, pivot_col)
+                _pivot(tableau, basis, i, pivot_col)
+                in_basis.add(pivot_col)
             else:
                 keep[i] = False
     tableau = tableau[keep]
     basis = [b for i, b in enumerate(basis) if keep[i]]
 
-    # Phase 2 on the original columns only.
-    tableau = np.concatenate([tableau[:, :n_cols], tableau[:, -1:]], axis=1)
+    # Phase 2.
     cost2 = np.zeros(n_cols)
     cost2[:n] = problem.objective
-    obj = _objective_row(tableau, basis, cost2)
-    status = _simplex_loop(tableau, obj, basis, range(n_cols), cap, counter)
+    tableau[-1] = _objective_row(tableau, basis, cost2)
+    status = _simplex_loop(tableau, basis, cap, counter)
     if status == "unbounded":
         return LpSolution("unbounded")
 
     full = np.zeros(n_cols)
-    for i, b in enumerate(basis):
-        full[b] = tableau[i, -1]
+    full[basis] = tableau[:-1, -1]
     x = full[:n]
     _verify_residuals(problem, x)
     x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
@@ -423,7 +421,8 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
 
     Every right-hand side is >= 0, so the origin is feasible. (The primal
     form, with right-hand side -q, can end its phase 1 unbounded or cycle
-    under Bland's rule on a hull's own vertex.)
+    under Bland's rule on a hull's own vertex.) An LP that still ends other
+    than optimal is a solver failure: ConvergenceError.
     """
     j, n = np.atleast_2d(dmat).shape
     c = np.concatenate([q, [-gamma]])
@@ -435,7 +434,7 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
     b_ub[j] = 1.0
     sol = lp_solve(LpProblem(c, a_ub, b_ub))
     if sol.status != "optimal":
-        raise ValidationError(f"inflation feasibility LP ended with status {sol.status}")
+        raise ConvergenceError(f"membership LP ended with status {sol.status}")
     return float(sol.value) <= MEMBERSHIP_TOL
 
 

@@ -5,7 +5,7 @@ import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
-from oracle import vertex_enum_lp
+from oracle import bland_tableau_lp, vertex_enum_lp
 from support import (
     random_density,
     random_rv,
@@ -114,6 +114,109 @@ class TestLpSolve:
         with pytest.raises(ValidationError):
             ok.LpProblem(np.array([1.0]), a_ub=np.array([[1.0, 2.0]]),
                          b_ub=np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# The simplex makes the earlier simplex's pivots on the same numbers
+# ---------------------------------------------------------------------------
+
+def _built_lps(build):
+    """The LPs that build() hands to lp_solve, each answered with a zero
+    point so that the builder carries on."""
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return ok.LpSolution("optimal", np.zeros(problem.n_vars), 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ok, "lp_solve", record)
+        build()
+    return problems
+
+
+def _density_lps(rng):
+    """Density LPs of plain, inflated and mixed hulls at n = 8, 16 and 40,
+    uncapped and capped."""
+    problems = []
+    for n in (8, 16, 40):
+        for kinds in ((1.0,), (None,), (1.0, None)):
+            for capped in (False, True):
+                sp = random_space(rng, max_states=n, min_states=n)
+                x = random_rv(rng, sp)
+                hulls = tuple(
+                    (float(rng.uniform(1.0, 3.0)) if g is None else g,
+                     random_scenario_set(rng, sp, int(rng.integers(2, 5))).matrix())
+                    for g in kinds)
+                cap = 1.0 / float(rng.uniform(0.1, 0.9)) if capped else np.inf
+                constraints = ok.DensityConstraints(cap=cap, hulls=hulls)
+                problems += _built_lps(lambda: ok._linear_density_lp(sp, x, constraints))
+    return problems
+
+
+def _membership_lps(rng):
+    """Membership LPs of hull points, shrunk hull points and random
+    densities at gamma 1 and 1.5."""
+    problems = []
+    for _ in range(12):
+        sp = random_space(rng, max_states=20, min_states=3)
+        dmat = random_scenario_set(rng, sp, int(rng.integers(2, 5))).matrix()
+        lam = rng.dirichlet(np.ones(len(dmat)))
+        for q in (dmat[0], lam @ dmat, 0.9 * (lam @ dmat), random_density(rng, sp).q):
+            for gamma in (1.0, 1.5):
+                problems += _built_lps(lambda: ok._dominated(gamma, dmat, q))
+    return problems
+
+
+def _flipped_and_redundant_lps(rng):
+    """Rows with negative right-hand sides (the sign flip) and equality rows
+    repeated, doubled or inconsistent (the drive-out step's dropped rows)."""
+    problems = []
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        a_eq = rng.uniform(0.0, 1.0, (int(rng.integers(1, 3)), n))
+        b_eq = rng.uniform(0.5, 2.0, len(a_eq))
+        a_eq = np.vstack([a_eq, a_eq[:1], 2.0 * a_eq[-1:]])
+        b_eq = np.concatenate([b_eq, b_eq[:1], 2.0 * b_eq[-1:]])
+        if rng.uniform() < 0.2:
+            b_eq[-1] += 1.0
+        a_ub = np.vstack([-rng.uniform(0.0, 1.0, (2, n)), np.eye(n)])
+        b_ub = np.concatenate([-rng.uniform(0.0, 0.5, 2), np.full(n, 4.0)])
+        problems.append(ok.LpProblem(rng.uniform(-2.0, 2.0, n), a_ub, b_ub, a_eq, b_eq))
+    return problems
+
+
+def _outcome(solve, problem):
+    try:
+        sol, pivots = solve(problem)
+    except ConvergenceError as exc:  # IterationLimitError included
+        return type(exc).__name__, str(exc)
+    point = None if sol.point is None else sol.point.tobytes()
+    return sol.status, point, sol.value, pivots
+
+
+def test_simplex_makes_the_reference_pivots_bit_for_bit(monkeypatch):
+    pivots = [0]
+    pivot = ok._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    def library(problem):
+        pivots[0] = 0
+        return ok.lp_solve(problem), pivots[0]
+
+    rng = np.random.default_rng(23)
+    battery = ([_random_bounded_problem(rng) for _ in range(150)] + _density_lps(rng)
+               + _membership_lps(rng) + _flipped_and_redundant_lps(rng))
+    monkeypatch.setattr(ok, "_pivot", counted)
+    statuses = set()
+    for k, problem in enumerate(battery):
+        want = _outcome(bland_tableau_lp, problem)
+        assert _outcome(library, problem) == want, k
+        statuses.add(want[0])
+    assert {"optimal", "infeasible"} <= statuses
 
 
 class TestProjectToDensity:
@@ -409,6 +512,15 @@ def test_spread_hull_admits_its_own_vertices():
             constraints = ok.DensityConstraints(hulls=((gamma, dmat),))
             for q in dmat:
                 assert ok._admits(sp, constraints, q), (seed, gamma)
+
+
+def test_membership_lp_that_ends_unbounded_is_a_solver_failure(monkeypatch):
+    # A solver failure exits 3, not 2 ("bad input"), at gamma 1 as at 2.
+    sp, dmat = spread_scenario_set(0, n=6)
+    monkeypatch.setattr(ok, "lp_solve", lambda problem: ok.LpSolution("unbounded"))
+    for gamma in (1.0, 2.0):
+        with pytest.raises(ConvergenceError, match="membership LP ended with status unbounded"):
+            ok._admits(sp, ok.DensityConstraints(hulls=((gamma, dmat),)), dmat[0])
 
 
 def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
