@@ -59,9 +59,14 @@ class AgentSpace:
                    np.array([w for _, w in atoms], dtype=float))
 
 
+def _is_whole_count(n) -> bool:
+    """Whether n is a positive whole number, 3 and 3.0 alike; a bool is not."""
+    return (isinstance(n, numbers.Real) and not isinstance(n, bool)
+            and float(n).is_integer() and n >= 1)
+
+
 def _whole_count(n, what: str) -> int:
-    """n as an int, when it is a positive whole number (3 and 3.0 alike)."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= 1):
+    if not _is_whole_count(n):
         raise ValidationError(f"{what} must be a positive whole number, got {n!r}")
     return int(n)
 
@@ -81,16 +86,16 @@ def aumann_agents(n: int) -> AgentSpace:
     """Midpoint quadrature of the unit interval under normalized Lebesgue
     measure: N atoms of weight 1/N, a pure continuum discretization."""
     mids = unit_interval_midpoints(n)
-    labels = tuple(f"t{t:.12g}" for t in mids)
+    labels = tuple(f"t{float(t)!r}" for t in mids)
     return AgentSpace(labels, np.full(mids.size, 1.0 / mids.size))
 
 
 def shapley_agents(n: int) -> AgentSpace:
     """Lebesgue quadrature (mass 1) plus unit Dirac atoms at both endpoints:
     two large agents and a continuum of small ones, total mass 3."""
-    mids = unit_interval_midpoints(n)
-    labels = ("dirac0",) + tuple(f"t{t:.12g}" for t in mids) + ("dirac1",)
-    weights = np.concatenate([[1.0], np.full(mids.size, 1.0 / mids.size), [1.0]])
+    continuum = aumann_agents(n)
+    labels = ("dirac0",) + continuum.labels + ("dirac1",)
+    weights = np.concatenate([[1.0], continuum.weights, [1.0]])
     return AgentSpace(labels, weights)
 
 

@@ -31,6 +31,7 @@ from .agent_space import (
     Allocation,
     RiskFamily,
     _check_tol,
+    _is_whole_count,
     agent_positions,
     aumann_agents,
     finite_agents,
@@ -131,7 +132,7 @@ _AGENT_SPACES = {"finite": finite_agents, "aumann": aumann_agents,
 def _parse_agent_space(doc, path: str) -> AgentSpace:
     kind = _need(doc, "kind", path)
     n = _need(doc, "n", path)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_whole_count(n):
         raise ValidationError(f"{path}.n: expected a positive integer")
     factory = _AGENT_SPACES.get(kind) if isinstance(kind, str) else None
     if factory is None:

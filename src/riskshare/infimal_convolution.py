@@ -40,6 +40,7 @@ from .agent_space import (
     Allocation,
     RiskFamily,
     _check_tol,
+    _is_whole_count,
     _whole_count,
     atom_risks,
     unit_interval_midpoints,
@@ -291,7 +292,7 @@ def nonattainment_experiment(base: RiskSpec, gamma_of, target_gamma: float,
     experiment shows nothing).
     """
     refinements = list(refinements)
-    if not refinements or any(not float(n).is_integer() or n < 1 for n in refinements):
+    if not refinements or not all(map(_is_whole_count, refinements)):
         raise ValidationError(f"refinements must be positive whole atom counts, got {refinements}")
     refinements = [int(n) for n in refinements]
     if target_gamma < 1.0:

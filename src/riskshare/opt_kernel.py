@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
     ValidationError,
 )
-from .prob_core import DENSITY_SUM_TOL, ProbSpace
+from .prob_core import DENSITY_SUM_TOL, Density, ProbSpace, kl_divergence
 
 _RC_TOL = 1e-10     # reduced-cost threshold for entering columns
 _PIV_TOL = 1e-10    # minimum magnitude for a pivot element
@@ -607,8 +607,4 @@ def _certified_gibbs(space, x, kappa, cap):
             f"capped Gibbs point has KKT residual {residual:.3e} above {_KKT_TOL}",
             best_point=q, residual=residual,
         )
-    p = space.probs
-    pos = q > 0.0
-    ent = np.zeros_like(q)
-    ent[pos] = q[pos] * np.log(q[pos])
-    return q, float(np.dot(p, x * q) - kappa * np.dot(p, ent))
+    return q, float(np.dot(space.probs, x * q)) - kappa * kl_divergence(space, Density(q))

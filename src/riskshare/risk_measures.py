@@ -17,9 +17,9 @@ Five families are supported:
 
 ``dual_set`` is the one map from a spec to its dual penalty: a KL weight
 plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
-one evaluator, ``_solve``: a dilation rescales its base, and every other
-spec maximizes E_Q[x] over its ``dual_set`` in ``opt_kernel._maximize``,
-which picks the solve path, closed forms included (log-sum-exp and its Gibbs
+one evaluator, ``_solve``: every spec maximizes over its ``dual_set`` (a
+dilation only scales the KL weight) in ``opt_kernel._maximize``, which
+picks the solve path, closed forms included (log-sum-exp and its Gibbs
 weights for a KL weight alone, the best scenario for a plain set).
 ``conjugate`` reads ``dual_set`` too and returns a float in [0, math.inf]:
 kappa * KL on the dual set, math.inf off it. This module builds no LP:
@@ -207,11 +207,8 @@ def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
 
 def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray]:
     """rho and the vector of a dual optimizer, for a finite float vector
-    already sized to the space: a dilation rescales its base, and every
-    other spec maximizes E_Q[x] over its dual set in the kernel."""
-    if isinstance(spec, Dilation):
-        value, q = _solve(spec.base, space, x / spec.gamma)
-        return spec.gamma * value, q
+    already sized to the space: every spec, a dilation included, maximizes
+    E_Q[x] minus its ``dual_set`` penalty in the kernel."""
     q, value = opt_kernel._maximize(space, x, *dual_set(spec))
     return value, q
 

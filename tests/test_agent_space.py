@@ -37,7 +37,7 @@ class TestAgentSpace:
     @pytest.mark.parametrize("factory", [rs.finite_agents, rs.aumann_agents,
                                          rs.shapley_agents, unit_interval_midpoints])
     def test_factories_take_positive_whole_counts(self, factory):
-        for bad in (0, -2, 2.5, float("nan"), float("inf"), "3"):
+        for bad in (0, -2, 2.5, float("nan"), float("inf"), "3", True, np.True_):
             with pytest.raises(ValidationError, match="positive whole number"):
                 factory(bad)
         got, want = factory(3.0), factory(3)
@@ -47,10 +47,13 @@ class TestAgentSpace:
         assert np.array_equal(got, want)
 
     def test_positions_recover_quadrature_midpoints(self):
-        agents = rs.shapley_agents(4)
-        pos = agent_positions(agents)
-        assert pos[0] == 0.0 and pos[-1] == 1.0
-        assert np.allclose(pos[1:-1], [0.125, 0.375, 0.625, 0.875])
+        # At n = 3, 7 and 1001 a 12-digit label does not round-trip.
+        for n in (3, 4, 7, 1001):
+            mids = unit_interval_midpoints(n)
+            pos = agent_positions(rs.shapley_agents(n))
+            assert pos[0] == 0.0 and pos[-1] == 1.0
+            assert np.array_equal(pos[1:-1], mids)
+            assert np.array_equal(agent_positions(rs.aumann_agents(n)), mids)
 
 
 class TestGelfandIntegral:

@@ -290,6 +290,39 @@ def test_boolean_atom_count_exits_2(tmp_path):
     assert not out.exists()
 
 
+def _aumann_with_count(tmp_path, n, name):
+    doc = json.loads((MARKETS / "aumann.json").read_text())
+    doc["agent_space"]["n"] = n
+    spec = tmp_path / name
+    spec.write_text(json.dumps(doc))
+    return spec
+
+
+def test_whole_float_atom_count_is_a_count(tmp_path):
+    records = []
+    for n, name in ((3, "int.json"), (3.0, "float.json")):
+        out = tmp_path / f"out_{name}"
+        result = run_cli(["value", "--spec", str(_aumann_with_count(tmp_path, n, name)),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        record = json.loads(out.read_text())
+        del record["spec_sha256"]
+        records.append(record)
+    assert records[0] == records[1]
+
+
+def test_profile_positions_are_the_quadrature_midpoints(tmp_path):
+    # At n = 3 a 12-digit atom label does not round-trip its midpoint, and
+    # gamma_formula reads the positions back from the labels.
+    spec = _aumann_with_count(tmp_path, 3, "n3.json")
+    value_out, na_out = tmp_path / "value.json", tmp_path / "na.json"
+    assert run_cli(["value", "--spec", str(spec), "--out", str(value_out)]).exit_code == 0
+    assert run_cli(["nonattain", "--spec", str(spec), "--refinements", "3",
+                    "--out", str(na_out)]).exit_code == 0
+    (row,) = json.loads(na_out.read_text())["rows"]
+    assert json.loads(value_out.read_text())["value"] == row["value"]
+
+
 def test_nonattain_rejects_fractional_refinements(tmp_path):
     out = tmp_path / "na.json"
     result = run_cli(["nonattain", "--spec", str(MARKETS / "aumann.json"),

@@ -559,7 +559,7 @@ class TestAcceptanceSets:
         with pytest.raises(ValidationError):
             rs.aumann_acceptance_sample(market, 0, rng_seed=1)
 
-    @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf"), True])
     def test_sample_count_must_be_whole(self, count):
         rng = np.random.default_rng(85)
         market = random_general_market(rng)
@@ -593,7 +593,7 @@ class TestNonattainment:
         # the quantile curve is affine in gamma here, so the gap scales as 1/N
         assert gaps[2] == pytest.approx(gaps[0] / 100.0, rel=1e-6)
 
-    @pytest.mark.parametrize("counts", [[10.7, 100], [2.5], [0], []])
+    @pytest.mark.parametrize("counts", [[10.7, 100], [2.5], [0], [], [True], [10, "100"]])
     def test_refinements_must_be_positive_whole_counts(self, counts):
         sp = rs.ProbSpace([0.25, 0.75])
         with pytest.raises(ValidationError, match="whole atom counts"):

@@ -703,3 +703,58 @@ class TestScenarioEquality:
         assert a != rs.ScenarioSet((sp.uniform_density(),))
         assert a != rs.ScenarioSet((sp.density([2.0, 1.0, 0.6]), sp.uniform_density()))
         assert a != rs.ExpectedShortfall(0.5)
+
+
+def _same_solve(got, want):
+    """Two dual_solve results agree in the value and the optimizer's bytes."""
+    return got[0] == want[0] and got[1].q.tobytes() == want[1].q.tobytes()
+
+
+class TestDualSetAtScale:
+    """Every spec is valued through its dual set alone, so specs with equal
+    dual sets give equal bits. A dilation changes only the KL weight: a
+    coherent base keeps its value and optimizer, and nested entropic
+    dilations are the entropic spec at the folded weight."""
+
+    # The inflated-hull identity solves two density LPs per draw (about 3 s
+    # at n = 500), so it takes fewer draws at the larger sizes.
+    LP_DRAWS = {100: 6, 200: 3, 500: 1}
+
+    @pytest.mark.parametrize("n", [100, 200, 500])
+    def test_dilated_coherent_spec_is_its_base_bit_for_bit(self, n):
+        rng = np.random.default_rng(60 + n)
+        for k in range(12):
+            sp = random_space(rng, max_states=n, min_states=n)
+            x = random_rv(rng, sp)
+            scen = random_scenario_set(rng, sp, int(rng.integers(1, 5)))
+            bases = [rs.ExpectedShortfall(float(rng.uniform(0.01, 1.0))), scen]
+            if k < self.LP_DRAWS[n]:
+                bases.append(rs.Inflation(scen, float(rng.uniform(1.0, 4.0))))
+            for base in bases:
+                g = float(rng.uniform(0.1, 10.0))
+                assert _same_solve(rs.dual_solve(rs.Dilation(base, g), sp, x),
+                                   rs.dual_solve(base, sp, x)), (base, g)
+
+    @pytest.mark.parametrize("n", [100, 200, 500])
+    def test_nested_entropic_dilation_is_entropic_at_its_folded_weight(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(30):
+            sp = random_space(rng, max_states=n, min_states=n)
+            x = random_rv(rng, sp, scale=float(rng.uniform(0.5, 20.0)))
+            g, h = (float(v) for v in rng.uniform(0.1, 5.0, 2))
+            spec = rs.Dilation(rs.Dilation(rs.Entropic(float(rng.uniform(0.1, 3.0))), g), h)
+            kappa, _ = rs.dual_set(spec)
+            assert _same_solve(rs.dual_solve(spec, sp, x),
+                               rs.dual_solve(rs.Entropic(kappa), sp, x)), spec
+
+    @pytest.mark.parametrize("n", [100, 200, 500])
+    def test_capped_kl_value_is_its_mean_minus_the_weighted_kl(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(20):
+            sp = random_space(rng, max_states=n, min_states=n)
+            x = random_rv(rng, sp)
+            kappa = float(rng.uniform(0.05, 5.0))
+            cap = float(rng.uniform(1.05, 20.0))
+            q, value = ok._maximize(sp, x, kappa, ok.DensityConstraints(cap=cap))
+            want = float(np.dot(sp.probs, x * q)) - kappa * rs.kl_divergence(sp, rs.Density(q))
+            assert value == want, (kappa, cap)
