@@ -59,10 +59,10 @@ class AgentSpace:
                    np.array([w for _, w in atoms], dtype=float))
 
 
-def _is_whole_count(n) -> bool:
-    """Whether n is a positive whole number, 3 and 3.0 alike; a bool is not."""
+def _is_whole_count(n, least: int = 1) -> bool:
+    """Whether n is a whole number >= least, 3 and 3.0 alike; a bool is not."""
     return (isinstance(n, numbers.Real) and not isinstance(n, bool)
-            and float(n).is_integer() and n >= 1)
+            and float(n).is_integer() and n >= least)
 
 
 def _whole_count(n, what: str) -> int:

@@ -262,10 +262,13 @@ def aumann_acceptance_sample(market: Market, n_samples: int,
     Each sample draws one payoff per atom, recenters it into that atom's
     acceptance set by subtracting its risk, and returns the Gelfand integral
     of the recentered allocation. Every returned vector passes
-    :func:`acceptance_member` at tolerance 1e-7 by construction.
+    :func:`acceptance_member` at tolerance 1e-7 by construction. The seed
+    is a whole number >= 0, 2 and 2.0 alike.
     """
     n_samples = _whole_count(n_samples, "the sample count")
-    rng = np.random.default_rng(rng_seed)
+    if not _is_whole_count(rng_seed, least=0):
+        raise ValidationError(f"the seed must be a whole number >= 0, got {rng_seed!r}")
+    rng = np.random.default_rng(int(rng_seed))
     out = []
     w = market.agents.weights
     for _ in range(n_samples):

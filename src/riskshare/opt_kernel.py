@@ -1,5 +1,5 @@
-"""Small dense optimization routines: a two-phase simplex, exact
-maximization over densities, and membership in a set of densities.
+"""Small dense optimization routines: a two-phase simplex, exact or
+certified maximization over densities, and membership in a set of densities.
 
 The package reaches this module through two entries. ``_maximize`` solves:
 it maximizes E_Q[x] - kappa * KL(Q||P) over densities and is the one place
@@ -292,15 +292,15 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       (:func:`sorting_rule_point`), O(n log n);
     * kappa > 0, no cap and no hull: the Gibbs density
       exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp;
-    * kappa > 0 and a finite cap: the capped Gibbs point
-      (:func:`capped_gibbs_point`), projected onto the capped density set
-      and certified by its KKT residual (:func:`kkt_residual`);
+    * kappa > 0 and a finite cap: the capped Gibbs point, certified by its
+      KKT residual at its own multiplier (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
       the best scenario, a vertex of the hull;
     * kappa = 0 and any other scenario hulls (several, inflated, or beside
       a cap): the dense simplex on the density LP.
 
-    Raises ValidationError when a hull matrix does not fit the space,
+    Raises ValidationError when kappa is not finite (a dilation or a
+    market merge overflowed it) or a hull matrix does not fit the space,
     InfeasibleError when no density satisfies the constraints,
     UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
     ConvergenceError (carrying the point and its residual) on the capped
@@ -308,6 +308,8 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     the density LP's simplex may also raise ConvergenceError or
     IterationLimitError.
     """
+    if not math.isfinite(kappa):
+        raise ValidationError(f"the KL weight must be finite, got {kappa!r}")
     cap = constraints.cap
     if constraints.hulls:
         _check_hulls(space, constraints)
@@ -522,89 +524,45 @@ def project_to_density(space: ProbSpace, v: np.ndarray,
 _KKT_TOL = 1e-9
 
 
-def capped_gibbs_point(space: ProbSpace, x, kappa: float,
-                       cap: float = math.inf) -> np.ndarray:
-    """Maximizer of q -> E_Q[x] - kappa * KL(Q||P) on the capped density
-    simplex: q = min(cap, exp((x - theta)/kappa - 1)) with the multiplier
-    theta fixed by E_P[q] = 1 (bisection). The objective is strictly concave,
-    so this KKT point is the unique optimum."""
+def _certified_gibbs(space, x, kappa, cap):
+    """Maximizer and value of E_Q[x] - kappa * KL(Q||P) over {0 <= q <= cap,
+    E_P[q] = 1}: the KKT point q = min(cap, exp((x - theta)/kappa - 1)),
+    unique as the objective is strictly concave, with the multiplier theta
+    fixed by E_P[q] = 1 (bisection). The point is projected onto the capped
+    density set, and (q, theta) is certified by its KKT residual at that
+    theta: the larger of q's feasibility violation and max_i p_i * |q_i -
+    min(cap, exp((x_i - theta)/kappa - 1))|, how far the projection moved
+    the point; weighting by p keeps it finite where a Gibbs weight underflows
+    to 0. Above _KKT_TOL, raises ConvergenceError carrying q and the residual."""
     p = space.probs
-    x = np.asarray(x, dtype=float)
-    _check_cap(cap)
-    if cap <= 1.0 + 1e-12:
-        return np.full(p.size, cap)
 
     def point(theta):
         return np.minimum(cap, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0)))
 
-    lo = hi = 0.0
-    step = kappa + float(np.max(np.abs(x)))
-    while float(np.dot(p, point(lo))) < 1.0:
-        lo -= step
-        step *= 2.0
-    step = kappa + float(np.max(np.abs(x)))
-    while float(np.dot(p, point(hi))) > 1.0:
-        hi += step
-        step *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.dot(p, point(mid))) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return point(0.5 * (lo + hi))
-
-
-def kkt_residual(space: ProbSpace, x, kappa: float, q: np.ndarray,
-                 cap: float = math.inf) -> float:
-    """Distance, in P-mass, of q from the KKT conditions for maximizing
-    E_Q[x] - kappa * KL(Q||P) over {0 <= q <= cap, E_P[q] = 1}.
-
-    Besides feasibility, the conditions ask for one multiplier theta with
-    q = min(cap, exp((x - theta)/kappa - 1)) on every state. The residual
-    is the larger of the feasibility violation and the minimum over theta of
-    max_i p_i * |q_i - min(cap, exp(...))|, found by bisection since the
-    signed gap rises with theta. Weighting by p keeps it finite: a Gibbs
-    weight that underflowed to 0 costs its true, negligible mass, not the
-    infinite log a gradient test would meet.
-    """
-    if not kappa > 0.0:
-        raise ValidationError("the KL weight kappa must be > 0")
-    p = space.probs
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_cap(cap)
-    feasibility = max(abs(float(np.dot(p, q)) - 1.0),
-                      float(np.max(p * (q - cap))), float(np.max(-p * q)))
-
-    def gaps(theta):
-        # Largest mass of q above, and below, the Gibbs weights at theta.
-        d = p * (q - np.minimum(cap, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0))))
-        return float(np.max(d)), float(np.max(-d))
-
-    # Every exponent is clipped at 700 at lo and underflows to 0 at hi.
-    lo = float(np.min(x)) - 702.0 * kappa
-    hi = float(np.max(x)) + 800.0 * kappa
-    with np.errstate(over="ignore"):
-        for _ in range(100):
+    if cap <= 1.0 + 1e-12:
+        theta = -math.inf  # every state sits at the cap
+    else:
+        lo = hi = 0.0
+        step = kappa + float(np.max(np.abs(x)))
+        while float(np.dot(p, point(lo))) < 1.0:
+            lo -= step
+            step *= 2.0
+        step = kappa + float(np.max(np.abs(x)))
+        while float(np.dot(p, point(hi))) > 1.0:
+            hi += step
+            step *= 2.0
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            above, below = gaps(mid)
-            if above < below:
+            if float(np.dot(p, point(mid))) >= 1.0:
                 lo = mid
             else:
                 hi = mid
-        stationarity = min(max(gaps(lo)), max(gaps(hi)))
-    return max(feasibility, stationarity)
-
-
-def _certified_gibbs(space, x, kappa, cap):
-    q = project_to_density(space, capped_gibbs_point(space, x, kappa, cap), cap)
-    residual = kkt_residual(space, x, kappa, q, cap)
+        theta = 0.5 * (lo + hi)
+    gibbs = point(theta)
+    q = project_to_density(space, gibbs, cap)
+    residual = max(abs(float(np.dot(p, q)) - 1.0), float(np.max(p * (q - cap))),
+                   float(np.max(-p * q)), float(np.max(p * np.abs(q - gibbs))))
     if not residual <= _KKT_TOL:
-        raise ConvergenceError(
-            f"capped Gibbs point has KKT residual {residual:.3e} above {_KKT_TOL}",
-            best_point=q, residual=residual,
-        )
-    return q, float(np.dot(space.probs, x * q)) - kappa * kl_divergence(space, Density(q))
+        raise ConvergenceError(f"capped Gibbs point has KKT residual {residual:.3e} "
+                               f"above {_KKT_TOL}", best_point=q, residual=residual)
+    return q, float(np.dot(p, x * q)) - kappa * kl_divergence(space, Density(q))

@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they check: the expected-shortfall
 oracle takes the Rockafellar-Uryasev minimum over the loss values in numpy
-instead of the sorting rule or any package LP, the sharing-value oracle
-searches allocation space directly instead of using closed forms or the
-dual, and the LP oracle enumerates basic solutions instead of pivoting.
+instead of the sorting rule or any package LP, the capped Gibbs oracle
+water-fills exactly instead of bisecting for a multiplier and projecting,
+the sharing-value oracle searches allocation space directly instead of
+using closed forms or the dual, and the LP oracle enumerates basic
+solutions instead of pivoting.
 The allocation search and the vertex enumeration are capped at desk scale.
 
 One reference is not independent by design: ``bland_tableau_lp`` is the
@@ -17,6 +19,7 @@ be checked to make the same pivots on the same numbers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +80,44 @@ def es_lp_oracle(space: ProbSpace, alpha: float, x) -> float:
     x = space.rv(x)
     excess = np.maximum(x[None, :] - x[:, None], 0.0) @ space.probs
     return float(np.min(x + excess / alpha))
+
+
+def capped_gibbs_oracle(p, x, kappa: float, cap: float) -> tuple[np.ndarray, float]:
+    """Maximizer and value of E_Q[x] - kappa * KL(Q||P) over the densities
+    {0 <= q <= cap, E_P[q] = 1}, by exact water-filling (kappa > 0, cap > 1).
+
+    The optimizer is q = min(cap, c * exp(x / kappa)) for one scale c, so its
+    capped states are a top-k set in x. Capping the top k states and scaling
+    the others to the remaining mass gives a scale c_k. For any capped set
+    the mass sum_i p_i min(cap, c * exp(x_i / kappa)) is at most that
+    set's linear profile at c, so every c_k is at most the optimizer's c,
+    with equality at its own k: the optimizer takes the largest c_k. Each
+    k's sum is shifted by its largest free state, because exp((x - max x) /
+    kappa) underflows over the whole free tail when x is spread out. No
+    bisection, no projection and no clip on the exponent; O(n^2) numpy.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not (kappa > 0.0 and cap > 1.0):
+        raise ValidationError("the capped Gibbs oracle needs kappa > 0 and cap > 1")
+    order = np.argsort(-x, kind="stable")
+    ps, xs = p[order], x[order]
+    capped_mass = cap * np.concatenate([[0.0], np.cumsum(ps)[:-1]])
+    best = None
+    for k in range(x.size):
+        free_mass = 1.0 - capped_mass[k]
+        if free_mass <= 0.0:
+            break
+        shifted = np.exp((xs[k:] - xs[k]) / kappa)  # the largest free state is exp(0)
+        total = float(ps[k:] @ shifted)
+        log_scale = math.log(free_mass / total) - xs[k] / kappa  # log c_k
+        if best is None or log_scale > best[0]:
+            best = (log_scale, np.concatenate([np.full(k, cap), free_mass * shifted / total]))
+    q = np.empty(x.size)
+    q[order] = best[1]
+    held = q > 0.0
+    entropy = float(p[held] @ (q[held] * np.log(q[held])))
+    return q, float(p @ (q * x)) - kappa * entropy
 
 
 def brute_force_value(market: Market, x, grid: GridSpec) -> float:

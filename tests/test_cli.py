@@ -124,6 +124,22 @@ def test_missing_field_names_the_path(tmp_path):
     assert "agents" in result.output
 
 
+def test_overflowing_kl_weight_exits_2(tmp_path):
+    # The dilation folds into the KL weight 1e308 * 10 = inf, which would
+    # score NaN and write a record that is not valid JSON.
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps({
+        "probs": [0.25, 0.75], "loss": [1.0, -0.5],
+        "agents": [{"label": "a", "weight": 1.0,
+                    "risk": {"type": "dilation", "gamma": 10,
+                             "base": {"type": "entropic", "gamma": 1e308}}}]}))
+    out = tmp_path / "out.json"
+    result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "KL weight must be finite" in result.output
+    assert not out.exists()
+
+
 def test_unreadable_spec_exits_2(tmp_path):
     out = tmp_path / "out.json"
     result = run_cli(["value", "--spec", str(tmp_path / "missing.json"),

@@ -573,6 +573,25 @@ class TestAcceptanceSets:
         want = rs.aumann_acceptance_sample(market, 2, rng_seed=1)
         assert [s.tolist() for s in got] == [s.tolist() for s in want]
 
+    @pytest.mark.parametrize("seed", [1.5, 2.5, -1, -1.0, float("nan"), float("inf"),
+                                      True, False, np.True_, "3", None])
+    def test_seed_must_be_a_whole_number_at_least_zero(self, seed):
+        rng = np.random.default_rng(85)
+        market = random_general_market(rng)
+        with pytest.raises(ValidationError, match="seed must be a whole number"):
+            rs.aumann_acceptance_sample(market, 2, rng_seed=seed)
+
+    def test_whole_float_seed_is_a_seed(self):
+        rng = np.random.default_rng(85)
+        market = random_general_market(rng)
+        for seed in (0, 2, 2**70):
+            got = rs.aumann_acceptance_sample(market, 2, rng_seed=float(seed))
+            want = rs.aumann_acceptance_sample(market, 2, rng_seed=seed)
+            assert [s.tolist() for s in got] == [s.tolist() for s in want]
+        got = rs.aumann_acceptance_sample(market, 2, rng_seed=np.int64(7))
+        want = rs.aumann_acceptance_sample(market, 2, rng_seed=7)
+        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+
 
 class TestNonattainment:
     def test_constant_loss_is_vacuous(self):
@@ -653,6 +672,17 @@ class TestMarketValidation:
                                        rs.RiskFamily((spec, rs.ExpectedShortfall(0.5))))
             with pytest.raises(ValidationError, match="P-expectation 1.2"):
                 rs.value(market, np.ones(3))
+
+    def test_overflowing_kl_weight_is_rejected(self):
+        # The general merge sums the weights, and a dilation profile values
+        # the base dilated by the summed gammas: 1e308 + 1e308 is inf.
+        sp = rs.ProbSpace([0.25, 0.75])
+        base = rs.Entropic(1e308)
+        markets = (rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily((base, base))),
+                   rs.Market.dilation(sp, rs.finite_agents(2), base, [1.0, 1.0]))
+        for market in markets:
+            with pytest.raises(ValidationError, match="KL weight must be finite"):
+                rs.value(market, np.array([1.0, -0.5]))
 
 class TestExtraCrossValidation:
     def test_scenario_inflation_lp_against_vertex_oracle(self):

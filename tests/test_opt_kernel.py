@@ -5,7 +5,7 @@ import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
-from oracle import bland_tableau_lp, vertex_enum_lp
+from oracle import bland_tableau_lp, capped_gibbs_oracle, vertex_enum_lp
 from support import (
     random_density,
     random_rv,
@@ -343,15 +343,41 @@ class TestMaximizeOverDensities:
         assert np.max(np.abs(info.value.best_point - want)) <= 1e-6
         assert 0.0 <= info.value.residual <= 1e-9
 
-    def test_kkt_residual_separates_the_optimum_from_other_densities(self):
+    def test_unit_cap_with_kl_weight_is_the_reference_density(self, monkeypatch):
+        # A cap of 1 admits only q = 1, the Gibbs point at theta = -inf; its
+        # certificate is exact.
+        sp = rs.ProbSpace([0.2, 0.3, 0.5])
+        x = sp.rv([1.0, -2.0, 0.5])
+        q, val = ok._maximize(sp, x, 0.7, ok.DensityConstraints(cap=1.0))
+        assert np.array_equal(q, np.ones(3))
+        assert val == float(np.dot(sp.probs, x))
+        monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
+        with pytest.raises(ConvergenceError) as info:
+            ok._maximize(sp, x, 0.7, ok.DensityConstraints(cap=1.0))
+        assert info.value.residual == 0.0
+
+    def test_kkt_residual_separates_the_optimum_from_other_densities(self, monkeypatch):
+        # The solve certifies its point at the multiplier it solved for: the
+        # optimum's residual is at rounding level, while a projection that
+        # lands elsewhere (the all-ones density) is far from the Gibbs point.
         rng = np.random.default_rng(21)
+        markets = []
         for _ in range(20):
             sp = random_space(rng)
             x = random_rv(rng, sp)
-            cap = float(rng.uniform(1.2, 3.0))
-            q, _ = ok._maximize(sp, sp.rv(x), 0.8, ok.DensityConstraints(cap=cap))
-            assert ok.kkt_residual(sp, x, 0.8, q, cap) <= 1e-12
-            assert ok.kkt_residual(sp, x, 0.8, np.ones(sp.n_states), cap) > 1e-3
+            markets.append((sp, sp.rv(x), ok.DensityConstraints(cap=float(rng.uniform(1.2, 3.0)))))
+        with monkeypatch.context() as patch:
+            patch.setattr(ok, "_KKT_TOL", -1.0)
+            for sp, x, constraints in markets:
+                with pytest.raises(ConvergenceError) as info:
+                    ok._maximize(sp, x, 0.8, constraints)
+                assert info.value.residual <= 1e-12
+        monkeypatch.setattr(ok, "project_to_density",
+                            lambda space, v, cap: np.ones(space.n_states))
+        for sp, x, constraints in markets:
+            with pytest.raises(ConvergenceError) as info:
+                ok._maximize(sp, x, 0.8, constraints)
+            assert info.value.residual > 1e-3
 
     def test_deterministic(self):
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
@@ -501,6 +527,23 @@ class TestGeneralDualAtScale:
             q, val = ok._maximize(space, x, 0.0, ok.DensityConstraints(hulls=((1.0, dmat),)))
             assert val == scores[best]
             assert np.array_equal(q, dmat[best])
+
+
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_capped_gibbs_matches_the_water_filling_oracle(n):
+    # KL weight log-uniform on [1e-2, 10], caps on [1.01, 33], losses spread
+    # over 0.5 to 12 kappa: from no capped state to dozens, and at the widest
+    # spreads the projection zeroes the smallest Gibbs weights.
+    rng = np.random.default_rng(90 + n)
+    for scale in (0.5, 2.0, 4.0, 8.0, 12.0) * 2:
+        space = rs.ProbSpace(_probs(rng, n))
+        kappa = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+        cap = float(rng.uniform(1.01, 33.0))
+        x = space.rv(kappa * scale * rng.normal(0.0, 1.0, n))
+        q, val = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        want_q, want_val = capped_gibbs_oracle(space.probs, x, kappa, cap)
+        assert np.max(space.probs * np.abs(q - want_q)) <= 1e-12
+        assert abs(val - want_val) <= 1e-12 * abs(want_val)
 
 
 def test_spread_hull_admits_its_own_vertices():

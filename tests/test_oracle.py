@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from riskshare.opt_kernel import LpProblem, lp_solve
 from oracle import (
     GridSpec,
     brute_force_value,
+    capped_gibbs_oracle,
     default_grid,
     es_lp_oracle,
     vertex_enum_lp,
@@ -44,6 +47,61 @@ class TestEsLpOracle:
         sp = rs.ProbSpace([0.5, 0.5])
         with pytest.raises(ValidationError):
             es_lp_oracle(sp, alpha, np.zeros(2))
+
+
+class TestCappedGibbsOracle:
+    def test_unbinding_cap_is_the_gibbs_density(self):
+        rng = np.random.default_rng(105)
+        for _ in range(50):
+            sp = random_space(rng, max_states=12)
+            x = random_rv(rng, sp)
+            kappa = float(rng.uniform(0.5, 3.0))
+            w = np.exp(x / kappa)
+            gibbs = w / float(sp.probs @ w)
+            q, val = capped_gibbs_oracle(sp.probs, x, kappa, float(np.max(gibbs)) + 1.0)
+            assert np.max(np.abs(q - gibbs)) <= 1e-13
+            assert val == pytest.approx(kappa * math.log(float(sp.probs @ w)), abs=1e-13)
+
+    def test_meets_the_kkt_conditions(self):
+        # Free states share one multiplier theta = x - kappa * (1 + log q),
+        # and each capped state's bound x - kappa * (1 + log cap) is >= theta.
+        rng = np.random.default_rng(106)
+        for _ in range(100):
+            sp = random_space(rng, max_states=40)
+            x = random_rv(rng, sp)
+            kappa = float(rng.uniform(0.05, 3.0))
+            cap = float(rng.uniform(1.05, 4.0))
+            q, val = capped_gibbs_oracle(sp.probs, x, kappa, cap)
+            assert float(sp.probs @ q) == pytest.approx(1.0, abs=1e-14)
+            assert np.min(q) > 0.0 and np.max(q) <= cap
+            free = q < cap
+            thetas = x - kappa * (1.0 + np.log(q))
+            theta = float(np.mean(thetas[free]))
+            assert np.max(np.abs(thetas[free] - theta)) <= 1e-12 * max(1.0, abs(theta))
+            assert np.all(thetas[~free] >= theta - 1e-12)
+            penalty = kappa * float(sp.probs @ (q * np.log(q)))
+            assert val == pytest.approx(float(sp.probs @ (q * x)) - penalty, abs=1e-14)
+
+    def test_spread_loss_whose_tail_underflows(self):
+        # The top state takes the cap; shifted by max x, every free Gibbs
+        # weight underflows to 0, so the scale must come from the largest
+        # free state. The free states split the remaining mass 1/2 in
+        # proportion to exp(x / kappa): weights 1, e^-10, e^-20.
+        p = np.full(4, 0.25)
+        x = np.array([100.0, 0.0, -1.0, -2.0])
+        kappa, cap = 0.1, 2.0
+        assert not np.any(np.exp((x[1:] - x.max()) / kappa))
+        q, val = capped_gibbs_oracle(p, x, kappa, cap)
+        w = np.exp(-np.array([0.0, 10.0, 20.0]))
+        want = np.concatenate([[cap], 2.0 * w / w.sum()])
+        assert np.max(np.abs(q - want)) <= 1e-15
+        assert val == pytest.approx(float(p @ (want * x))
+                                    - kappa * float(p @ (want * np.log(want))), rel=1e-15)
+
+    @pytest.mark.parametrize("kappa, cap", [(0.0, 2.0), (1.0, 1.0), (-1.0, 2.0)])
+    def test_needs_a_positive_weight_and_a_cap_above_one(self, kappa, cap):
+        with pytest.raises(ValidationError):
+            capped_gibbs_oracle(np.full(2, 0.5), np.zeros(2), kappa, cap)
 
 
 class TestBruteForceValue:

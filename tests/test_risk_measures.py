@@ -222,6 +222,15 @@ class TestDilate:
         got = rs.rho(rs.dilate(spec, 3.0), sp, x)
         assert got == pytest.approx(rs.rho(spec, sp, x), abs=1e-9)
 
+    def test_overflowing_kl_weight_is_rejected(self):
+        # dual_set folds the factor into the KL weight: 1e308 * 10 is inf.
+        sp = rs.ProbSpace([0.25, 0.75])
+        spec = rs.Dilation(rs.Entropic(1e308), 10.0)
+        assert rs.dual_set(spec)[0] == math.inf
+        for evaluate in (rs.rho, rs.dual_solve):
+            with pytest.raises(ValidationError, match="KL weight must be finite"):
+                evaluate(spec, sp, np.array([1.0, -0.5]))
+
 
 class TestInflate:
     def test_inflating_reference_scenario_gives_expected_shortfall(self):
