@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import opt_kernel
 from .errors import ValidationError
 from .prob_core import ProbSpace
-from .risk_measures import RiskSpec, _solve
+from .risk_measures import RiskSpec, _solve, dual_set
 
 FEASIBILITY_TOL = 1e-9
 
@@ -139,6 +141,24 @@ class RiskFamily:
     def __len__(self) -> int:
         return len(self.specs)
 
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """How atom_risks splits the atoms, read from their dual sets once
+        per family: the atoms that go to opt_kernel._maximize_block in one
+        block (no hull; no KL weight or no cap), their KL weights and caps,
+        and the atoms left to _maximize one at a time."""
+        block, kappa, cap, solo = [], [], [], []
+        for i, spec in enumerate(self.specs):
+            k, constraints = dual_set(spec)
+            if constraints.hulls or (k != 0.0 and constraints.cap != math.inf):
+                solo.append(i)
+            else:
+                block.append(i)
+                kappa.append(k)
+                cap.append(constraints.cap)
+        return (np.array(block, dtype=int), np.array(kappa, dtype=float),
+                np.array(cap, dtype=float), np.array(solo, dtype=int))
+
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
@@ -197,11 +217,15 @@ def is_feasible(agents: AgentSpace, alloc: Allocation, x,
 
 def atom_risks(family: RiskFamily, space: ProbSpace,
                alloc: Allocation) -> np.ndarray:
-    """Per-atom risks rho(spec_a, row_a), in atom order.
+    """Per-atom risks rho(spec_a, row_a), in atom order, bit for bit.
 
     This is the one per-atom risk loop. The family size and the share width
-    are checked once; Allocation already holds a finite 2-d matrix, so each
-    row goes to the evaluator without a per-row check.
+    are checked once; Allocation already holds a finite 2-d matrix, so no
+    row is checked again. Every atom whose dual set has no hull (entropic,
+    expected shortfall, their dilations, inflated shortfall) is valued in
+    one call of opt_kernel._maximize_block; each hull atom takes its own
+    _maximize call, one density LP or scenario scan, as in rho. Raises what
+    rho raises on some atom.
     """
     if len(family) != alloc.n_atoms:
         raise ValidationError(
@@ -212,8 +236,13 @@ def atom_risks(family: RiskFamily, space: ProbSpace,
             f"allocation has {alloc.shares.shape[1]} columns for "
             f"{space.n_states} states"
         )
-    return np.array([_solve(spec, space, row)[0]
-                     for spec, row in zip(family.specs, alloc.shares)])
+    block, kappa, cap, solo = family._blocks
+    out = np.empty(alloc.n_atoms)
+    if block.size:
+        out[block] = opt_kernel._maximize_block(space, alloc.shares[block], kappa, cap)
+    for i in solo.tolist():
+        out[i] = _solve(family.specs[i], space, alloc.shares[i])[0]
+    return out
 
 
 def total_risk(agents: AgentSpace, family: RiskFamily, space: ProbSpace,

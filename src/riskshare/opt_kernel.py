@@ -1,14 +1,17 @@
 """Small dense optimization routines: a two-phase simplex, exact or
 certified maximization over densities, and membership in a set of densities.
 
-The package reaches this module through two entries. ``_maximize`` solves:
-it maximizes E_Q[x] - kappa * KL(Q||P) over densities and is the one place
-that picks the solve path for a constraint structure (the risk-measure
-evaluator and the general sharing value both call it). ``_admits`` tests
-whether a density meets the constraints, one small LP per hull
-(``_dominated``). So every LP in the package is built here. Both check the
-hulls themselves (one column per state, rows of unit P-mass); the payoff
-and the density are the caller's to check.
+The package reaches this module through three entries. ``_maximize``
+solves: it maximizes E_Q[x] - kappa * KL(Q||P) over densities and is the
+one place that picks the solve path for a constraint structure (the
+risk-measure evaluator and the general sharing value both call it).
+``_maximize_block`` gives _maximize's values, bit for bit, for a block of
+payoff rows with no hull (the per-atom risks of an allocation): the sorting
+rule and the Gibbs form, vectorised but for one np.dot and one log per row.
+``_admits`` tests whether a density meets the constraints, one small LP per
+hull (``_dominated``). So every LP in the package is built here. _maximize
+and _admits check the hulls themselves (one column per state, rows of unit
+P-mass); the payoff and the density are the caller's to check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
@@ -279,6 +282,14 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
                                       f"on this space; expected 1 within {DENSITY_SUM_TOL}")
 
 
+# A loss spread below this fraction of kappa takes the Gibbs value as
+# max x + kappa * log1p(E_P[expm1((x - max x) / kappa)]). There
+# kappa * (shift + log mass) cancels: both terms near E_P[x] / kappa, each
+# carrying kappa * 1e-16 of rounding. Above it the shifted form stays, with
+# the bits it always had.
+_FLAT_SPREAD = 2.0 ** -10
+
+
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
               constraints: DensityConstraints) -> tuple[np.ndarray, float]:
     """Maximize E_Q[x] - kappa * KL(Q||P) over the densities that meet the
@@ -291,7 +302,8 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     * kappa = 0 and a cap alone (or none): the sorting rule
       (:func:`sorting_rule_point`), O(n log n);
     * kappa > 0, no cap and no hull: the Gibbs density
-      exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp;
+      exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp (by log1p and
+      expm1 where the loss spread is below kappa / 1024);
     * kappa > 0 and a finite cap: the capped Gibbs point, certified by its
       KKT residual at its own multiplier (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
@@ -338,8 +350,78 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
         shift = float(scaled.max())  # the method skips np.max's Python dispatch
         w = np.exp(scaled - shift)
         mass = float(np.dot(space.probs, w))
+        if shift - float(scaled.min()) < _FLAT_SPREAD:
+            top = float(x.max())
+            drop = float(np.dot(space.probs, np.expm1((x - top) / kappa)))
+            return w / mass, top + kappa * math.log1p(drop)
         return w / mass, kappa * (shift + math.log(mass))
     return _certified_gibbs(space, x, kappa, cap)
+
+
+def _maximize_block(space: ProbSpace, xs: np.ndarray, kappa: np.ndarray,
+                    cap: np.ndarray) -> np.ndarray:
+    """The values of :func:`_maximize` for the rows of a (k, n) block with
+    no hull: row i at KL weight kappa[i] and cap cap[i], where each row has
+    kappa = 0 (the sorting rule) or cap = math.inf (the Gibbs form).
+
+    The value matches _maximize's bit for bit. The elementwise work (the
+    division, row extremes, exp, the stable sort, cumsum and the fill) runs
+    over the block; each row keeps its own np.dot and math.log, since a
+    matrix product or np.log rounds differently. Raises ValidationError
+    when some kappa is not finite, InfeasibleError when a sorting-rule cap
+    is below 1.
+    """
+    if not np.all(np.isfinite(kappa)):
+        bad = float(kappa[~np.isfinite(kappa)][0])
+        raise ValidationError(f"the KL weight must be finite, got {bad!r}")
+    p = space.probs
+    out = np.empty(len(xs))
+    gibbs = kappa > 0.0
+    if gibbs.any():
+        out[gibbs] = _gibbs_values(p, xs[gibbs], kappa[gibbs])
+    if not gibbs.all():
+        rows = xs[~gibbs]
+        q = _sorting_points(p, rows, cap[~gibbs])
+        out[~gibbs] = [float(np.dot(p, row)) for row in q * rows]
+    return out
+
+
+def _gibbs_values(p, xs, kappa):
+    """The Gibbs-form values of _maximize, row by row of the block."""
+    scaled = xs / kappa[:, None]
+    shift = scaled.max(axis=1)
+    flat = shift - scaled.min(axis=1) < _FLAT_SPREAD
+    out = np.empty(len(xs))
+    if not flat.all():
+        wide = ~flat
+        w = np.exp(scaled[wide] - shift[wide, None])
+        out[wide] = [k * (s + math.log(float(np.dot(p, row))))
+                     for k, s, row in zip(kappa[wide].tolist(), shift[wide].tolist(), w)]
+    if flat.any():
+        top = xs[flat].max(axis=1)
+        drops = np.expm1((xs[flat] - top[:, None]) / kappa[flat, None])
+        out[flat] = [t + k * math.log1p(float(np.dot(p, row)))
+                     for t, k, row in zip(top.tolist(), kappa[flat].tolist(), drops)]
+    return out
+
+
+def _sorting_points(p, xs, cap):
+    """:func:`sorting_rule_point` for each row of the block at its own cap,
+    bit for bit. A stable argsort of -x orders the states as the rule's
+    lexsort does."""
+    _check_cap(float(cap.min()))
+    k, n = xs.shape
+    rows = np.arange(k)
+    order = np.argsort(-xs, axis=1, kind="stable")
+    cum = np.cumsum(p[order] * cap[:, None], axis=1)
+    # cum is nondecreasing, so this count is the rule's searchsorted.
+    edge = np.minimum(np.count_nonzero(cum < 1.0 - 1e-12, axis=1), n - 1)
+    before = np.where(edge > 0, cum[rows, edge - 1], 0.0)
+    ranked = np.where(np.arange(n) < edge[:, None], cap[:, None], 0.0)
+    ranked[rows, edge] = (1.0 - before) / p[order[rows, edge]]
+    q = np.empty_like(ranked)
+    q[rows[:, None], order] = ranked
+    return q
 
 
 def _linear_density_lp(space, x, constraints):

@@ -30,8 +30,10 @@ evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
 row masses of a scenario matrix, which ``opt_kernel`` checks itself where
 the matrix meets the space. Per-atom loops run through
 ``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
-which check a whole allocation or density once and then call the private
-evaluators per atom.
+which check a whole allocation or density once. ``aggregate_conjugate``
+then calls ``_conjugate`` per atom; ``atom_risks`` values the atoms whose
+``dual_set`` has no hull in one ``opt_kernel._maximize_block`` call, with
+``rho``'s bits, and calls ``_solve`` per hull atom.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riskshare as rs
+from riskshare import opt_kernel
 from riskshare.agent_space import agent_positions, unit_interval_midpoints
 from riskshare.errors import ValidationError
 
@@ -210,6 +211,7 @@ class TestAtomRisks:
             rs.Dilation(rs.Dilation(ent, 0.4), 3.1),
             rs.Inflation(es, 1.8), rs.Inflation(scen, 2.2),
             rs.Dilation(rs.Inflation(scen, 1.3), 0.6),
+            rs.Dilation(ent, 1e9),  # a KL weight far above the loss spread
         )
 
     def test_matches_public_rho_bit_for_bit(self):
@@ -222,6 +224,82 @@ class TestAtomRisks:
             got = rs.atom_risks(family, sp, alloc)
             want = [rs.rho(spec, sp, row) for spec, row in zip(specs, alloc.shares)]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [4, 16, 100])
+    @pytest.mark.parametrize("n_atoms", [1000, 5000])
+    def test_matches_public_rho_at_scale(self, monkeypatch, n_atoms, n):
+        # Every spec of _specs, interleaved. A density-LP atom (an inflated
+        # scenario set) takes its slot in a few cycles spread over the
+        # family and the plain set in the others, so the LPs stay few.
+        rng = np.random.default_rng(n_atoms + n)
+        p = rng.uniform(0.05, 1.0, n)
+        sp = rs.ProbSpace(p / p.sum())
+        specs = self._specs(rng, sp)
+        scen = specs[2]
+        lp_slots = {i for i, s in enumerate(specs)
+                    if any(g != 1.0 for g, _ in rs.dual_set(s)[1].hulls)}
+        stride = n_atoms // (3 * len(specs))
+        family = rs.RiskFamily(tuple(
+            scen if i % len(specs) in lp_slots and (i // len(specs)) % stride
+            else specs[i % len(specs)]
+            for i in range(n_atoms)))
+        # Half the rows are whole numbers: ties, and -0.0 beside 0.0.
+        shares = rng.normal(0.0, 2.0, (n_atoms, n))
+        shares[::2] = np.round(shares[::2])
+        alloc = rs.Allocation(shares)
+
+        lp_calls = [0]
+        lp_solve = opt_kernel.lp_solve
+
+        def counted(problem):
+            lp_calls[0] += 1
+            return lp_solve(problem)
+
+        monkeypatch.setattr(opt_kernel, "lp_solve", counted)
+        got = rs.atom_risks(family, sp, alloc).tolist()
+        block_lps = lp_calls[0]
+        want = [rs.rho(spec, sp, row) for spec, row in zip(family.specs, alloc.shares)]
+        assert got == want
+        assert block_lps == lp_calls[0] - block_lps >= 2 * 3
+
+    def test_sorting_rule_block_breaks_ties_as_the_rule(self):
+        # Repeated losses, 0.0 beside -0.0, and caps whose cumulative mass
+        # lands on a state boundary: each row of the block must be the
+        # rule's point, byte for byte.
+        rng = np.random.default_rng(58)
+        for n in (2, 4, 16, 100):
+            for p in (np.full(n, 1.0 / n), rng.uniform(0.05, 1.0, n)):
+                sp = rs.ProbSpace(p / p.sum())
+                xs = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (60, n))
+                caps = rng.choice([1.0, 4.0 / 3.0, 2.0, 4.0, n / 3.0 + 1.0, float(n)], 60)
+                got = opt_kernel._sorting_points(sp.probs, xs, caps)
+                for row, x, cap in zip(got, xs, caps):
+                    want = opt_kernel.sorting_rule_point(sp, x, float(cap))
+                    assert row.tobytes() == want.tobytes()
+                family = rs.RiskFamily(tuple(rs.ExpectedShortfall(1.0 / c) for c in caps))
+                alloc = rs.Allocation(xs)
+                assert rs.atom_risks(family, sp, alloc).tolist() == \
+                    [rs.rho(s, sp, x) for s, x in zip(family.specs, xs)]
+
+    def test_overflowing_kl_weight_is_rejected(self):
+        # 1e308 * 10 overflows the atom's KL weight, as in rho.
+        sp = rs.ProbSpace([0.25, 0.75])
+        bad = rs.Dilation(rs.Entropic(1e308), 10.0)
+        row = np.array([1.0, -0.5])
+        with pytest.raises(ValidationError, match="KL weight must be finite"):
+            rs.rho(bad, sp, row)
+        agents = rs.finite_agents(3)
+        alloc = rs.Allocation(np.tile(row, (3, 1)))
+        for family in (rs.RiskFamily((bad,) * 3),
+                       rs.RiskFamily((rs.ExpectedShortfall(0.5), bad, rs.Entropic(1.0)))):
+            with pytest.raises(ValidationError, match="KL weight must be finite"):
+                rs.atom_risks(family, sp, alloc)
+            with pytest.raises(ValidationError, match="KL weight must be finite"):
+                rs.total_risk(agents, family, sp, alloc)
+        market = rs.Market.dilation(sp, agents, rs.Entropic(1e308), [10.0] * 3)
+        assert market.family.specs == (bad,) * 3
+        with pytest.raises(ValidationError, match="KL weight must be finite"):
+            rs.pareto_check(market, 3.0 * row, alloc)
 
     def test_total_risk_is_weighted_atom_risks(self):
         rng = np.random.default_rng(57)

@@ -232,6 +232,54 @@ class TestDilate:
                 evaluate(spec, sp, np.array([1.0, -0.5]))
 
 
+class TestEntropicAtLargeKlWeight:
+    """Far above the loss spread, rho(Entropic(k), x) is E_P x +
+    Var_P(x) / (2k) up to a term of order spread^3 / k^2. Written as
+    k * (shift + log mass), it cancelled: both terms near E_P[x] / k, each
+    off by k * 1e-16 (0.041 for a value of -1.027 at k = 1e16)."""
+
+    KAPPAS = (1e6, 1e8, 1e10, 1e12, 1e14, 1e16, 3e16, 1e20, 1e300)
+
+    def _draw(self, seed, n):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.05, 1.0, n)
+        sp = rs.ProbSpace(p / p.sum())
+        return sp, rng.normal(0.0, 1.0, n)
+
+    def _values(self, sp, x):
+        """rho at each KL weight, one call at a time and through one
+        atom_risks block, which must agree bit for bit."""
+        specs = tuple(rs.Entropic(k) for k in self.KAPPAS[:-1])
+        specs += (rs.Dilation(rs.Entropic(1e150), 1e150),)
+        values = [rs.rho(s, sp, x) for s in specs]
+        block = rs.atom_risks(rs.RiskFamily(specs), sp,
+                              rs.Allocation(np.tile(x, (len(specs), 1))))
+        assert block.tolist() == values
+        return values
+
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_matches_the_second_order_expansion(self, n):
+        for seed in range(3):
+            sp, x = self._draw(seed, n)
+            mean = float(np.dot(sp.probs, x))
+            var = float(np.dot(sp.probs, (x - mean) ** 2))
+            spread = float(x.max() - x.min())
+            for k, got in zip(self.KAPPAS, self._values(sp, x)):
+                want = mean + var / (2.0 * k)
+                assert abs(got - want) <= spread ** 3 / k / k + 1e-14 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [8, 100, 500])
+    def test_values_lie_between_the_mean_and_the_largest_loss(self, n):
+        # Seed 0 at n = 8 is the draw on which the old form gave 6.70,
+        # above max x = 0.041, at k = 3e16.
+        for seed in range(3):
+            sp, x = self._draw(seed, n)
+            mean = float(np.dot(sp.probs, x))
+            slack = 1e-14 * np.max(np.abs(x))  # the rounding of E_P x itself
+            for got in self._values(sp, x):
+                assert mean - slack <= got <= float(x.max())
+
+
 class TestInflate:
     def test_inflating_reference_scenario_gives_expected_shortfall(self):
         rng = np.random.default_rng(31)
