@@ -3,7 +3,8 @@
 Continuum agent spaces enter as quadratures: the unit interval becomes N
 midpoint atoms of weight 1/N, and mixed spaces (a la Shapley) add unit Dirac
 atoms on top. The Gelfand integral of an allocation then reduces to a
-weighted sum over atoms, one number per state.
+weighted sum over atoms, one number per state. Per-atom risks are valued in
+opt_kernel, which picks each atom's solve path from its dual set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import opt_kernel
 from .errors import ValidationError
 from .prob_core import ProbSpace
-from .risk_measures import RiskSpec, _solve, dual_set
+from .risk_measures import RiskSpec, dual_set
 
 FEASIBILITY_TOL = 1e-9
 
@@ -125,7 +126,8 @@ def agent_positions(agents: AgentSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RiskFamily:
-    """One risk spec per atom, in atom order."""
+    """One risk spec per atom, in atom order. The atoms' dual sets are
+    grouped by solve path once, lazily, for atom_risks (``_plan``)."""
 
     specs: tuple[RiskSpec, ...]
 
@@ -142,22 +144,10 @@ class RiskFamily:
         return len(self.specs)
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """How atom_risks splits the atoms, read from their dual sets once
-        per family: the atoms that go to opt_kernel._maximize_block in one
-        block (no hull; no KL weight or no cap), their KL weights and caps,
-        and the atoms left to _maximize one at a time."""
-        block, kappa, cap, solo = [], [], [], []
-        for i, spec in enumerate(self.specs):
-            k, constraints = dual_set(spec)
-            if constraints.hulls or (k != 0.0 and constraints.cap != math.inf):
-                solo.append(i)
-            else:
-                block.append(i)
-                kappa.append(k)
-                cap.append(constraints.cap)
-        return (np.array(block, dtype=int), np.array(kappa, dtype=float),
-                np.array(cap, dtype=float), np.array(solo, dtype=int))
+    def _plan(self) -> tuple:
+        """opt_kernel._row_plan of the atoms' dual sets, built on the first
+        atom_risks call rather than at construction."""
+        return opt_kernel._row_plan([dual_set(spec) for spec in self.specs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +211,11 @@ def atom_risks(family: RiskFamily, space: ProbSpace,
 
     This is the one per-atom risk loop. The family size and the share width
     are checked once; Allocation already holds a finite 2-d matrix, so no
-    row is checked again. Every atom whose dual set has no hull (entropic,
-    expected shortfall, their dilations, inflated shortfall) is valued in
-    one call of opt_kernel._maximize_block; each hull atom takes its own
-    _maximize call, one density LP or scenario scan, as in rho. Raises what
-    rho raises on some atom.
+    row is checked again. Then one opt_kernel._maximize_block call values
+    every row at its atom's dual set, by the family's cached plan: the
+    kernel picks each row's solve path, and a hull atom takes the one
+    density LP or scenario scan that rho makes. Raises what rho raises on
+    some atom.
     """
     if len(family) != alloc.n_atoms:
         raise ValidationError(
@@ -236,13 +226,7 @@ def atom_risks(family: RiskFamily, space: ProbSpace,
             f"allocation has {alloc.shares.shape[1]} columns for "
             f"{space.n_states} states"
         )
-    block, kappa, cap, solo = family._blocks
-    out = np.empty(alloc.n_atoms)
-    if block.size:
-        out[block] = opt_kernel._maximize_block(space, alloc.shares[block], kappa, cap)
-    for i in solo.tolist():
-        out[i] = _solve(family.specs[i], space, alloc.shares[i])[0]
-    return out
+    return opt_kernel._maximize_block(space, alloc.shares, family._plan)
 
 
 def total_risk(agents: AgentSpace, family: RiskFamily, space: ProbSpace,

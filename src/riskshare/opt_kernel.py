@@ -1,13 +1,13 @@
 """Small dense optimization routines: a two-phase simplex, exact or
 certified maximization over densities, and membership in a set of densities.
 
-The package reaches this module through three entries. ``_maximize``
-solves: it maximizes E_Q[x] - kappa * KL(Q||P) over densities and is the
-one place that picks the solve path for a constraint structure (the
-risk-measure evaluator and the general sharing value both call it).
-``_maximize_block`` gives _maximize's values, bit for bit, for a block of
-payoff rows with no hull (the per-atom risks of an allocation): the sorting
-rule and the Gibbs form, vectorised but for one np.dot and one log per row.
+This module is the one place that picks the solve path for a constraint
+structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
+for one payoff row (the risk-measure evaluator and the general sharing value
+call it). ``_row_plan`` groups many rows' dual sets by path once, and
+``_maximize_block`` follows the plan for a block of rows (the per-atom risks
+of an allocation): the Gibbs and sorting-rule rows vectorised but for one
+np.dot and one log per row, every other row by _maximize, bit for bit.
 ``_admits`` tests whether a density meets the constraints, one small LP per
 hull (``_dominated``). So every LP in the package is built here. _maximize
 and _admits check the hulls themselves (one column per state, rows of unit
@@ -282,12 +282,10 @@ def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
                                       f"on this space; expected 1 within {DENSITY_SUM_TOL}")
 
 
-# A loss spread below this fraction of kappa takes the Gibbs value as
-# max x + kappa * log1p(E_P[expm1((x - max x) / kappa)]). There
-# kappa * (shift + log mass) cancels: both terms near E_P[x] / kappa, each
-# carrying kappa * 1e-16 of rounding. Above it the shifted form stays, with
-# the bits it always had.
-_FLAT_SPREAD = 2.0 ** -10
+def _check_kl_weight(kappa: float):
+    # A dilation or a market merge can overflow kappa; inf * 0.0 is NaN.
+    if not math.isfinite(kappa):
+        raise ValidationError(f"the KL weight must be finite, got {kappa!r}")
 
 
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
@@ -303,7 +301,8 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       (:func:`sorting_rule_point`), O(n log n);
     * kappa > 0, no cap and no hull: the Gibbs density
       exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp (by log1p and
-      expm1 where the loss spread is below kappa / 1024);
+      expm1 where the loss spread is below kappa / 1024), the one-row case
+      of :func:`_gibbs_block`;
     * kappa > 0 and a finite cap: the capped Gibbs point, certified by its
       KKT residual at its own multiplier (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
@@ -311,17 +310,15 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     * kappa = 0 and any other scenario hulls (several, inflated, or beside
       a cap): the dense simplex on the density LP.
 
-    Raises ValidationError when kappa is not finite (a dilation or a
-    market merge overflowed it) or a hull matrix does not fit the space,
-    InfeasibleError when no density satisfies the constraints,
-    UnsupportedFamilyError for scenario hulls mixed with a KL penalty, and
-    ConvergenceError (carrying the point and its residual) on the capped
-    Gibbs path when the point's KKT residual exceeds the module tolerance;
-    the density LP's simplex may also raise ConvergenceError or
+    Raises ValidationError when kappa is not finite or a hull matrix does
+    not fit the space, InfeasibleError when no density satisfies the
+    constraints, UnsupportedFamilyError for scenario hulls mixed with a KL
+    penalty, and ConvergenceError (carrying the point and its residual) on
+    the capped Gibbs path when the point's KKT residual exceeds the module
+    tolerance; the density LP's simplex may also raise ConvergenceError or
     IterationLimitError.
     """
-    if not math.isfinite(kappa):
-        raise ValidationError(f"the KL weight must be finite, got {kappa!r}")
+    _check_kl_weight(kappa)
     cap = constraints.cap
     if constraints.hulls:
         _check_hulls(space, constraints)
@@ -344,65 +341,79 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
         q = sorting_rule_point(space, x, cap)
         return q, float(np.dot(space.probs, q * x))
     if cap == math.inf:
-        # The Gibbs density, by log-sum-exp with a max shift: x / kappa can
-        # overflow for small kappa.
-        scaled = x / kappa
-        shift = float(scaled.max())  # the method skips np.max's Python dispatch
-        w = np.exp(scaled - shift)
-        mass = float(np.dot(space.probs, w))
-        if shift - float(scaled.min()) < _FLAT_SPREAD:
-            top = float(x.max())
-            drop = float(np.dot(space.probs, np.expm1((x - top) / kappa)))
-            return w / mass, top + kappa * math.log1p(drop)
-        return w / mass, kappa * (shift + math.log(mass))
+        values, w, mass = _gibbs_block(space.probs, x[None], np.array([kappa]))
+        return w[0] / mass[0], values[0]
     return _certified_gibbs(space, x, kappa, cap)
 
 
-def _maximize_block(space: ProbSpace, xs: np.ndarray, kappa: np.ndarray,
-                    cap: np.ndarray) -> np.ndarray:
-    """The values of :func:`_maximize` for the rows of a (k, n) block with
-    no hull: row i at KL weight kappa[i] and cap cap[i], where each row has
-    kappa = 0 (the sorting rule) or cap = math.inf (the Gibbs form).
+def _row_plan(duals) -> tuple:
+    """Group rows by the path _maximize picks, from each row's dual set
+    (kappa, DensityConstraints): the Gibbs rows (kappa > 0, no cap, no hull)
+    with their KL weights, the sorting-rule rows (kappa = 0, no hull) with
+    their caps, and every other row as (row, kappa, constraints). Raises
+    _maximize's ValidationError when some kappa is not finite."""
+    gibbs, kappas, sort, caps, other = [], [], [], [], []
+    for i, (kappa, constraints) in enumerate(duals):
+        _check_kl_weight(kappa)
+        if not constraints.hulls and kappa == 0.0:
+            sort.append(i)
+            caps.append(constraints.cap)
+        elif not constraints.hulls and kappa > 0.0 and constraints.cap == math.inf:
+            gibbs.append(i)
+            kappas.append(kappa)
+        else:
+            other.append((i, kappa, constraints))
+    return (np.array(gibbs, dtype=int), np.array(kappas, dtype=float),
+            np.array(sort, dtype=int), np.array(caps, dtype=float), tuple(other))
 
-    The value matches _maximize's bit for bit. The elementwise work (the
-    division, row extremes, exp, the stable sort, cumsum and the fill) runs
-    over the block; each row keeps its own np.dot and math.log, since a
-    matrix product or np.log rounds differently. Raises ValidationError
-    when some kappa is not finite, InfeasibleError when a sorting-rule cap
-    is below 1.
-    """
-    if not np.all(np.isfinite(kappa)):
-        bad = float(kappa[~np.isfinite(kappa)][0])
-        raise ValidationError(f"the KL weight must be finite, got {bad!r}")
+
+def _maximize_block(space: ProbSpace, xs: np.ndarray, plan: tuple) -> np.ndarray:
+    """The values of _maximize, bit for bit, for the rows of a (k, n) block
+    at the dual sets that _row_plan grouped into plan: the Gibbs rows in one
+    block, the sorting-rule rows in another, then each other row by its own
+    _maximize call, with that call's LP or scenario scan. Raises what
+    _maximize raises on some row."""
+    gibbs, kappa, sort, cap, other = plan
     p = space.probs
     out = np.empty(len(xs))
-    gibbs = kappa > 0.0
-    if gibbs.any():
-        out[gibbs] = _gibbs_values(p, xs[gibbs], kappa[gibbs])
-    if not gibbs.all():
-        rows = xs[~gibbs]
-        q = _sorting_points(p, rows, cap[~gibbs])
-        out[~gibbs] = [float(np.dot(p, row)) for row in q * rows]
+    if gibbs.size:
+        out[gibbs] = _gibbs_block(p, xs[gibbs], kappa)[0]
+    if sort.size:
+        rows = xs[sort]
+        out[sort] = [float(np.dot(p, row)) for row in _sorting_points(p, rows, cap) * rows]
+    for i, k, constraints in other:
+        out[i] = _maximize(space, xs[i], k, constraints)[1]
     return out
 
 
-def _gibbs_values(p, xs, kappa):
-    """The Gibbs-form values of _maximize, row by row of the block."""
+# A loss spread below this fraction of kappa takes the Gibbs value as
+# max x + kappa * log1p(E_P[expm1((x - max x) / kappa)]). There
+# kappa * (shift + log mass) cancels: both terms near E_P[x] / kappa, each
+# carrying kappa * 1e-16 of rounding. Above it the shifted form stays, with
+# the bits it always had.
+_FLAT_SPREAD = 2.0 ** -10
+
+
+def _gibbs_block(p, xs, kappa):
+    """The Gibbs form for each row of a (k, n) block at its KL weight
+    kappa > 0: the values, the weights w = exp(x / kappa - max(x / kappa))
+    (shifted, as x / kappa can overflow) and their P-masses; the density is
+    w / mass. The elementwise work runs over the block; each row keeps its
+    own np.dot and math.log, since a matrix product or np.log rounds
+    differently."""
+    kl = kappa.tolist()
     scaled = xs / kappa[:, None]
     shift = scaled.max(axis=1)
-    flat = shift - scaled.min(axis=1) < _FLAT_SPREAD
-    out = np.empty(len(xs))
-    if not flat.all():
-        wide = ~flat
-        w = np.exp(scaled[wide] - shift[wide, None])
-        out[wide] = [k * (s + math.log(float(np.dot(p, row))))
-                     for k, s, row in zip(kappa[wide].tolist(), shift[wide].tolist(), w)]
-    if flat.any():
+    w = np.exp(scaled - shift[:, None])
+    mass = [float(np.dot(p, row)) for row in w]
+    values = [k * (s + math.log(m)) for k, s, m in zip(kl, shift.tolist(), mass)]
+    flat = np.flatnonzero(shift - scaled.min(axis=1) < _FLAT_SPREAD)
+    if flat.size:
         top = xs[flat].max(axis=1)
         drops = np.expm1((xs[flat] - top[:, None]) / kappa[flat, None])
-        out[flat] = [t + k * math.log1p(float(np.dot(p, row)))
-                     for t, k, row in zip(top.tolist(), kappa[flat].tolist(), drops)]
-    return out
+        for i, t, row in zip(flat.tolist(), top.tolist(), drops):
+            values[i] = t + kl[i] * math.log1p(float(np.dot(p, row)))
+    return values, w, mass
 
 
 def _sorting_points(p, xs, cap):
@@ -626,20 +637,22 @@ def _certified_gibbs(space, x, kappa, cap):
     else:
         lo = hi = 0.0
         step = kappa + float(np.max(np.abs(x)))
+        # The mass at 0 decides which bracket loop runs; only one does.
         while float(np.dot(p, point(lo))) < 1.0:
             lo -= step
             step *= 2.0
-        step = kappa + float(np.max(np.abs(x)))
         while float(np.dot(p, point(hi))) > 1.0:
             hi += step
             step *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(np.dot(p, point(mid))) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
+        # Bisect until the midpoint rounds to an endpoint: no float lies
+        # strictly between them, so more halvings would not move it.
         theta = 0.5 * (lo + hi)
+        while lo < theta < hi:
+            if float(np.dot(p, point(theta))) >= 1.0:
+                lo = theta
+            else:
+                hi = theta
+            theta = 0.5 * (lo + hi)
     gibbs = point(theta)
     q = project_to_density(space, gibbs, cap)
     residual = max(abs(float(np.dot(p, q)) - 1.0), float(np.max(p * (q - cap))),

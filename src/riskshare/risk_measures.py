@@ -31,9 +31,9 @@ row masses of a scenario matrix, which ``opt_kernel`` checks itself where
 the matrix meets the space. Per-atom loops run through
 ``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
 which check a whole allocation or density once. ``aggregate_conjugate``
-then calls ``_conjugate`` per atom; ``atom_risks`` values the atoms whose
-``dual_set`` has no hull in one ``opt_kernel._maximize_block`` call, with
-``rho``'s bits, and calls ``_solve`` per hull atom.
+then calls ``_conjugate`` per atom; ``atom_risks`` hands the atoms'
+``dual_set``s, grouped once per family by ``opt_kernel._row_plan``, to one
+``opt_kernel._maximize_block`` call, which values every atom with ``rho``'s bits.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -640,3 +642,114 @@ def test_es_cap_that_excludes_the_scenario_hull_is_ill_posed():
         (rs.ExpectedShortfall(0.8), hull)))  # cap 1.25 < 1.8
     with pytest.raises(IllPosedError):
         rs.value(market, [1.0, 0.0])
+
+
+def _bisected_capped_gibbs(space, x, kappa, cap):
+    """The capped Gibbs point with theta from exactly 200 bisection steps,
+    each bracket loop restarting from the step kappa + max|x|; also
+    returns whether theta lies below 0 (the mass at 0 was below 1)."""
+    p = space.probs
+
+    def point(theta):
+        return np.minimum(cap, np.exp(np.minimum((x - theta) / kappa - 1.0, 700.0)))
+
+    lo = hi = 0.0
+    step = kappa + float(np.max(np.abs(x)))
+    while float(np.dot(p, point(lo))) < 1.0:
+        lo -= step
+        step *= 2.0
+    step = kappa + float(np.max(np.abs(x)))
+    while float(np.dot(p, point(hi))) > 1.0:
+        hi += step
+        step *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.dot(p, point(mid))) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    q = ok.project_to_density(space, point(0.5 * (lo + hi)), cap)
+    value = float(np.dot(p, x * q)) - kappa * rs.kl_divergence(space, space.density(q))
+    return q, value, lo < 0.0
+
+
+@pytest.mark.parametrize("n", [3, 100, 300])
+def test_capped_gibbs_bisection_stops_where_200_steps_end(n):
+    # KL weight log-uniform on [1e-3, 1e3], caps on [1.01, 40], losses
+    # spread over 0.1 to 10 kappa and offset by up to 1e3 either way, so
+    # theta is bracketed below 0 in some draws and above it in others.
+    rng = np.random.default_rng(23 + n)
+    sides = set()
+    for _ in range(40):
+        space = rs.ProbSpace(_probs(rng, n))
+        kappa = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+        cap = float(rng.uniform(1.01, 40.0))
+        spread = kappa * float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        offset = float(rng.uniform(-1e3, 1e3))
+        x = space.rv(offset + spread * rng.normal(0.0, 1.0, n))
+        q, value = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        want_q, want_value, below = _bisected_capped_gibbs(space, x, kappa, cap)
+        assert q.tobytes() == want_q.tobytes()
+        assert value == want_value
+        sides.add(below)
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("n", [12, 16, 100, 500])
+def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
+    # Gibbs rows (flat ones at kappa >= 1e9 among them), sorting-rule rows
+    # on tied losses with -0.0 beside 0.0, a capped Gibbs row and a plain
+    # scenario set, in shuffled order. At n <= 16 (J <= 6, where the Bland
+    # simplex ends correctly) an inflated hull and a cap beside a hull join
+    # them, which take density LPs.
+    rng = np.random.default_rng(230 + n)
+    space = rs.ProbSpace(_probs(rng, n))
+    plain = ok.DensityConstraints(hulls=((1.0, random_scenario_set(rng, space, 5).matrix()),))
+    duals = [(float(k), ok.DensityConstraints()) for k in (0.05, 0.3, 1.0, 4.0, 1e9, 3e12)]
+    duals += [(0.0, ok.DensityConstraints(cap=c))
+              for c in (math.inf, 1.0, 4.0 / 3.0, 2.0, n / 3.0 + 1.0, float(n))]
+    duals += [(0.7, ok.DensityConstraints(cap=3.0)), (0.0, plain)]
+    if n <= 16:
+        hull = random_scenario_set(rng, space, 6).matrix()
+        duals += [(0.0, ok.DensityConstraints(hulls=((1.8, hull),))),
+                  (0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
+    duals = [duals[i] for i in rng.permutation(len(duals))] * 3
+    xs = rng.normal(0.0, 2.0, (len(duals), n))
+    xs[::2] = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (len(xs[::2]), n))
+
+    plan = ok._row_plan(duals)
+    gibbs, kappa, sort, cap, other = plan
+    assert gibbs.tolist() == [i for i, (k, c) in enumerate(duals)
+                              if k > 0.0 and c.cap == math.inf and not c.hulls]
+    assert kappa.tolist() == [duals[i][0] for i in gibbs]
+    assert sort.tolist() == [i for i, (k, c) in enumerate(duals) if k == 0.0 and not c.hulls]
+    assert cap.tolist() == [duals[i][1].cap for i in sort]
+    assert [i for i, _, _ in other] == sorted(set(range(len(duals))) - set(gibbs) - set(sort))
+
+    lp_calls = [0]
+    lp_solve = ok.lp_solve
+
+    def counted(problem):
+        lp_calls[0] += 1
+        return lp_solve(problem)
+
+    monkeypatch.setattr(ok, "lp_solve", counted)
+    got = ok._maximize_block(space, xs, plan).tolist()
+    block_lps = lp_calls[0]
+    want = [ok._maximize(space, x, k, c)[1] for x, (k, c) in zip(xs, duals)]
+    assert got == want
+    assert block_lps == lp_calls[0] - block_lps == (6 if n <= 16 else 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_row_plan_rejects_a_kl_weight_that_is_not_finite(bad):
+    space = rs.ProbSpace([0.25, 0.75])
+    with pytest.raises(ValidationError) as solo:
+        ok._maximize(space, np.array([1.0, -0.5]), bad, ok.DensityConstraints())
+    rows = [(1.0, ok.DensityConstraints()), (0.0, ok.DensityConstraints(cap=2.0)),
+            (0.0, ok.DensityConstraints(hulls=((1.0, np.ones((1, 2))),)))]
+    for at in range(len(rows) + 1):
+        duals = rows[:at] + [(bad, ok.DensityConstraints())] + rows[at:]
+        with pytest.raises(ValidationError) as planned:
+            ok._row_plan(duals)
+        assert str(planned.value) == str(solo.value) == f"the KL weight must be finite, got {bad!r}"
