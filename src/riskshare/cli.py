@@ -88,9 +88,14 @@ def _as_num(v, path: str) -> float:
     return float(v)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_vector(v, path: str) -> list[float]:
     if not isinstance(v, list) or not v:
         raise ValidationError(f"{path}: expected a nonempty array of numbers")
+    if set(map(type, v)) <= _NUMBER_TYPES:  # the common case: no entry's path is needed
+        return [float(e) for e in v]
     return [_as_num(e, f"{path}[{i}]") for i, e in enumerate(v)]
 
 

@@ -15,11 +15,14 @@ are handled:
   E_Q[x] minus the weighted sum of per-atom penalties over densities. The
   atoms' dual sets (risk_measures.dual_set) merge into one KL weight, one
   density cap and one scenario hull per distinct matrix, at the smallest
-  gamma any atom gives it (a plain set is gamma = 1). The merged set goes
-  to opt_kernel._maximize, the entry that also evaluates rho, which picks
-  the exact solve path for its structure; the certificate tests the
-  optimizer's membership through opt_kernel._admits. No primal allocation
-  is certified on this path.
+  gamma any atom gives it (a plain set is gamma = 1); each Market holds
+  that merged set, built on first use. It goes to opt_kernel._maximize,
+  the entry that also evaluates rho, which picks the exact solve path for
+  its structure. No primal allocation is certified on this path.
+
+On every path the certificate values the aggregate penalty at the dual
+optimizer (aggregate_conjugate): one membership test in the merged set,
+through opt_kernel._admits, then the atoms' KL parts in atom order.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -31,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +110,27 @@ class Market:
         if len(self.family) != self.agents.n_atoms:
             raise ValidationError("risk family size does not match agent space")
 
+    @cached_property
+    def _dual_set(self) -> tuple[float, opt_kernel.DensityConstraints]:
+        """The merged dual set (kappa, DensityConstraints) of the weighted
+        atoms, built on first use rather than at construction: weighted KL
+        weights add up in atom order, the tightest cap binds, and each
+        distinct scenario matrix D applies once. The set {q <= gamma * D^T
+        lam} grows with gamma, so D keeps its smallest gamma (at its
+        first-seen position); a plain set is gamma = 1, the least. The
+        indicator of this set is the sum of the atoms' indicators."""
+        kl_weight, cap = 0.0, math.inf
+        hulls: dict[bytes, tuple[float, np.ndarray]] = {}
+        for spec, w in zip(self.family.specs, self.agents.weights):
+            kappa, dset = dual_set(spec, float(w))
+            kl_weight += kappa
+            cap = min(cap, dset.cap)
+            for gamma, d in dset.hulls:
+                key = d.tobytes()
+                if key not in hulls or gamma < hulls[key][0]:
+                    hulls[key] = (gamma, d)
+        return kl_weight, opt_kernel.DensityConstraints(cap, tuple(hulls.values()))
+
     @classmethod
     def general(cls, space, agents, family) -> "Market":
         return cls(space, agents, family, GENERAL)
@@ -153,17 +178,19 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     """Weighted sum of per-atom penalties at q, in [0, math.inf], with
     infinity absorbing.
 
-    q is checked once; the penalties are memoised over the nodes of the
-    spec tree, so atoms dilating one base share one evaluation of it."""
+    q is checked once. Its membership is tested once, in the market's
+    merged dual set: the sum of the atoms' indicator penalties is the
+    indicator of that set. Off it the sum is math.inf; on it the KL parts
+    add up in atom order, memoised over the nodes of the spec tree, so
+    atoms dilating one base share one evaluation of it."""
     if q.q.size != market.space.n_states:
         raise ValidationError("density dimension does not match space")
+    if not opt_kernel._admits(market.space, market._dual_set[1], q.q):
+        return math.inf
     total = 0.0
     memo: dict[int, float] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
-        pen = _conjugate(spec, market.space, q, memo)
-        if not math.isfinite(pen):
-            return math.inf
-        total += float(w) * pen
+        total += float(w) * _conjugate(spec, market.space, q, memo)
     return total
 
 
@@ -224,23 +251,8 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
 
 
 def _general_dual_value(market: Market, x) -> tuple[float, Density]:
-    # Merge the atoms' dual sets: weighted KL weights add up, the tightest
-    # cap binds, and each distinct scenario matrix D applies once. The set
-    # {q <= gamma * D^T lam} grows with gamma, so D keeps its smallest gamma
-    # (at its first-seen position); a plain set is gamma = 1, the least.
-    kl_weight, cap = 0.0, math.inf
-    hulls: dict[bytes, tuple[float, np.ndarray]] = {}
-    for spec, w in zip(market.family.specs, market.agents.weights):
-        kappa, dset = dual_set(spec, float(w))
-        kl_weight += kappa
-        cap = min(cap, dset.cap)
-        for gamma, d in dset.hulls:
-            key = d.tobytes()
-            if key not in hulls or gamma < hulls[key][0]:
-                hulls[key] = (gamma, d)
-    constraints = opt_kernel.DensityConstraints(cap, tuple(hulls.values()))
     try:
-        q, val = opt_kernel._maximize(market.space, x, kl_weight, constraints)
+        q, val = opt_kernel._maximize(market.space, x, *market._dual_set)
     except InfeasibleError as exc:
         raise IllPosedError(
             "every density has infinite aggregate penalty; the sharing value "

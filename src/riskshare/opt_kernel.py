@@ -6,12 +6,15 @@ structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
 for one payoff row (the risk-measure evaluator and the general sharing value
 call it). ``_row_plan`` groups many rows' dual sets by path once, and
 ``_maximize_block`` follows the plan for a block of rows (the per-atom risks
-of an allocation): the Gibbs and sorting-rule rows vectorised but for one
-np.dot and one log per row, every other row by _maximize, bit for bit.
-``_admits`` tests whether a density meets the constraints, one small LP per
-hull (``_dominated``). So every LP in the package is built here. _maximize
-and _admits check the hulls themselves (one column per state, rows of unit
-P-mass); the payoff and the density are the caller's to check.
+of an allocation): the Gibbs, sorting-rule and inflated-hull rows vectorised
+but for one np.dot and one log per row, every other row by _maximize, bit
+for bit. One inflated hull takes the Rockafellar-Uryasev closed form
+(``_inflated_block``); the density LP is left to several hulls or a hull
+beside a cap. ``_admits`` tests whether a density meets the constraints,
+one small LP per hull (``_dominated``). So every LP in the package is built
+here. _maximize and _admits check the hulls themselves (one column per
+state, rows of unit P-mass); the payoff and the density are the caller's to
+check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
@@ -268,18 +271,17 @@ class DensityConstraints:
     hulls: tuple = ()
 
 
-def _check_hulls(space: ProbSpace, constraints: DensityConstraints):
-    """Every hull matrix must have one column per state of the space, and
-    every row P-mass 1 on it: a density checked on another space of the
-    same width need not be a density here."""
-    for _, d in constraints.hulls:
-        if np.shape(d)[-1] != space.n_states:
-            raise ValidationError(f"scenario densities have {np.shape(d)[-1]} entries "
-                                  f"but the space has {space.n_states} states")
-        for mass in np.atleast_1d(np.dot(d, space.probs)):
-            if abs(mass - 1.0) > DENSITY_SUM_TOL:
-                raise ValidationError(f"scenario density has P-expectation {float(mass)!r} "
-                                      f"on this space; expected 1 within {DENSITY_SUM_TOL}")
+def _check_hull(space: ProbSpace, d):
+    """A hull matrix must have one column per state of the space, and every
+    row P-mass 1 on it: a density checked on another space of the same
+    width need not be a density here."""
+    if np.shape(d)[-1] != space.n_states:
+        raise ValidationError(f"scenario densities have {np.shape(d)[-1]} entries "
+                              f"but the space has {space.n_states} states")
+    for mass in np.atleast_1d(np.dot(d, space.probs)):
+        if abs(mass - 1.0) > DENSITY_SUM_TOL:
+            raise ValidationError(f"scenario density has P-expectation {float(mass)!r} "
+                                  f"on this space; expected 1 within {DENSITY_SUM_TOL}")
 
 
 def _check_kl_weight(kappa: float):
@@ -307,8 +309,11 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       KKT residual at its own multiplier (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
       the best scenario, a vertex of the hull;
-    * kappa = 0 and any other scenario hulls (several, inflated, or beside
-      a cap): the dense simplex on the density LP.
+    * kappa = 0, one hull at gamma > 1 (an inflated scenario set) and no
+      cap: the Rockafellar-Uryasev minimum over t, the one-row case of
+      :func:`_inflated_block`, O(nJ + J^2) after a sort;
+    * kappa = 0 and any other scenario hulls (several, or beside a cap):
+      the dense simplex on the density LP.
 
     Raises ValidationError when kappa is not finite or a hull matrix does
     not fit the space, InfeasibleError when no density satisfies the
@@ -321,7 +326,8 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     _check_kl_weight(kappa)
     cap = constraints.cap
     if constraints.hulls:
-        _check_hulls(space, constraints)
+        for _, d in constraints.hulls:
+            _check_hull(space, d)
         if kappa != 0.0:
             raise UnsupportedFamilyError(
                 "entropic-penalized scores support only a density cap; scenario-hull "
@@ -336,6 +342,9 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
                 if v > best_value:
                     best_value, best = v, d
             return best, best_value
+        if _is_inflated_hull(kappa, constraints):
+            values, q, _ = _inflated_block(space.probs, dmat, x[None], np.array([gamma], float))
+            return q[0], values[0]
         return _linear_density_lp(space, x, constraints)
     if kappa == 0.0:
         q = sorting_rule_point(space, x, cap)
@@ -346,13 +355,21 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     return _certified_gibbs(space, x, kappa, cap)
 
 
+def _is_inflated_hull(kappa, constraints) -> bool:
+    """One hull at gamma > 1, no cap and no KL weight: the closed form."""
+    return (kappa == 0.0 and constraints.cap == math.inf and len(constraints.hulls) == 1
+            and constraints.hulls[0][0] > 1.0)
+
+
 def _row_plan(duals) -> tuple:
     """Group rows by the path _maximize picks, from each row's dual set
     (kappa, DensityConstraints): the Gibbs rows (kappa > 0, no cap, no hull)
     with their KL weights, the sorting-rule rows (kappa = 0, no hull) with
-    their caps, and every other row as (row, kappa, constraints). Raises
+    their caps, the inflated-hull rows as (D, rows, gammas), one entry per
+    matrix object, and every other row as (row, kappa, constraints). Raises
     _maximize's ValidationError when some kappa is not finite."""
     gibbs, kappas, sort, caps, other = [], [], [], [], []
+    hulls: dict[int, tuple] = {}
     for i, (kappa, constraints) in enumerate(duals):
         _check_kl_weight(kappa)
         if not constraints.hulls and kappa == 0.0:
@@ -361,19 +378,28 @@ def _row_plan(duals) -> tuple:
         elif not constraints.hulls and kappa > 0.0 and constraints.cap == math.inf:
             gibbs.append(i)
             kappas.append(kappa)
+        elif _is_inflated_hull(kappa, constraints):
+            gamma, dmat = constraints.hulls[0]
+            group = hulls.setdefault(id(dmat), (dmat, [], []))
+            group[1].append(i)
+            group[2].append(gamma)
         else:
             other.append((i, kappa, constraints))
     return (np.array(gibbs, dtype=int), np.array(kappas, dtype=float),
-            np.array(sort, dtype=int), np.array(caps, dtype=float), tuple(other))
+            np.array(sort, dtype=int), np.array(caps, dtype=float),
+            tuple((d, np.array(rows, dtype=int), np.array(gammas, dtype=float))
+                  for d, rows, gammas in hulls.values()),
+            tuple(other))
 
 
 def _maximize_block(space: ProbSpace, xs: np.ndarray, plan: tuple) -> np.ndarray:
     """The values of _maximize, bit for bit, for the rows of a (k, n) block
     at the dual sets that _row_plan grouped into plan: the Gibbs rows in one
-    block, the sorting-rule rows in another, then each other row by its own
-    _maximize call, with that call's LP or scenario scan. Raises what
-    _maximize raises on some row."""
-    gibbs, kappa, sort, cap, other = plan
+    block, the sorting-rule rows in another, the inflated-hull rows in one
+    block per matrix, then each other row by its own _maximize call, with
+    that call's LP or scenario scan. Raises what _maximize raises on some
+    row."""
+    gibbs, kappa, sort, cap, hulls, other = plan
     p = space.probs
     out = np.empty(len(xs))
     if gibbs.size:
@@ -381,6 +407,9 @@ def _maximize_block(space: ProbSpace, xs: np.ndarray, plan: tuple) -> np.ndarray
     if sort.size:
         rows = xs[sort]
         out[sort] = [float(np.dot(p, row)) for row in _sorting_points(p, rows, cap) * rows]
+    for dmat, rows, gammas in hulls:
+        _check_hull(space, dmat)
+        out[rows] = _inflated_block(p, dmat, xs[rows], gammas)[0]
     for i, k, constraints in other:
         out[i] = _maximize(space, xs[i], k, constraints)[1]
     return out
@@ -421,18 +450,141 @@ def _sorting_points(p, xs, cap):
     bit for bit. A stable argsort of -x orders the states as the rule's
     lexsort does."""
     _check_cap(float(cap.min()))
-    k, n = xs.shape
+    return _fill(p, np.argsort(-xs, axis=1, kind="stable"), cap[:, None])
+
+
+def _fill(p, order, caps):
+    """Each row's density that fills its states in the given order, each up
+    to its cap (caps sorted as order, or one per row), until the P-mass
+    reaches 1; the boundary state carries the remainder."""
+    k, n = order.shape
     rows = np.arange(k)
-    order = np.argsort(-xs, axis=1, kind="stable")
-    cum = np.cumsum(p[order] * cap[:, None], axis=1)
+    cum = np.cumsum(p[order] * caps, axis=1)
     # cum is nondecreasing, so this count is the rule's searchsorted.
     edge = np.minimum(np.count_nonzero(cum < 1.0 - 1e-12, axis=1), n - 1)
     before = np.where(edge > 0, cum[rows, edge - 1], 0.0)
-    ranked = np.where(np.arange(n) < edge[:, None], cap[:, None], 0.0)
+    ranked = np.where(np.arange(n) < edge[:, None], caps, 0.0)
     ranked[rows, edge] = (1.0 - before) / p[order[rows, edge]]
     q = np.empty_like(ranked)
     q[rows[:, None], order] = ranked
     return q
+
+
+# Bound on the cells of _inflated_rows' (rows, states, scenarios)
+# temporaries: a larger block runs in slices of rows. Each row's arithmetic
+# is its own, so the slicing moves no bit.
+_HULL_SLICE_CELLS = 2 ** 18
+
+
+def _inflated_block(p, dmat, xs, gamma):
+    """Maximize E_Q[x] over {q <= gamma * D^T lam, E_P[q] = 1, lam on the
+    simplex} for each row x of a (k, n) block at its own gamma > 1, where
+    the rows of D are densities. Returns the values, one np.dot per row, the
+    optimizers (k, n) and each row's t* (:func:`_inflated_rows`)."""
+    dmat = np.atleast_2d(np.asarray(dmat, dtype=float))
+    j, n = dmat.shape
+    step = max(1, _HULL_SLICE_CELLS // ((n + 1) * j + j * j))
+    parts = [_inflated_rows(p, dmat, xs[lo:lo + step], gamma[lo:lo + step])
+             for lo in range(0, len(xs), step)]
+    q = np.concatenate([part[0] for part in parts])
+    values = [float(np.dot(p, row)) for row in q * xs]
+    return values, q, np.concatenate([part[1] for part in parts])
+
+
+def _inflated_rows(p, dmat, xs, gamma):
+    """The optimizers and t* of :func:`_inflated_block` for a slice of rows.
+
+    By LP duality over E_P[q] = 1 and a minimax swap, the value is
+
+        min over t of f(t) = t + gamma * max_j E_{Q_j}[(x - t)^+],
+
+    convex and piecewise linear (Rockafellar-Uryasev; J = 1 with D = P is
+    expected shortfall at level 1 / gamma). Between two adjacent loss values
+    each scenario's term is a line, so f's minimum lies at the best loss
+    value u or at a crossing of two lines in one of the two segments next
+    to u (ties merge into one loss value, so a segment never has zero
+    width). Within a segment, f is the upper envelope of the lines
+    alpha_j + beta_j t, whose minimum over all t is the largest crossing
+    of a rising line with a falling one; it counts when it lies inside the
+    segment. The optimizer mixes the (at most two) scenarios active at t*
+    by lam, so that f's slope is 0 at t*: q = gamma * D^T lam above t*, and
+    the states at t* take the remainder, in state order (:func:`_fill`).
+    """
+    k, n = xs.shape
+    rows = np.arange(k)
+    order = np.argsort(-xs, axis=1, kind="stable")
+    v = np.take_along_axis(xs, order, axis=1)  # losses, descending
+    pd = p[order][:, :, None] * dmat.T[order]   # p_i * d_ji, (k, n, J)
+    # mass[:, i] is Q_j(x > v_i) at the first state of a run of equal
+    # losses, and Q_j of every state at i = n; top[:, i] is E_{Q_j}[x; x > v_i].
+    mass = np.zeros((k, n + 1, len(dmat)))
+    top = np.zeros_like(mass)
+    np.cumsum(pd, axis=1, out=mass[:, 1:])
+    np.cumsum(pd * v[:, :, None], axis=1, out=top[:, 1:])
+    shortfall = top[:, :n] - mass[:, :n] * v[:, :, None]  # E_{Q_j}[(x - v_i)^+]
+    f = v + gamma[:, None] * shortfall.max(axis=2)
+    f[:, 1:][v[:, 1:] == v[:, :-1]] = np.inf  # a loss value once, at its first state
+    at = np.argmin(f, axis=1)
+    u = v[rows, at]
+    below = at + np.count_nonzero(v == u[:, None], axis=1)  # first state under u
+    # f's lines on (u, next loss value up) and on (next loss value down, u).
+    up = _envelope_minimum(top[rows, at], mass[rows, at], gamma, u,
+                           np.where(at > 0, v[rows, at - 1], np.inf))
+    down = _envelope_minimum(top[rows, below], mass[rows, below], gamma,
+                             np.where(below < n, v[rows, np.minimum(below, n - 1)], -np.inf), u)
+
+    # At u itself: the scenario active just below u is the one of largest
+    # Q_j(x >= u) among those that tie at u, and just above u the one of
+    # smallest Q_j(x > u). f's slopes there are 1 - gamma * those masses.
+    over, under = mass[rows, at], mass[rows, below]
+    ties = shortfall[rows, at]
+    ties = ties == ties.max(axis=1, keepdims=True)
+    left = np.where(ties, under, -np.inf).argmax(axis=1)
+    right = np.where(ties, over, np.inf).argmin(axis=1)
+    lo_left = gamma * over[rows, left]
+    hi_left, hi_right = gamma * under[rows, left], gamma * under[rows, right]
+    # One scenario whose slopes bracket 0, else the mix of the two whose
+    # Q(x >= u) masses bracket 1 / gamma.
+    mix = (lo_left > 1.0) & (hi_right < 1.0)
+    width = np.where(mix, hi_left - hi_right, 1.0)
+    first = np.where(lo_left <= 1.0, left, right)
+    pair = [first, np.where(mix, left, first)]
+    lam = [np.where(mix, (hi_left - 1.0) / width, 1.0),
+           np.where(mix, (1.0 - hi_right) / width, 0.0)]
+    t = u.copy()
+    best = f[rows, at]
+    for value, cross, js, lams in (up, down):
+        take = value < best
+        best = np.where(take, value, best)
+        t = np.where(take, cross, t)
+        pair = [np.where(take, a, b) for a, b in zip(js, pair)]
+        lam = [np.where(take, a, b) for a, b in zip(lams, lam)]
+    caps = gamma[:, None] * (lam[0][:, None] * dmat[pair[0]] + lam[1][:, None] * dmat[pair[1]])
+    return _fill(p, order, np.take_along_axis(caps, order, axis=1)), t
+
+
+def _envelope_minimum(above, mass, gamma, lo, hi):
+    """For each row, the minimum of f(t) = max_j alpha_j + beta_j t over the
+    open segment (lo, hi), where alpha = gamma * E_{Q_j}[x; x above the
+    segment] and beta = 1 - gamma * Q_j(above): the value, or +inf where
+    the minimum over all t lies outside the segment, its t, the pair (j, l)
+    of a rising and a falling line that cross there, and the weights that
+    mix their slopes to 0."""
+    k, j = mass.shape
+    rows = np.arange(k)
+    alpha = gamma[:, None] * above
+    beta = 1.0 - gamma[:, None] * mass
+    rise, fall = beta[:, :, None], beta[:, None, :]
+    valid = (rise >= 0.0) & (fall <= 0.0) & (rise > fall)
+    width = np.where(valid, rise - fall, 1.0)
+    cross = np.where(valid, (alpha[:, :, None] * -fall + alpha[:, None, :] * rise) / width,
+                     -np.inf)
+    a, b = np.divmod(cross.reshape(k, -1).argmax(axis=1), j)
+    value, span = cross[rows, a, b], width[rows, a, b]
+    t = (alpha[rows, b] - alpha[rows, a]) / span
+    inside = np.isfinite(value) & (lo < t) & (t < hi)
+    return (np.where(inside, value, np.inf), t, (a, b),
+            (-beta[rows, b] / span, beta[rows, a] / span))
 
 
 def _linear_density_lp(space, x, constraints):
@@ -498,7 +650,8 @@ def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) ->
     state has p > 0, so q <= D^T lam with both sides of P-mass 1 forces
     q = D^T lam.
     """
-    _check_hulls(space, constraints)
+    for _, d in constraints.hulls:
+        _check_hull(space, d)
     if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
     return all(_dominated(gamma, d, q) for gamma, d in constraints.hulls)
@@ -626,7 +779,16 @@ def _certified_gibbs(space, x, kappa, cap):
     theta: the larger of q's feasibility violation and max_i p_i * |q_i -
     min(cap, exp((x_i - theta)/kappa - 1))|, how far the projection moved
     the point; weighting by p keeps it finite where a Gibbs weight underflows
-    to 0. Above _KKT_TOL, raises ConvergenceError carrying q and the residual."""
+    to 0.
+
+    Far below the loss spread no float theta puts the P-mass within
+    _KKT_TOL of 1: one ulp of theta moves each free exponent by ulp(theta) /
+    kappa. Where the check fails and the bisection's point misses P-mass 1
+    by more than _KKT_TOL, the point keeps the bisection's capped set,
+    scales its free states exactly (water-filling, relative to their
+    largest loss rather than to theta) and is certified again by the same
+    residual. Above _KKT_TOL, raises ConvergenceError carrying q and the
+    residual."""
     p = space.probs
 
     def point(theta):
@@ -655,9 +817,26 @@ def _certified_gibbs(space, x, kappa, cap):
             theta = 0.5 * (lo + hi)
     gibbs = point(theta)
     q = project_to_density(space, gibbs, cap)
-    residual = max(abs(float(np.dot(p, q)) - 1.0), float(np.max(p * (q - cap))),
-                   float(np.max(-p * q)), float(np.max(p * np.abs(q - gibbs))))
+    residual = _kkt_residual(p, q, cap, gibbs)
+    free = gibbs < cap
+    room = 1.0 - cap * float(np.dot(p, ~free))  # the free states' P-mass
+    if (not residual <= _KKT_TOL and abs(float(np.dot(p, gibbs)) - 1.0) > _KKT_TOL
+            and room > 0.0 and free.any()):
+        z = (x - np.max(x[free])) / kappa
+        w = np.exp(np.minimum(z, 0.0))
+        scale = room / float(np.dot(p[free], w[free]))
+        q = np.where(free, scale * w, cap)
+        residual = _kkt_residual(p, q, cap, np.exp(np.minimum(math.log(scale) + z,
+                                                              math.log(cap))))
     if not residual <= _KKT_TOL:
         raise ConvergenceError(f"capped Gibbs point has KKT residual {residual:.3e} "
                                f"above {_KKT_TOL}", best_point=q, residual=residual)
     return q, float(np.dot(p, x * q)) - kappa * kl_divergence(space, Density(q))
+
+
+def _kkt_residual(p, q, cap, target):
+    """The larger of q's feasibility violation (P-mass, cap, sign) and
+    max_i p_i * |q_i - target_i|, where target is min(cap, the Gibbs value)
+    at the point's multiplier."""
+    return max(abs(float(np.dot(p, q)) - 1.0), float(np.max(p * (q - cap))),
+               float(np.max(-p * q)), float(np.max(p * np.abs(q - target))))

@@ -20,10 +20,11 @@ plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
 one evaluator, ``_solve``: every spec maximizes over its ``dual_set`` (a
 dilation only scales the KL weight) in ``opt_kernel._maximize``, which
 picks the solve path, closed forms included (log-sum-exp and its Gibbs
-weights for a KL weight alone, the best scenario for a plain set).
-``conjugate`` reads ``dual_set`` too and returns a float in [0, math.inf]:
-kappa * KL on the dual set, math.inf off it. This module builds no LP:
-``opt_kernel`` also tests membership in a dual set.
+weights for a KL weight alone, the best scenario for a plain set, the
+Rockafellar-Uryasev minimum for an inflated one). ``conjugate`` reads
+``dual_set`` too and returns a float in [0, math.inf]: kappa * KL on the
+dual set, math.inf off it. This module builds no LP: ``opt_kernel`` also
+tests membership in a dual set.
 
 Validation boundary: the public functions check their inputs; the private
 evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
@@ -31,9 +32,12 @@ row masses of a scenario matrix, which ``opt_kernel`` checks itself where
 the matrix meets the space. Per-atom loops run through
 ``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
 which check a whole allocation or density once. ``aggregate_conjugate``
-then calls ``_conjugate`` per atom; ``atom_risks`` hands the atoms'
-``dual_set``s, grouped once per family by ``opt_kernel._row_plan``, to one
-``opt_kernel._maximize_block`` call, which values every atom with ``rho``'s bits.
+then tests membership once in the market's merged dual set, as
+``conjugate`` does in the spec's own, and calls ``_conjugate`` per atom for
+its KL part alone; ``atom_risks`` hands the
+atoms' ``dual_set``s, grouped once per family by ``opt_kernel._row_plan``,
+to one ``opt_kernel._maximize_block`` call, which values every atom with
+``rho``'s bits.
 """
 
 from __future__ import annotations
@@ -224,28 +228,26 @@ def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> float:
     A coherent spec's penalty is 0 on its dual set and math.inf off it."""
     if q.q.size != space.n_states:
         raise ValidationError("density dimension does not match space")
+    if not opt_kernel._admits(space, dual_set(spec)[1], q.q):
+        return math.inf
     return _conjugate(spec, space, q, {})
 
 
 def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
                memo: dict[int, float]) -> float:
-    """conjugate at a density already sized to the space, memoised in
-    ``memo`` by spec node: a dilation's penalty is its base's times gamma,
-    so each distinct base object is evaluated once per memo. The keys are
-    object ids, so the memo must not outlive the specs."""
+    """conjugate at a density already sized to the space and already found
+    in the spec's dual set: the KL part alone. Memoised in ``memo`` by spec
+    node: a dilation's penalty is its base's times gamma, so each distinct
+    base object is evaluated once per memo. The keys are object ids, so the
+    memo must not outlive the specs."""
     pen = memo.get(id(spec))
     if pen is not None:
         return pen
     if isinstance(spec, Dilation):
         pen = _conjugate(spec.base, space, q, memo) * spec.gamma
     else:
-        kappa, constraints = dual_set(spec)
-        if not opt_kernel._admits(space, constraints, q.q):
-            pen = math.inf
-        elif kappa > 0.0:
-            pen = kappa * kl_divergence(space, q)
-        else:
-            pen = 0.0
+        kappa = dual_set(spec)[0]
+        pen = kappa * kl_divergence(space, q) if kappa > 0.0 else 0.0
     memo[id(spec)] = pen
     return pen
 

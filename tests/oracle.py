@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: the expected-shortfall
 oracle takes the Rockafellar-Uryasev minimum over the loss values in numpy
-instead of the sorting rule or any package LP, the capped Gibbs oracle
+instead of the sorting rule or any package LP, the inflated-hull oracle
+takes it over the loss values and every crossing of two scenarios' terms
+instead of the kernel's sort and envelope, the capped Gibbs oracle
 water-fills exactly instead of bisecting for a multiplier and projecting,
 the sharing-value oracle searches allocation space directly instead of
 using closed forms or the dual, and the LP oracle enumerates basic
@@ -80,6 +82,36 @@ def es_lp_oracle(space: ProbSpace, alpha: float, x) -> float:
     x = space.rv(x)
     excess = np.maximum(x[None, :] - x[:, None], 0.0) @ space.probs
     return float(np.min(x + excess / alpha))
+
+
+def inflated_hull_oracle(p, dmat, x, gamma: float) -> float:
+    """max E_Q[x] over {q <= gamma * D^T lam, E_P[q] = 1, lam on the
+    simplex}, rows of D densities and gamma > 1, as the Rockafellar-Uryasev
+    minimum of f(t) = t + gamma * max_j E_{Q_j}[(x - t)^+].
+
+    f is convex and piecewise linear, with its kinks at the loss values and
+    where two scenarios' terms cross between adjacent loss values. So the
+    minimum over every loss value and every pairwise crossing in every
+    segment is exact. Each segment's lines come from masked matrix sums, not
+    from running sums along a sort; O(n^2 J + n J^3) numpy.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(x, dtype=float)
+    weighted = np.atleast_2d(np.asarray(dmat, dtype=float)) * p  # p_i * d_ji
+    losses = np.unique(x)  # ascending; -0.0 and 0.0 are one value
+    at_losses = losses + gamma * np.max(
+        np.maximum(x[None, :] - losses[:, None], 0.0) @ weighted.T, axis=1)
+    # Segment k is (losses[k], losses[k + 1]); the states above it are
+    # those with x >= losses[k + 1], and there each term is a - b t.
+    above = (x[None, :] >= losses[1:, None]).astype(float)
+    a, b = above @ (weighted * x).T, above @ weighted.T  # (segments, J)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a[:, :, None] - a[:, None, :]) / (b[:, :, None] - b[:, None, :])
+    inside = (t > losses[:-1, None, None]) & (t < losses[1:, None, None])
+    t = np.where(inside, t, losses[:-1, None, None])  # a loss value stands in
+    terms = a[:, None, None, :] - b[:, None, None, :] * t[..., None]
+    at_crossings = t + gamma * np.max(terms, axis=-1)
+    return float(min(at_losses.min(), at_crossings.min(initial=math.inf)))
 
 
 def capped_gibbs_oracle(p, x, kappa: float, cap: float) -> tuple[np.ndarray, float]:

@@ -228,21 +228,13 @@ class TestAtomRisks:
     @pytest.mark.parametrize("n", [4, 16, 100])
     @pytest.mark.parametrize("n_atoms", [1000, 5000])
     def test_matches_public_rho_at_scale(self, monkeypatch, n_atoms, n):
-        # Every spec of _specs, interleaved. A density-LP atom (an inflated
-        # scenario set) takes its slot in a few cycles spread over the
-        # family and the plain set in the others, so the LPs stay few.
+        # Every spec of _specs, interleaved; the inflated scenario sets
+        # take the closed form, so no atom makes an LP.
         rng = np.random.default_rng(n_atoms + n)
         p = rng.uniform(0.05, 1.0, n)
         sp = rs.ProbSpace(p / p.sum())
         specs = self._specs(rng, sp)
-        scen = specs[2]
-        lp_slots = {i for i, s in enumerate(specs)
-                    if any(g != 1.0 for g, _ in rs.dual_set(s)[1].hulls)}
-        stride = n_atoms // (3 * len(specs))
-        family = rs.RiskFamily(tuple(
-            scen if i % len(specs) in lp_slots and (i // len(specs)) % stride
-            else specs[i % len(specs)]
-            for i in range(n_atoms)))
+        family = rs.RiskFamily(tuple(specs[i % len(specs)] for i in range(n_atoms)))
         # Half the rows are whole numbers: ties, and -0.0 beside 0.0.
         shares = rng.normal(0.0, 2.0, (n_atoms, n))
         shares[::2] = np.round(shares[::2])
@@ -260,7 +252,7 @@ class TestAtomRisks:
         block_lps = lp_calls[0]
         want = [rs.rho(spec, sp, row) for spec, row in zip(family.specs, alloc.shares)]
         assert got == want
-        assert block_lps == lp_calls[0] - block_lps >= 2 * 3
+        assert block_lps == lp_calls[0] - block_lps == 0
 
     def test_sorting_rule_block_breaks_ties_as_the_rule(self):
         # Repeated losses, 0.0 beside -0.0, and caps whose cumulative mass

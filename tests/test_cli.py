@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -19,7 +20,7 @@ def run_cli(args):
 
 def test_golden_value_records():
     runner = CliRunner()
-    for name in ("finite", "aumann", "shapley"):
+    for name in ("finite", "aumann", "shapley", "scenario"):
         with runner.isolated_filesystem():
             result = runner.invoke(main, [
                 "value", "--spec", str(MARKETS / f"{name}.json"),
@@ -32,7 +33,7 @@ def test_golden_value_records():
 
 def test_golden_allocate_records():
     runner = CliRunner()
-    for name in ("aumann", "shapley"):
+    for name in ("aumann", "shapley", "scenario"):
         with runner.isolated_filesystem():
             result = runner.invoke(main, [
                 "allocate", "--spec", str(MARKETS / f"{name}.json"),
@@ -40,6 +41,51 @@ def test_golden_allocate_records():
             assert result.exit_code == 0
             got = Path("out.json").read_bytes()
         assert got == (GOLDEN / f"allocate_{name}.json").read_bytes()
+
+
+def test_scenario_golden_value_is_the_highs_density_lp():
+    # The inflated scenario set takes the closed form; an independent LP
+    # solver must agree with the golden record.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    doc = json.loads((MARKETS / "scenario.json").read_text())
+    market, x = load_market(doc)
+    p, dmat = market.space.probs, np.array(doc["profile"]["base"]["densities"])
+    gamma, (j, n) = market.kind.gamma_inf, dmat.shape
+    # variables (q, lam): max E_P[q x], q <= gamma * D^T lam, E_P[q] = 1, sum(lam) = 1
+    res = linprog(-np.concatenate([p * x, np.zeros(j)]),
+                  A_ub=np.hstack([np.eye(n), -gamma * dmat.T]), b_ub=np.zeros(n),
+                  A_eq=[np.concatenate([p, np.zeros(j)]),
+                        np.concatenate([np.zeros(n), np.ones(j)])],
+                  b_eq=[1.0, 1.0], bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    record = json.loads((GOLDEN / "value_scenario.json").read_text())
+    assert abs(record["value"] - -res.fun) <= 1e-12
+    assert record["duality_gap"] == 0.0
+
+
+@pytest.mark.parametrize("bad", [True, "1"])
+def test_a_bad_number_is_named_by_its_entry(tmp_path, bad):
+    # Numbers are type-checked row by row; the message still names the
+    # one entry that is not a number, as it did entry by entry.
+    doc = json.loads((MARKETS / "scenario.json").read_text())
+    market, x = load_market(doc)
+    shares = rs.optimal_allocation_inflated(market, x).shares.tolist()
+    shares[3][5] = bad
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"shares": shares}))
+    doc["probs"][2] = bad
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for args, message in (
+            (["pareto", "--spec", str(MARKETS / "scenario.json"), "--alloc", str(alloc)],
+             f"alloc.shares[3][5]: expected a number, got {bad!r}"),
+            (["value", "--spec", str(spec)], f"spec.probs[2]: expected a number, got {bad!r}")):
+        result = run_cli(args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert f"error: {message}\n" in result.output
+        assert not out.exists()
 
 
 def test_golden_experiment_outputs():

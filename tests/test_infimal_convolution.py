@@ -11,7 +11,7 @@ from riskshare.errors import (
     VacuousExperimentError,
 )
 
-from oracle import brute_force_value, default_grid
+from oracle import brute_force_value, default_grid, inflated_hull_oracle
 from support import (
     random_density,
     random_dilation_market,
@@ -166,7 +166,7 @@ class TestAggregateConjugate:
         monkeypatch.setattr(rs.risk_measures, "kl_divergence",
                             lambda *a: calls.append(1) or real(*a))
         assert rs.aggregate_conjugate(market, q) == math.inf
-        assert len(calls) == 1  # the atom after the infinite one is never evaluated
+        assert calls == []  # the merged set rejects q before any KL part
 
     def test_density_dimension_checked(self):
         sp = rs.ProbSpace([0.2, 0.8])
@@ -285,6 +285,34 @@ def _recorded_lps(monkeypatch):
     return problems
 
 
+def test_aim_three_inflated_market_makes_one_lp(monkeypatch):
+    # 1,000 atoms inflate one scenario set by gamma ~ U[1.2, 4], n = 200,
+    # J = 20. The merged set is one inflated hull: the value is the closed
+    # form at the smallest gamma, and the certificate's membership test is
+    # the only LP (there were 1,001).
+    rng = np.random.default_rng(10)
+    n, j, n_atoms = 200, 20, 1000
+    p = rng.uniform(0.2, 1.0, n)
+    sp = rs.ProbSpace(p / p.sum())
+    rows = rng.gamma(1.0, 1.0, (j - 1, n))
+    dmat = np.vstack([np.ones(n), rows / (rows @ sp.probs)[:, None]])
+    shared = rs.ScenarioSet(tuple(sp.density(d) for d in dmat))
+    gammas = rng.uniform(1.2, 4.0, n_atoms)
+    market = rs.Market.general(sp, rs.finite_agents(n_atoms), rs.RiskFamily(
+        tuple(rs.Inflation(shared, float(g)) for g in gammas)))
+    x = sp.rv(3.0 * rng.normal(0.0, 1.0, n))
+    problems = _recorded_lps(monkeypatch)
+    res = rs.value(market, x)
+    assert len(problems) == 1
+    want = inflated_hull_oracle(sp.probs, dmat, x, float(gammas.min()))
+    assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(res.duality_gap) <= 1e-9
+    problems.clear()
+    verdict = rs.pareto_check(market, x, rs.proportional_split(market.agents, x))
+    assert len(problems) <= 1
+    assert verdict.excess >= 0.0
+
+
 class TestGeneralFamilyDual:
     def test_weak_duality_on_random_pairs(self):
         rng = np.random.default_rng(69)
@@ -353,8 +381,9 @@ class TestGeneralFamilyDual:
             (rs.Inflation(shared, min(gammas)),)))
         problems = _recorded_lps(monkeypatch)
         got = rs.value(market, x).value
-        # the first LP is the density LP; the rest are membership checks
-        assert problems[0].a_ub.shape[0] == sp.n_states
+        # One inflated hull takes the closed form; the only LP is the
+        # merged set's membership LP, in dual form.
+        assert [problem.n_vars for problem in problems] == [sp.n_states + 1]
         assert got == rs.value(single, x).value
 
     def test_member_hull_subsumes_its_inflation(self, monkeypatch):

@@ -7,7 +7,13 @@ import riskshare as rs
 from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
-from oracle import bland_tableau_lp, capped_gibbs_oracle, vertex_enum_lp
+from oracle import (
+    bland_tableau_lp,
+    capped_gibbs_oracle,
+    es_lp_oracle,
+    inflated_hull_oracle,
+    vertex_enum_lp,
+)
 from support import (
     random_density,
     random_rv,
@@ -548,6 +554,111 @@ def test_capped_gibbs_matches_the_water_filling_oracle(n):
         assert abs(val - want_val) <= 1e-12 * abs(want_val)
 
 
+@pytest.mark.parametrize("kappa", [1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("n", [100, 500])
+def test_capped_gibbs_far_below_the_loss_spread_is_certified(n, kappa):
+    # P uniform on [0.2, 1], x = 3 N(0, 1), caps on [1.05, 20]: one ulp of
+    # theta moves a free exponent by up to 1e-4 here, so the bisection
+    # alone leaves the P-mass off 1 (it raised on 14 and 20 of these 20
+    # draws at n = 100, kappa = 1e-10 and 1e-12). The value lies between
+    # the bounds of the penalty, each loosened by what the KKT tolerance
+    # lets the certified point move the value: n * 1e-9 * max|x|.
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed])
+        p = rng.uniform(0.2, 1.0, n)
+        space = rs.ProbSpace(p / p.sum())
+        x = space.rv(3.0 * rng.normal(0.0, 1.0, n))
+        cap = float(rng.uniform(1.05, 20.0))
+        q, value = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        es = float(np.dot(space.probs, ok.sorting_rule_point(space, x, cap) * x))
+        slack = n * ok._KKT_TOL * float(np.max(np.abs(x)))
+        assert max(float(space.probs @ x), es - kappa * math.log(cap)) - slack <= value
+        assert value <= es + slack
+        assert abs(float(space.probs @ q) - 1.0) <= ok._KKT_TOL
+        assert float(q.max()) <= cap + ok._KKT_TOL
+
+
+def _scenario_rows(rng, p, j):
+    """j densities on P: P itself, then Gamma(1, 1) draws scaled to P-mass
+    1, every third with about a third of its states at 0."""
+    rows = [np.ones(p.size)]
+    while len(rows) < j:
+        w = rng.gamma(1.0, size=p.size) + 1e-3
+        if len(rows) % 3 == 2:
+            w[rng.random(p.size) < 0.3] = 0.0
+        rows.append(w / float(p @ w))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", [100, 500])
+class TestInflatedHull:
+    """The closed form for one inflated scenario set, against
+    tests/oracle.inflated_hull_oracle. Each case also checks that
+    atom_risks is rho bit for bit, and that the kernel's own t* gives a
+    Rockafellar-Uryasev upper bound equal to the value (the second side of
+    its gap)."""
+
+    @staticmethod
+    def _check(space, dmat, xs, gammas):
+        scen = rs.ScenarioSet(tuple(space.density(d) for d in dmat))
+        specs = tuple(rs.Inflation(scen, float(g)) for g in gammas)
+        values, q, t = ok._inflated_block(space.probs, scen.matrix(), xs,
+                                          np.asarray(gammas, dtype=float))
+        risks = rs.atom_risks(rs.RiskFamily(specs), space, rs.Allocation(xs)).tolist()
+        assert risks == [rs.rho(spec, space, x) for spec, x in zip(specs, xs)] == values
+        p = space.probs
+        for x, g, value, t_star in zip(xs, gammas, values, t):
+            want = inflated_hull_oracle(p, dmat, x, g)
+            bound = t_star + g * float(np.max((np.maximum(x - t_star, 0.0) * p) @ dmat.T))
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(bound - value) <= 1e-12 * max(1.0, abs(want))
+        return q, t
+
+    def test_crossings_inside_a_segment(self, n):
+        rng = np.random.default_rng(300 + n)
+        space = rs.ProbSpace(_probs(rng, n))
+        dmat = _scenario_rows(rng, space.probs, 6)
+        xs = rng.normal(0.0, 2.0, (16, n))
+        _, t = self._check(space, dmat, xs, rng.uniform(1.2, 4.0, len(xs)))
+        # Some optima sit at a crossing of two scenarios, not at a loss value.
+        assert any(t_star not in set(x.tolist()) for x, t_star in zip(xs, t))
+
+    def test_ties_with_negative_zero(self, n):
+        rng = np.random.default_rng(310 + n)
+        space = rs.ProbSpace(_probs(rng, n))
+        dmat = _scenario_rows(rng, space.probs, 5)
+        xs = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (16, n))
+        self._check(space, dmat, xs, rng.uniform(1.2, 4.0, len(xs)))
+
+    def test_the_reference_alone_is_expected_shortfall(self, n):
+        rng = np.random.default_rng(320 + n)
+        space = rs.ProbSpace(_probs(rng, n))
+        xs = rng.normal(0.0, 2.0, (8, n))
+        xs[::2] = np.round(xs[::2])
+        gammas = rng.uniform(1.05, 10.0, len(xs))
+        self._check(space, np.ones((1, n)), xs, gammas)
+        for x, g in zip(xs, gammas):
+            want = es_lp_oracle(space, 1.0 / g, x)
+            got = ok._maximize(space, x, 0.0, ok.DensityConstraints(hulls=((g, np.ones((1, n))),)))
+            assert abs(got[1] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_gamma_just_above_one(self, n):
+        rng = np.random.default_rng(330 + n)
+        space = rs.ProbSpace(_probs(rng, n))
+        dmat = _scenario_rows(rng, space.probs, 4)
+        xs = rng.normal(0.0, 2.0, (6, n))
+        self._check(space, dmat, xs, [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6] * 2)
+
+    def test_gamma_large_enough_to_pile_on_the_worst_state(self, n):
+        rng = np.random.default_rng(340 + n)
+        space = rs.ProbSpace(_probs(rng, n))
+        dmat = _scenario_rows(rng, space.probs, 4)
+        xs = rng.normal(0.0, 2.0, (6, n))
+        q, _ = self._check(space, dmat, xs, 2.0 / space.probs.min() * np.ones(len(xs)))
+        for x, row in zip(xs, q):
+            assert np.flatnonzero(row).tolist() == [int(np.argmax(x))]
+
+
 def test_spread_hull_admits_its_own_vertices():
     # Each row of a spread scenario set, at gamma 1 and 2, is a member of
     # the hull: 60 sets of J = 4 at n = 200, 480 membership LPs.
@@ -698,33 +809,41 @@ def test_capped_gibbs_bisection_stops_where_200_steps_end(n):
 @pytest.mark.parametrize("n", [12, 16, 100, 500])
 def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     # Gibbs rows (flat ones at kappa >= 1e9 among them), sorting-rule rows
-    # on tied losses with -0.0 beside 0.0, a capped Gibbs row and a plain
-    # scenario set, in shuffled order. At n <= 16 (J <= 6, where the Bland
-    # simplex ends correctly) an inflated hull and a cap beside a hull join
-    # them, which take density LPs.
+    # on tied losses with -0.0 beside 0.0, a capped Gibbs row, a plain
+    # scenario set and two inflations of one set, in shuffled order. At
+    # n <= 16 (J <= 6, where the Bland simplex ends correctly) a cap beside
+    # a hull joins them, which takes a density LP.
     rng = np.random.default_rng(230 + n)
     space = rs.ProbSpace(_probs(rng, n))
     plain = ok.DensityConstraints(hulls=((1.0, random_scenario_set(rng, space, 5).matrix()),))
     duals = [(float(k), ok.DensityConstraints()) for k in (0.05, 0.3, 1.0, 4.0, 1e9, 3e12)]
     duals += [(0.0, ok.DensityConstraints(cap=c))
               for c in (math.inf, 1.0, 4.0 / 3.0, 2.0, n / 3.0 + 1.0, float(n))]
-    duals += [(0.7, ok.DensityConstraints(cap=3.0)), (0.0, plain)]
+    hull = random_scenario_set(rng, space, 6).matrix()
+    duals += [(0.7, ok.DensityConstraints(cap=3.0)), (0.0, plain),
+              (0.0, ok.DensityConstraints(hulls=((1.8, hull),))),
+              (0.0, ok.DensityConstraints(hulls=((1.0 + 1e-9, hull),)))]
     if n <= 16:
-        hull = random_scenario_set(rng, space, 6).matrix()
-        duals += [(0.0, ok.DensityConstraints(hulls=((1.8, hull),))),
-                  (0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
+        duals += [(0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
     duals = [duals[i] for i in rng.permutation(len(duals))] * 3
     xs = rng.normal(0.0, 2.0, (len(duals), n))
     xs[::2] = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (len(xs[::2]), n))
 
     plan = ok._row_plan(duals)
-    gibbs, kappa, sort, cap, other = plan
+    gibbs, kappa, sort, cap, hulls, other = plan
     assert gibbs.tolist() == [i for i, (k, c) in enumerate(duals)
                               if k > 0.0 and c.cap == math.inf and not c.hulls]
     assert kappa.tolist() == [duals[i][0] for i in gibbs]
     assert sort.tolist() == [i for i, (k, c) in enumerate(duals) if k == 0.0 and not c.hulls]
     assert cap.tolist() == [duals[i][1].cap for i in sort]
-    assert [i for i, _, _ in other] == sorted(set(range(len(duals))) - set(gibbs) - set(sort))
+    # The two inflations share one matrix object: one group.
+    (matrix, inflated, gammas), = hulls
+    assert matrix is hull
+    assert inflated.tolist() == [i for i, (k, c) in enumerate(duals)
+                                 if c.cap == math.inf and len(c.hulls) == 1 and c.hulls[0][0] > 1.0]
+    assert gammas.tolist() == [duals[i][1].hulls[0][0] for i in inflated]
+    assert [i for i, _, _ in other] == sorted(
+        set(range(len(duals))) - set(gibbs) - set(sort) - set(inflated))
 
     lp_calls = [0]
     lp_solve = ok.lp_solve
@@ -738,7 +857,8 @@ def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     block_lps = lp_calls[0]
     want = [ok._maximize(space, x, k, c)[1] for x, (k, c) in zip(xs, duals)]
     assert got == want
-    assert block_lps == lp_calls[0] - block_lps == (6 if n <= 16 else 0)
+    # Only the cap-beside-hull rows take the density LP.
+    assert block_lps == lp_calls[0] - block_lps == (3 if n <= 16 else 0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

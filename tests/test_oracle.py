@@ -13,6 +13,7 @@ from oracle import (
     capped_gibbs_oracle,
     default_grid,
     es_lp_oracle,
+    inflated_hull_oracle,
     vertex_enum_lp,
 )
 from support import random_rv, random_space
@@ -47,6 +48,43 @@ class TestEsLpOracle:
         sp = rs.ProbSpace([0.5, 0.5])
         with pytest.raises(ValidationError):
             es_lp_oracle(sp, alpha, np.zeros(2))
+
+
+class TestInflatedHullOracle:
+    def test_matches_highs_on_the_density_lp(self):
+        # Whole-number losses (ties) in every other draw; gamma up to 4.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(108)
+        for draw in range(60):
+            sp = random_space(rng, max_states=30)
+            n, j = sp.n_states, int(rng.integers(1, 6))
+            dmat = np.vstack([np.ones(n)] + [random_density_row(rng, sp) for _ in range(j - 1)])
+            x = random_rv(rng, sp)
+            if draw % 2:
+                x = np.round(x)
+            gamma = float(rng.uniform(1.01, 4.0))
+            p = sp.probs
+            res = linprog(-np.concatenate([p * x, np.zeros(j)]),
+                          A_ub=np.hstack([np.eye(n), -gamma * dmat.T]), b_ub=np.zeros(n),
+                          A_eq=[np.concatenate([p, np.zeros(j)]),
+                                np.concatenate([np.zeros(n), np.ones(j)])],
+                          b_eq=[1.0, 1.0], bounds=(0.0, None), method="highs")
+            assert res.status == 0
+            assert inflated_hull_oracle(p, dmat, x, gamma) == pytest.approx(-res.fun, abs=1e-9)
+
+    def test_one_reference_scenario_is_the_es_oracle(self):
+        rng = np.random.default_rng(109)
+        for _ in range(30):
+            sp = random_space(rng, max_states=20)
+            x = random_rv(rng, sp)
+            gamma = float(rng.uniform(1.01, 6.0))
+            got = inflated_hull_oracle(sp.probs, np.ones((1, sp.n_states)), x, gamma)
+            assert got == pytest.approx(es_lp_oracle(sp, 1.0 / gamma, x), abs=1e-12)
+
+
+def random_density_row(rng, sp):
+    w = rng.gamma(1.0, size=sp.n_states) + 1e-3
+    return w / float(sp.probs @ w)
 
 
 class TestCappedGibbsOracle:
