@@ -19,8 +19,10 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -264,10 +266,87 @@ def _load_allocation(path: str) -> tuple[Allocation, str]:
 _CSV_COLUMNS = ("parameter", "value", "gap")
 
 
+_INDENT = "  "
+
+
+def _json_float(v: float) -> str:
+    """json's spelling of a float: its repr, or Infinity, -Infinity, NaN."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _json_block(items, indent: str, brackets: str = "[]") -> str:
+    """Rendered entries laid out as json.dumps(indent=2) lays out a list
+    (or, with ``brackets="{}"``, a dict's ``key: value`` items) at
+    ``indent``. No rendered entry is empty, so an empty body is an empty
+    container."""
+    inner = indent + _INDENT
+    body = f",\n{inner}".join(items)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
+def _json_float_array(a: np.ndarray, indent: str) -> str:
+    """The text of ``a.tolist()`` for a float array of at least one
+    dimension. Each distinct row, keyed by its bytes (so -0.0 and 0.0 stay
+    apart), is rendered once: one float.__repr__ per entry, json's
+    spellings only when the array holds a non-finite value."""
+    spell = float.__repr__ if np.isfinite(a).all() else _json_float
+    rows: dict[bytes, str] = {}
+
+    def render(sub: np.ndarray, indent: str) -> str:
+        if sub.ndim > 1:
+            inner = indent + _INDENT
+            return _json_block([render(r, inner) for r in sub], indent)
+        key = sub.tobytes()
+        text = rows.get(key)
+        if text is None:
+            text = rows[key] = _json_block(map(spell, sub.tolist()), indent)
+        return text
+
+    return render(a, indent)
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, default=lambda o:
+    o.tolist())``, byte for byte, for dicts with str keys: json's rules for
+    each type, in json's order of tests (a numpy float64 is a float), and
+    numpy arrays and scalars through ``tolist``, float arrays rendered by
+    :func:`_json_float_array`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = indent + _INDENT
+    if isinstance(obj, (list, tuple)):
+        return _json_block([_json_text(v, inner) for v in obj], indent)
+    if isinstance(obj, dict):
+        return _json_block([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                            for k, v in sorted(obj.items())], indent, "{}")
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f":
+        return _json_float_array(obj, indent)
+    return _json_text(obj.tolist(), indent)
+
+
 def _write_record(out_path: str, record: dict):
-    # numpy arrays and scalars become lists and scalars; a float64 is a float
-    text = json.dumps(record, sort_keys=True, indent=2,
-                      default=lambda obj: obj.tolist()) + "\n"
+    # The bytes of json.dumps(record, sort_keys=True, indent=2,
+    # default=lambda o: o.tolist()) + "\n", whose encoder is pure Python
+    # once indent is set; float arrays dominate a record's size.
+    text = _json_text(record) + "\n"
     path = Path(out_path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,8 @@ are handled:
 
 On every path the certificate values the aggregate penalty at the dual
 optimizer (aggregate_conjugate): one membership test in the merged set,
-through opt_kernel._admits, then the atoms' KL parts in atom order.
+through opt_kernel._admits, then the atoms' KL parts in atom order, a sum
+skipped (it is 0.0) when no atom has one.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -57,6 +58,8 @@ from .errors import (
 )
 from .prob_core import Density, ProbSpace, essup, expect_under
 from .risk_measures import (
+    Dilation,
+    Entropic,
     RiskSpec,
     _conjugate,
     dilate,
@@ -111,15 +114,22 @@ class Market:
             raise ValidationError("risk family size does not match agent space")
 
     @cached_property
-    def _dual_set(self) -> tuple[float, opt_kernel.DensityConstraints]:
+    def _dual_set(self) -> tuple[float, opt_kernel.DensityConstraints, bool]:
         """The merged dual set (kappa, DensityConstraints) of the weighted
-        atoms, built on first use rather than at construction: weighted KL
-        weights add up in atom order, the tightest cap binds, and each
-        distinct scenario matrix D applies once. The set {q <= gamma * D^T
-        lam} grows with gamma, so D keeps its smallest gamma (at its
-        first-seen position); a plain set is gamma = 1, the least. The
-        indicator of this set is the sum of the atoms' indicators."""
-        kl_weight, cap = 0.0, math.inf
+        atoms, and whether any atom has a KL part, built on first use
+        rather than at construction: weighted KL weights add up in atom
+        order, the tightest cap binds, and each distinct scenario matrix D
+        applies once. The set {q <= gamma * D^T lam} grows with gamma, so
+        D keeps its smallest gamma (at its first-seen position); a plain
+        set is gamma = 1, the least. The indicator of this set is the sum
+        of the atoms' indicators.
+
+        Whether an atom has a KL part is read from its own unweighted KL
+        weight: that of the spec under its dilations, as ``_conjugate``
+        reads it, which is > 0 exactly for an Entropic spec. The merged
+        kappa cannot tell: w * kappa can underflow to 0.0 where
+        w * (kappa * KL) does not."""
+        kl_weight, cap, has_kl = 0.0, math.inf, False
         hulls: dict[bytes, tuple[float, np.ndarray]] = {}
         for spec, w in zip(self.family.specs, self.agents.weights):
             kappa, dset = dual_set(spec, float(w))
@@ -129,7 +139,12 @@ class Market:
                 key = d.tobytes()
                 if key not in hulls or gamma < hulls[key][0]:
                     hulls[key] = (gamma, d)
-        return kl_weight, opt_kernel.DensityConstraints(cap, tuple(hulls.values()))
+            leaf = spec
+            while isinstance(leaf, Dilation):
+                leaf = leaf.base
+            has_kl = has_kl or isinstance(leaf, Entropic)
+        return (kl_weight, opt_kernel.DensityConstraints(cap, tuple(hulls.values())),
+                has_kl)
 
     @classmethod
     def general(cls, space, agents, family) -> "Market":
@@ -182,11 +197,15 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     merged dual set: the sum of the atoms' indicator penalties is the
     indicator of that set. Off it the sum is math.inf; on it the KL parts
     add up in atom order, memoised over the nodes of the spec tree, so
-    atoms dilating one base share one evaluation of it."""
+    atoms dilating one base share one evaluation of it. A market whose
+    atoms have no KL part returns 0.0, the bits of that sum of w * 0.0."""
     if q.q.size != market.space.n_states:
         raise ValidationError("density dimension does not match space")
-    if not opt_kernel._admits(market.space, market._dual_set[1], q.q):
+    _, constraints, has_kl = market._dual_set
+    if not opt_kernel._admits(market.space, constraints, q.q):
         return math.inf
+    if not has_kl:
+        return 0.0
     total = 0.0
     memo: dict[int, float] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):
@@ -252,7 +271,8 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
 
 def _general_dual_value(market: Market, x) -> tuple[float, Density]:
     try:
-        q, val = opt_kernel._maximize(market.space, x, *market._dual_set)
+        kl_weight, constraints, _ = market._dual_set
+        q, val = opt_kernel._maximize(market.space, x, kl_weight, constraints)
     except InfeasibleError as exc:
         raise IllPosedError(
             "every density has infinite aggregate penalty; the sharing value "

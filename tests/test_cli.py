@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import riskshare as rs
-from riskshare.cli import load_market, main, parse_risk_spec
+from riskshare.cli import _write_record, load_market, main, parse_risk_spec
 from riskshare.errors import ValidationError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -533,3 +534,161 @@ def test_sweep_rejects_heterogeneous_market_without_profile(tmp_path):
     result = run_cli(["sweep", "--spec", str(spec), "--gamma-grid", "1.0,2.0",
                       "--out", str(tmp_path / "s.json")])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# The record writer: the bytes of json.dumps(record, sort_keys=True,
+# indent=2, default=lambda o: o.tolist()) plus a newline
+# ---------------------------------------------------------------------------
+
+def _stdlib_record(record) -> bytes:
+    return (json.dumps(record, sort_keys=True, indent=2,
+                       default=lambda obj: obj.tolist()) + "\n").encode()
+
+
+def _first_difference(got, want):
+    """None when equal, else the first differing offset with some context:
+    pytest's own diff of two large records would take minutes."""
+    if got == want:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    return i, got[max(0, i - 40):i + 40], want[max(0, i - 40):i + 40]
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, 0.1,
+                math.inf, -math.inf, math.nan)
+_LABELS = ("a", 'quo"te', "back\\slash", "ünïcode", "日本",
+           "emoji \U0001F600", "tab\tnew\nline", "ctl\x01", "")
+
+
+def _random_float(rng) -> float:
+    if rng.random() < 0.5:
+        return float(_EDGE_FLOATS[rng.integers(len(_EDGE_FLOATS))])
+    return float(rng.normal() * 10.0 ** int(rng.integers(-20, 21)))
+
+
+def _random_float_array(rng) -> np.ndarray:
+    """Rows drawn with repeats from a small pool that holds a 0.0 row and
+    a -0.0 row, so a row cache must key rows by their bytes."""
+    if rng.random() < 0.15:
+        return np.zeros(((0, 3), (2, 0), (0,))[rng.integers(3)])
+    lead = tuple(int(k) for k in rng.integers(1, 5, int(rng.integers(0, 3))))
+    m = int(rng.integers(0, 6))
+    pool = [np.zeros(m), np.full(m, -0.0), np.full(m, 0.25)]
+    pool += [np.array([_random_float(rng) for _ in range(m)]) for _ in range(3)]
+    if rng.random() < 0.5:  # a finite array takes the repr-only path
+        pool = [np.where(np.isfinite(row), row, 1.5) for row in pool]
+    rows = [pool[k] for k in rng.integers(len(pool), size=int(np.prod(lead)))]
+    return np.array(rows, dtype=float).reshape(lead + (m,))
+
+
+def _random_entry(rng, depth: int):
+    kind = int(rng.integers(0, 13 if depth < 3 else 8))
+    if kind == 0:
+        return _random_float(rng)
+    if kind == 1:
+        return np.float64(_random_float(rng))
+    if kind == 2:
+        return np.int64(rng.integers(-2**62, 2**62))
+    if kind == 3:
+        return np.bool_(rng.random() < 0.5) if rng.random() < 0.5 else bool(rng.random() < 0.5)
+    if kind == 4:
+        return _LABELS[rng.integers(len(_LABELS))]
+    if kind == 5:
+        if rng.random() < 0.5:
+            return None
+        return int(rng.integers(-9, 9)) * 10**int(rng.integers(0, 25))  # past int64 too
+    if kind == 6:
+        return _random_float_array(rng)
+    if kind == 7:
+        return rng.integers(-5, 5, (2, 3)) if rng.random() < 0.5 else np.array([True, False])
+    if kind == 8:
+        return [_random_entry(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 9:
+        return tuple(_random_entry(rng, depth + 1) for _ in range(rng.integers(0, 4)))
+    return _random_record(rng, depth + 1)
+
+
+def _random_record(rng, depth: int = 0) -> dict:
+    return {_LABELS[rng.integers(len(_LABELS))] + str(rng.integers(3)):
+            _random_entry(rng, depth) for _ in range(rng.integers(0, 5))}
+
+
+def test_record_writer_matches_stdlib_json_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(28)
+    fixed = {
+        "floats": list(_EDGE_FLOATS),
+        "rows": np.array([[0.0, 1e-5], [-0.0, 1e-5], [0.0, 1e-5], [-0.0, -0.0],
+                          [0.0, 0.0], [math.nan, math.inf], [5e-324, 1e16]]),
+        "scalars": [np.float64(0.1), np.float64(-0.0), np.int64(-7), np.bool_(True),
+                    np.bool_(False)],
+        "labels": list(_LABELS),
+        "empty": [(), [], {}, np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0)],
+        "deep": {"b": (1, (2.5, [])), "a": {"z": None, "y": np.full((2, 2, 2), -0.0)}},
+    }
+    out = tmp_path / "record.json"
+    for record in [fixed] + [_random_record(rng) for _ in range(400)]:
+        want = _stdlib_record(record)
+        _write_record(str(out), record)
+        assert _first_difference(out.read_bytes(), want) is None
+        # numpy's print options must not reach the record: under legacy
+        # 1.13, str(np.float64) keeps 12 significant digits.
+        with np.printoptions(legacy="1.13"):
+            _write_record(str(out), record)
+        assert _first_difference(out.read_bytes(), want) is None
+
+
+def _stdlib_redump(text: str) -> str:
+    """Floats round-trip through repr, so the stdlib re-dump of a record's
+    own parse is its text, whatever wrote it."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_records_at_aim_sizes_equal_their_stdlib_redump(tmp_path):
+    rng = np.random.default_rng(1002)
+    n = 16
+    p = rng.dirichlet(np.full(n, 2.0)) + 0.5 / n
+    p /= p.sum()
+    x = rng.normal(0.0, 1.0, n)
+    dil = tmp_path / "dilation.json"
+    dil.write_text(json.dumps({
+        "probs": p.tolist(), "loss": x.tolist(),
+        "agent_space": {"kind": "shapley", "n": 1000},
+        "profile": {"kind": "dilation", "base": {"type": "entropic", "gamma": 1.3},
+                    "gammas": rng.uniform(0.5, 3.0, 1002).tolist()}}))
+    market, _ = load_market(json.loads(dil.read_text()))
+    assert market.agents.n_atoms == 1002
+    # The whole loss on the first atom: feasible, not efficient.
+    shares = np.zeros((1002, n))
+    shares[0] = x / market.agents.weights[0]
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"shares": shares.tolist()}))
+
+    m = 8
+    pi = rng.dirichlet(np.full(m, 2.0)) + 0.5 / m
+    pi /= pi.sum()
+    infl = tmp_path / "inflation.json"
+    infl.write_text(json.dumps({
+        "probs": pi.tolist(), "loss": rng.normal(0.0, 1.0, m).tolist(),
+        "agent_space": {"kind": "aumann", "n": 2000},
+        "profile": {"kind": "inflation", "base": {"type": "es", "alpha": 0.6},
+                    "gamma_formula": {"kind": "affine", "intercept": 1.5, "slope": 1.0}}}))
+
+    for spec, n_atoms in ((dil, 1002), (infl, 2000)):
+        for cmd in ("value", "allocate"):
+            out = tmp_path / f"{cmd}_{spec.stem}.json"
+            result = run_cli([cmd, "--spec", str(spec), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            text = out.read_text()
+            assert _first_difference(text, _stdlib_redump(text)) is None
+            assert len(json.loads(text)["allocation"]["shares"]) == n_atoms
+    out = tmp_path / "pareto_dilation.json"
+    result = run_cli(["pareto", "--spec", str(dil), "--alloc", str(alloc),
+                      "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    text = out.read_text()
+    assert _first_difference(text, _stdlib_redump(text)) is None
+    record = json.loads(text)
+    assert record["efficient"] is False
+    assert len(record["witness"]["shares"]) == 1002

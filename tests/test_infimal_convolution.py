@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -153,6 +154,53 @@ class TestAggregateConjugate:
                 for dens in (q, sp.uniform_density()):
                     got = rs.aggregate_conjugate(market, dens)
                     assert got == self._naive(market, dens)
+
+    @staticmethod
+    def _atom_loop(market, q):
+        """The per-atom sum of KL parts, for a q already in the merged set."""
+        total, memo = 0.0, {}
+        for spec, w in zip(market.family.specs, market.agents.weights):
+            total += float(w) * rs.risk_measures._conjugate(spec, market.space, q, memo)
+        return total
+
+    def test_markets_without_a_kl_weight_keep_the_loop_bits(self):
+        rng = np.random.default_rng(69)
+        for n_atoms in (1, 3, 40, 500, 2000):
+            sp = random_space(rng, max_states=12)
+            x = random_rv(rng, sp)
+            agents = rs.AgentSpace(tuple(map(str, range(n_atoms))),
+                                   rng.uniform(0.01, 3.0, n_atoms))
+            es = rs.ExpectedShortfall(float(rng.uniform(0.2, 1.0)))
+            scen = random_scenario_set(rng, sp, 3)
+            caps = [(es, rs.inflate(es, 1.5), rs.Dilation(es, 0.7),
+                     rs.ExpectedShortfall(float(a)))[k]
+                    for k, a in zip(rng.integers(4, size=n_atoms),
+                                    rng.uniform(0.2, 1.0, n_atoms))]
+            markets = [
+                rs.Market.inflation(sp, agents, es, rng.uniform(1.0, 4.0, n_atoms)),
+                rs.Market.inflation(sp, agents, scen, rng.uniform(1.0, 4.0, n_atoms)),
+                rs.Market.dilation(sp, agents, es, rng.uniform(0.3, 3.0, n_atoms)),
+                rs.Market.general(sp, agents, rs.RiskFamily(tuple(caps))),
+            ]
+            for market in markets:
+                q_opt = rs.value(market, x).dual_optimizer
+                for q in (sp.uniform_density(), q_opt, random_density(rng, sp)):
+                    got = rs.aggregate_conjugate(market, q)
+                    if q is not q_opt and math.isinf(got):
+                        continue  # a random density may leave the set
+                    assert struct.pack("<d", got) == \
+                        struct.pack("<d", self._atom_loop(market, q))
+
+    def test_an_underflowing_weighted_kl_weight_still_takes_the_loop(self):
+        sp = rs.ProbSpace([0.01, 0.99])
+        agents = rs.AgentSpace(("tiny", "es"), np.array([1e-170, 1.0]))
+        family = rs.RiskFamily((rs.Entropic(2e-154), rs.ExpectedShortfall(0.005)))
+        market = rs.Market.general(sp, agents, family)
+        assert market._dual_set[0] == 0.0  # 1e-170 * 2e-154 underflows
+        q = sp.density([100.0, 0.0])  # KL(Q||P) = log 100
+        got = rs.aggregate_conjugate(market, q)
+        assert got > 0.0  # 1e-170 * (2e-154 * log 100) does not
+        assert struct.pack("<d", got) == struct.pack("<d", self._atom_loop(market, q))
 
     def test_infinite_atom_returns_before_later_atoms(self, monkeypatch):
         sp = rs.ProbSpace([0.2, 0.8])
