@@ -479,9 +479,17 @@ def cmd_pareto(doc, market, x, tol, alloc_path):
 
 
 def _sweep_base(market: Market) -> RiskSpec:
-    if isinstance(market.kind, InflationProfile):
-        return market.kind.base
-    specs = set(market.family.specs)
+    kind = market.kind
+    if isinstance(kind, InflationProfile):
+        return kind.base
+    if isinstance(kind, DilationProfile):
+        # Its atoms share one coherent spec only as the base itself: a
+        # scenario set, which dilations fix, or a base every atom takes at
+        # gamma = 1.
+        shared = isinstance(kind.base, ScenarioSet) or bool(np.all(kind.gammas == 1.0))
+        specs = {kind.base} if shared else set()
+    else:
+        specs = set(market.family.specs)
     if len(specs) == 1:
         only = next(iter(specs))
         if isinstance(only, (ScenarioSet, ExpectedShortfall)):

@@ -20,6 +20,11 @@ are handled:
   the entry that also evaluates rho, which picks the exact solve path for
   its structure. No primal allocation is certified on this path.
 
+A profile market is held as its base and parameter vector: its merged
+dual set, certificate and per-atom plan come from them by array
+operations, with the bits of the loops over the per-atom specs, which its
+family builds only when they are read.
+
 On every path the certificate values the aggregate penalty at the dual
 optimizer (aggregate_conjugate): one membership test in the merged set,
 through opt_kernel._admits, then the atoms' KL parts in atom order, a sum
@@ -60,7 +65,9 @@ from .prob_core import Density, ProbSpace, essup, expect_under
 from .risk_measures import (
     Dilation,
     Entropic,
+    ExpectedShortfall,
     RiskSpec,
+    _check_inflation_base,
     _conjugate,
     dilate,
     dual_set,
@@ -102,6 +109,57 @@ class GeneralFamily:
 GENERAL = GeneralFamily()
 
 
+class _ProfileFamily(RiskFamily):
+    """The risk family of a profile market, held as its kind: the base and
+    one parameter per atom. The spec tuple is built on first read, the one
+    an explicit RiskFamily of the atoms' dilate(base, gamma_a) or
+    inflate(base, gamma_a) would hold. The atom count and the plan of
+    atom_risks come from the parameters, by array operations: no solve
+    path builds a per-atom spec."""
+
+    def __init__(self, kind: DilationProfile | InflationProfile):
+        object.__setattr__(self, "kind", kind)
+
+    def __len__(self) -> int:
+        return self.kind.gammas.size
+
+    @cached_property
+    def specs(self) -> tuple[RiskSpec, ...]:
+        wrap = dilate if isinstance(self.kind, DilationProfile) else inflate
+        return tuple(wrap(self.kind.base, float(v)) for v in self.kind.gammas)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """opt_kernel._uniform_plan of the atoms' dual sets. A dilation's
+        rows share its base's constraints, with KL weights dual_set(base,
+        gamma); an ES inflation's are sorting rows at caps gamma / alpha; a
+        scenario-set inflation's form one hull group, but for atoms at
+        gamma = 1, which are the base itself."""
+        base, g = self.kind.base, self.kind.gammas
+        if isinstance(self.kind, DilationProfile):
+            with np.errstate(over="ignore"):  # as a float fold, to inf
+                kappa, dset = dual_set(base, g)
+            return opt_kernel._uniform_plan(g.size, kappa, dset.cap,
+                                            dset.hulls[0] if dset.hulls else None)
+        if isinstance(base, ExpectedShortfall):
+            return opt_kernel._uniform_plan(g.size, 0.0, g / base.alpha)
+        return opt_kernel._uniform_plan(g.size, 0.0, math.inf, (g, base.matrix()))
+
+
+def _has_kl(spec: RiskSpec) -> bool:
+    """Whether a spec has a KL part: it is Entropic under its dilations."""
+    while isinstance(spec, Dilation):
+        spec = spec.base
+    return isinstance(spec, Entropic)
+
+
+def _sum_in_atom_order(terms) -> float:
+    """The sum 0.0 + t_0 + t_1 + ... of a float loop over the atoms, bit for
+    bit: np.add.accumulate adds in sequence, where np.sum adds pairwise."""
+    with np.errstate(over="ignore"):  # as a float loop, to inf
+        return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 @dataclass(frozen=True, eq=False)
 class Market:
     space: ProbSpace
@@ -124,11 +182,25 @@ class Market:
         set is gamma = 1, the least. The indicator of this set is the sum
         of the atoms' indicators.
 
+        A dilation profile's atoms share their base's constraints, and
+        their KL weights are dual_set(base, w * gamma), summed in atom
+        order. An inflation profile's merged set is its base's inflated at
+        gamma_inf: the cap gamma / alpha and the hull's gamma are both
+        least at the least gamma.
+
         Whether an atom has a KL part is read from its own unweighted KL
         weight: that of the spec under its dilations, as ``_conjugate``
         reads it, which is > 0 exactly for an Entropic spec. The merged
         kappa cannot tell: w * kappa can underflow to 0.0 where
         w * (kappa * KL) does not."""
+        kind = self.kind
+        if isinstance(kind, DilationProfile):
+            with np.errstate(over="ignore"):  # as a float fold, to inf
+                kappa, dset = dual_set(kind.base, self.agents.weights * kind.gammas)
+            has_kl = _has_kl(kind.base)
+            return (_sum_in_atom_order(kappa) if has_kl else 0.0), dset, has_kl
+        if isinstance(kind, InflationProfile):
+            return 0.0, dual_set(inflate(kind.base, kind.gamma_inf))[1], False
         kl_weight, cap, has_kl = 0.0, math.inf, False
         hulls: dict[bytes, tuple[float, np.ndarray]] = {}
         for spec, w in zip(self.family.specs, self.agents.weights):
@@ -139,10 +211,7 @@ class Market:
                 key = d.tobytes()
                 if key not in hulls or gamma < hulls[key][0]:
                     hulls[key] = (gamma, d)
-            leaf = spec
-            while isinstance(leaf, Dilation):
-                leaf = leaf.base
-            has_kl = has_kl or isinstance(leaf, Entropic)
+            has_kl = has_kl or _has_kl(spec)
         return (kl_weight, opt_kernel.DensityConstraints(cap, tuple(hulls.values())),
                 has_kl)
 
@@ -160,10 +229,12 @@ class Market:
         total = float(np.dot(agents.weights, g))
         if not (math.isfinite(total) and total > 0.0):
             raise ValidationError("aggregate dilation parameter must be finite and > 0")
-        family = RiskFamily(tuple(dilate(base, float(v)) for v in g))
+        if not isinstance(base, RiskSpec):
+            raise ValidationError("dilation base must be a RiskSpec")
         g = g.copy()
         g.setflags(write=False)
-        return cls(space, agents, family, DilationProfile(base, g, total))
+        kind = DilationProfile(base, g, total)
+        return cls(space, agents, _ProfileFamily(kind), kind)
 
     @classmethod
     def inflation(cls, space, agents, base, gammas,
@@ -173,11 +244,11 @@ class Market:
             raise ValidationError("need one inflation parameter per atom")
         if not np.all(np.isfinite(g)) or np.any(g < 1.0):
             raise ValidationError("inflation parameters must be >= 1")
-        family = RiskFamily(tuple(inflate(base, float(v)) for v in g))
+        _check_inflation_base(base)
         g = g.copy()
         g.setflags(write=False)
-        return cls(space, agents, family,
-                   InflationProfile(base, g, float(np.min(g)), target_gamma))
+        kind = InflationProfile(base, g, float(np.min(g)), target_gamma)
+        return cls(space, agents, _ProfileFamily(kind), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +268,10 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     merged dual set: the sum of the atoms' indicator penalties is the
     indicator of that set. Off it the sum is math.inf; on it the KL parts
     add up in atom order, memoised over the nodes of the spec tree, so
-    atoms dilating one base share one evaluation of it. A market whose
-    atoms have no KL part returns 0.0, the bits of that sum of w * 0.0."""
+    atoms dilating one base share one evaluation of it. A dilation
+    profile's KL parts are w * (K * gamma), K the base's, so K is evaluated
+    once and the terms are summed as arrays. A market whose atoms have no
+    KL part returns 0.0, the bits of that sum of w * 0.0."""
     if q.q.size != market.space.n_states:
         raise ValidationError("density dimension does not match space")
     _, constraints, has_kl = market._dual_set
@@ -206,6 +279,12 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
         return math.inf
     if not has_kl:
         return 0.0
+    kind = market.kind
+    if isinstance(kind, DilationProfile):
+        pen = _conjugate(kind.base, market.space, q, {})
+        with np.errstate(over="ignore"):  # as a float loop, to inf
+            terms = market.agents.weights * (pen * kind.gammas)
+        return _sum_in_atom_order(terms)
     total = 0.0
     memo: dict[int, float] = {}
     for spec, w in zip(market.family.specs, market.agents.weights):

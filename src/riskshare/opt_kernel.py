@@ -4,7 +4,9 @@ certified maximization over densities, and membership in a set of densities.
 This module is the one place that picks the solve path for a constraint
 structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
 for one payoff row (the risk-measure evaluator and the general sharing value
-call it). ``_row_plan`` groups many rows' dual sets by path once, and
+call it). ``_row_plan`` groups many rows' dual sets by path once
+(``_uniform_plan`` by array operations, where the rows share one structure
+and differ in their parameters), and
 ``_maximize_block`` follows the plan for a block of rows (the per-atom risks
 of an allocation): the Gibbs, sorting-rule and inflated-hull rows vectorised
 but for one np.dot and one log per row, every other row by _maximize, bit
@@ -390,6 +392,40 @@ def _row_plan(duals) -> tuple:
             tuple((d, np.array(rows, dtype=int), np.array(gammas, dtype=float))
                   for d, rows, gammas in hulls.values()),
             tuple(other))
+
+
+def _uniform_plan(n_rows: int, kappa, cap, hull=None) -> tuple:
+    """_row_plan, by array operations, for n_rows rows whose dual sets share
+    one structure and differ only in their parameters: the KL weight kappa
+    and the cap, each one entry per row or one for all, and at most one hull
+    (gamma, D), D shared by every row and gamma one entry per row or one for
+    all. The groups, their order and their entries are _row_plan's, and so
+    is the ValidationError for the first KL weight that is not finite."""
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), n_rows)
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), n_rows)
+    bad = np.flatnonzero(~np.isfinite(kappa))
+    if bad.size:
+        _check_kl_weight(float(kappa[bad[0]]))
+    rows = np.arange(n_rows)
+    if hull is None:
+        sort = kappa == 0.0
+        gibbs = (kappa > 0.0) & (cap == math.inf)
+        groups, other = (), ~(sort | gibbs)
+    else:
+        gamma = np.broadcast_to(np.asarray(hull[0], dtype=float), n_rows)
+        dmat = hull[1]
+        sort = gibbs = np.zeros(n_rows, dtype=bool)
+        inflated = (kappa == 0.0) & (cap == math.inf) & (gamma > 1.0)
+        groups = ((dmat, rows[inflated], gamma[inflated]),) if inflated.any() else ()
+        other = ~inflated
+
+    def constraints(i):
+        hulls = () if hull is None else ((float(gamma[i]), dmat),)
+        return DensityConstraints(float(cap[i]), hulls)
+
+    return (rows[gibbs], kappa[gibbs], rows[sort], cap[sort], groups,
+            tuple((i, float(kappa[i]), constraints(i))
+                  for i in np.flatnonzero(other).tolist()))
 
 
 def _maximize_block(space: ProbSpace, xs: np.ndarray, plan: tuple) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_space import Allocation, _check_tol, atom_risks, is_feasible, total_risk
+from .agent_space import Allocation, _check_tol, atom_risks, is_feasible
 from .errors import ValidationError
 from .infimal_convolution import Market, value
 
@@ -33,25 +33,28 @@ def pareto_check(market: Market, x, alloc: Allocation,
 
     When the market carries a closed-form optimal allocation and the input
     is inefficient, the verdict also carries an explicit improvement built
-    by :func:`pareto_improve`.
+    as :func:`pareto_improve` builds it. Each allocation's atom risks are
+    valued once: the input's, and the optimal allocation's when the input
+    is inefficient.
     """
     _check_tol(tol)
     x = market.space.rv(x)
     if not is_feasible(market.agents, alloc, x):
         raise ValidationError("allocation does not integrate to x")
     result = value(market, x)
-    excess = total_risk(market.agents, market.family, market.space, alloc) - result.value
+    risks = atom_risks(market.family, market.space, alloc)
+    total = float(np.dot(market.agents.weights, risks))
+    excess = total - result.value
     efficient = excess <= tol
     witness = None
     if not efficient and result.allocation is not None:
         better = result.allocation
-        if _total(market, better) < _total(market, alloc):
-            witness = pareto_improve(market, x, alloc, better)
+        better_risks = atom_risks(market.family, market.space, better)
+        if float(np.dot(market.agents.weights, better_risks)) < total:
+            if not is_feasible(market.agents, better, x):
+                raise ValidationError("better does not integrate to x")
+            witness = _compensate(market, better, risks, better_risks)
     return ParetoVerdict(efficient, witness, max(float(excess), 0.0))
-
-
-def _total(market: Market, alloc: Allocation) -> float:
-    return total_risk(market.agents, market.family, market.space, alloc)
 
 
 def pareto_improve(market: Market, x, alloc: Allocation,
@@ -72,8 +75,13 @@ def pareto_improve(market: Market, x, alloc: Allocation,
         raise ValidationError("alloc does not integrate to x")
     if not is_feasible(market.agents, better, x):
         raise ValidationError("better does not integrate to x")
-    risks_old = atom_risks(market.family, market.space, alloc)
-    risks_new = atom_risks(market.family, market.space, better)
+    return _compensate(market, better, atom_risks(market.family, market.space, alloc),
+                       atom_risks(market.family, market.space, better))
+
+
+def _compensate(market: Market, better: Allocation, risks_old: np.ndarray,
+                risks_new: np.ndarray) -> Allocation:
+    """:func:`pareto_improve`'s rows from the atom risks of both allocations."""
     saving = float(np.dot(market.agents.weights, risks_old - risks_new))
     if saving <= 0.0:
         raise ValidationError(

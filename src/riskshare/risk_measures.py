@@ -34,9 +34,11 @@ the matrix meets the space. Per-atom loops run through
 which check a whole allocation or density once. ``aggregate_conjugate``
 then tests membership once in the market's merged dual set, as
 ``conjugate`` does in the spec's own, and calls ``_conjugate`` per atom for
-its KL part alone; ``atom_risks`` hands the
-atoms' ``dual_set``s, grouped once per family by ``opt_kernel._row_plan``,
-to one ``opt_kernel._maximize_block`` call, which values every atom with
+its KL part alone (a dilation profile's, once on its base); ``atom_risks``
+hands the atoms' ``dual_set``s, grouped once per family by
+``opt_kernel._row_plan`` (a profile's by ``opt_kernel._uniform_plan``, from
+the base's ``dual_set`` and the parameter vector), to one
+``opt_kernel._maximize_block`` call, which values every atom with
 ``rho``'s bits.
 """
 
@@ -137,16 +139,22 @@ class Inflation(RiskSpec):
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
             raise ValidationError("inflation parameter must be >= 1")
-        if not isinstance(self.base, (ScenarioSet, ExpectedShortfall)):
-            raise ValidationError(
-                "inflation requires a base with a scenario-supremum dual form "
-                "(ScenarioSet or ExpectedShortfall); entropic-type bases are rejected"
-            )
-        if isinstance(self.base, ScenarioSet) and not self.base.contains_reference():
-            raise ValidationError(
-                "inflation of a scenario set requires the all-ones density "
-                "(the reference measure) among the scenarios"
-            )
+        _check_inflation_base(self.base)
+
+
+def _check_inflation_base(base):
+    """An inflation base must have a scenario-supremum dual form that lists
+    the reference measure."""
+    if not isinstance(base, (ScenarioSet, ExpectedShortfall)):
+        raise ValidationError(
+            "inflation requires a base with a scenario-supremum dual form "
+            "(ScenarioSet or ExpectedShortfall); entropic-type bases are rejected"
+        )
+    if isinstance(base, ScenarioSet) and not base.contains_reference():
+        raise ValidationError(
+            "inflation of a scenario set requires the all-ones density "
+            "(the reference measure) among the scenarios"
+        )
 
 
 def dilate(spec: RiskSpec, gamma: float) -> RiskSpec:
@@ -178,7 +186,9 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
     enlarged by gamma (within the densities); a dilation by d multiplies kappa by d and keeps
     the constraints. Weights and dilation factors fold into kappa
     outermost first, (w * d) * g, so a market's merged KL weight is the sum
-    of its atoms' in atom order.
+    of its atoms' in atom order. The weight may be an array, one entry per
+    atom that dilates this spec: the fold is elementwise, with each scalar
+    fold's bits, and a KL weight that is not 0.0 comes back as an array.
     """
     if isinstance(spec, Dilation):
         return dual_set(spec.base, weight * spec.gamma)

@@ -536,6 +536,30 @@ def test_sweep_rejects_heterogeneous_market_without_profile(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("base, gammas", [
+    ("scenario", [0.5, 1.0, 2.5]),  # dilations fix a scenario set
+    ("es", [1.0, 1.0, 1.0]),
+    ("es", [1.0, 2.0, 1.0]),
+    ("es", [2.0, 2.0, 2.0]),
+    ("entropic", [1.0, 1.0, 1.0]),
+])
+def test_sweep_base_of_a_dilation_profile_matches_its_spelled_out_family(base, gammas):
+    from riskshare.cli import _sweep_base
+
+    sp = rs.ProbSpace([0.5, 0.5])
+    base = {"scenario": rs.ScenarioSet((sp.density([1.0, 1.0]), sp.density([1.5, 0.5]))),
+            "es": rs.ExpectedShortfall(0.5), "entropic": rs.Entropic(1.0)}[base]
+    market = rs.Market.dilation(sp, rs.finite_agents(3), base, gammas)
+    spelled = rs.Market.general(sp, market.agents, rs.RiskFamily(market.family.specs))
+    try:
+        want = _sweep_base(spelled)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="single shared coherent spec"):
+            _sweep_base(market)
+    else:
+        assert _sweep_base(market) is want is base
+
+
 # ---------------------------------------------------------------------------
 # The record writer: the bytes of json.dumps(record, sort_keys=True,
 # indent=2, default=lambda o: o.tolist()) plus a newline
@@ -692,3 +716,63 @@ def test_records_at_aim_sizes_equal_their_stdlib_redump(tmp_path):
     record = json.loads(text)
     assert record["efficient"] is False
     assert len(record["witness"]["shares"]) == 1002
+
+
+def _profile_specs(tmp_path, n_atoms):
+    """A dilation spec with one parameter per atom and an ES inflation spec
+    with a parameter formula, both on n_atoms continuum atoms and 8 states,
+    and the proportional split of the loss for the pareto command."""
+    rng = np.random.default_rng(1003)
+    probs, loss = [0.125] * 8, [(3 * i % 8 - 3.5) / 4 for i in range(8)]
+    atoms = {"kind": "aumann", "n": n_atoms}
+    dil = tmp_path / f"dilation_{n_atoms}.json"
+    dil.write_text(json.dumps({
+        "probs": probs, "loss": loss, "agent_space": atoms,
+        "profile": {"kind": "dilation", "base": {"type": "entropic", "gamma": 1.3},
+                    "gammas": rng.uniform(0.5, 3.0, n_atoms).tolist()}}))
+    infl = tmp_path / f"inflation_{n_atoms}.json"
+    infl.write_text(json.dumps({
+        "probs": probs, "loss": loss, "agent_space": atoms,
+        "profile": {"kind": "inflation", "base": {"type": "es", "alpha": 0.6},
+                    "gamma_formula": {"kind": "affine", "intercept": 1.5, "slope": 1.0}}}))
+    alloc = tmp_path / f"alloc_{n_atoms}.json"
+    alloc.write_text(json.dumps({"shares": [loss] * n_atoms}))
+    return dil, infl, alloc
+
+
+def test_profile_commands_build_no_per_atom_spec(tmp_path, monkeypatch):
+    built = []
+    for cls in (rs.Dilation, rs.Inflation):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=cls.__post_init__: built.append(1) or real(self))
+
+    def counts(n_atoms):
+        dil, infl, alloc = _profile_specs(tmp_path, n_atoms)
+        runs = {}
+        for kind, spec in (("dilation", dil), ("inflation", infl)):
+            for cmd in ("value", "allocate"):
+                runs[f"{cmd} {kind}"] = [cmd, "--spec", str(spec)]
+            runs[f"pareto {kind}"] = ["pareto", "--spec", str(spec), "--alloc", str(alloc)]
+        runs["sweep"] = ["sweep", "--spec", str(infl), "--gamma-grid", "1.0,1.5,2.0"]
+        runs["nonattain"] = ["nonattain", "--spec", str(infl), "--refinements", "10,100,1000"]
+        out = {}
+        for name, args in runs.items():
+            built.clear()
+            result = run_cli(args + ["--out", str(tmp_path / "out.json")])
+            assert result.exit_code == 0, result.output
+            out[name] = len(built)
+        return out
+
+    # Each command builds a few specs of its own (the market's aggregate, a
+    # sweep's grid), none per atom.
+    large = counts(2000)
+    assert large == counts(20)
+    assert max(large.values()) <= 5
+
+    dil, infl, _ = _profile_specs(tmp_path, 2000)
+    for spec, wrap in ((dil, rs.dilate), (infl, rs.inflate)):
+        market, _ = load_market(json.loads(spec.read_text()))
+        built.clear()
+        specs = market.family.specs  # spelled out on first read
+        assert len(built) == 2000
+        assert specs == tuple(wrap(market.kind.base, float(g)) for g in market.kind.gammas)

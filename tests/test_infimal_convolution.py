@@ -238,6 +238,112 @@ class TestAggregateConjugate:
         assert len(calls) == 1
 
 
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestProfileParameterForm:
+    """A profile market holds its base and parameters; its merged dual set,
+    certificate and per-atom risks must keep the bits of the per-atom loops
+    over the specs its family spells out."""
+
+    @staticmethod
+    def _markets(rng, sp, agents):
+        n_atoms = agents.n_atoms
+
+        def gammas(low, high):  # with atoms at gamma = 1 mixed in
+            g = rng.uniform(low, high, n_atoms)
+            g[rng.random(n_atoms) < 0.25] = 1.0
+            return g
+
+        ent = rs.Entropic(float(rng.uniform(0.3, 3.0)))
+        es = rs.ExpectedShortfall(float(rng.uniform(0.2, 1.0)))
+        scen = random_scenario_set(rng, sp, 3)
+        for base in (ent, rs.Dilation(ent, float(rng.uniform(0.3, 3.0))), es, scen,
+                     rs.Inflation(es, float(rng.uniform(1.0, 3.0))),
+                     rs.Inflation(scen, float(rng.uniform(1.5, 3.0)))):
+            yield rs.Market.dilation(sp, agents, base, gammas(0.3, 3.0)), rs.dilate
+        for base in (es, scen):
+            yield rs.Market.inflation(sp, agents, base, gammas(1.0, 4.0)), rs.inflate
+
+    @staticmethod
+    def _merged_loop(market):
+        """The merged dual set as a loop over the atoms' specs."""
+        kl_weight, cap, has_kl = 0.0, math.inf, False
+        hulls = {}
+        for spec, w in zip(market.family.specs, market.agents.weights):
+            kappa, dset = rs.dual_set(spec, float(w))
+            kl_weight += kappa
+            cap = min(cap, dset.cap)
+            for gamma, d in dset.hulls:
+                if d.tobytes() not in hulls or gamma < hulls[d.tobytes()][0]:
+                    hulls[d.tobytes()] = (gamma, d)
+            leaf = spec
+            while isinstance(leaf, rs.Dilation):
+                leaf = leaf.base
+            has_kl = has_kl or isinstance(leaf, rs.Entropic)
+        return kl_weight, cap, list(hulls.values()), has_kl
+
+    def test_matches_the_per_atom_loops_bit_for_bit(self):
+        rng = np.random.default_rng(171)
+        for n_atoms in (1, 3, 40, 500, 2000):
+            sp = random_space(rng, max_states=12)
+            x = random_rv(rng, sp)
+            agents = rs.AgentSpace(tuple(map(str, range(n_atoms))),
+                                   rng.uniform(0.01, 3.0, n_atoms))
+            shares = rs.Allocation(rng.normal(0.0, 2.0, (n_atoms, sp.n_states)))
+            for market, wrap in self._markets(rng, sp, agents):
+                kind = market.kind
+                specs = tuple(wrap(kind.base, float(g)) for g in kind.gammas)
+                assert market.family.specs == specs
+                eager = rs.Market.general(sp, agents, rs.RiskFamily(specs))
+
+                kl_weight, constraints, has_kl = market._dual_set
+                want_kl, want_cap, want_hulls, want_has_kl = self._merged_loop(market)
+                assert _bits(kl_weight) == _bits(want_kl)
+                assert _bits(constraints.cap) == _bits(want_cap)
+                assert has_kl is want_has_kl
+                assert len(constraints.hulls) == len(want_hulls)
+                for (gamma, d), (want_gamma, want_d) in zip(constraints.hulls, want_hulls):
+                    assert _bits(gamma) == _bits(want_gamma)
+                    assert np.array_equal(d, want_d)
+
+                q_opt = rs.value(market, x).dual_optimizer
+                for q in (sp.uniform_density(), q_opt, random_density(rng, sp)):
+                    got = rs.aggregate_conjugate(market, q)
+                    assert _bits(got) == _bits(rs.aggregate_conjugate(eager, q))
+                    if math.isfinite(got):
+                        assert _bits(got) == _bits(TestAggregateConjugate._atom_loop(market, q))
+
+                got = rs.atom_risks(market.family, sp, shares)
+                assert got.tobytes() == rs.atom_risks(eager.family, sp, shares).tobytes()
+                if n_atoms <= 40:
+                    assert got.tolist() == [rs.rho(spec, sp, row)
+                                            for spec, row in zip(specs, shares.shares)]
+
+    def test_an_overflowing_kl_weight_is_inf_without_a_warning(self):
+        # Tier-1 turns numpy's overflow warning into an error, where a float
+        # loop gives inf silently. At gamma = 10 each atom's KL weight
+        # 1e308 * 10 overflows, at gamma = 1 only their sum does; so do the
+        # penalties at q, where K = 1e308 * KL(Q||P) is about 1.4e308.
+        sp = rs.ProbSpace([0.25, 0.75])
+        agents = rs.finite_agents(2000)
+        base = rs.Entropic(1e308)
+        q = sp.density([4.0, 0.0])
+        alloc = rs.Allocation(np.zeros((2000, 2)))
+        for gamma in (10.0, 1.0):
+            market = rs.Market.dilation(sp, agents, base, np.full(2000, gamma))
+            assert market.family.specs == (rs.dilate(base, gamma),) * 2000
+            assert market._dual_set[0] == math.inf == self._merged_loop(market)[0]
+            got = rs.aggregate_conjugate(market, q)
+            assert got == math.inf == TestAggregateConjugate._atom_loop(market, q)
+            with pytest.raises(ValidationError, match="KL weight must be finite"):
+                rs.value(market, np.array([1.0, -0.5]))
+            if gamma == 10.0:  # rejected at the first atom_risks, not when built
+                with pytest.raises(ValidationError, match="KL weight must be finite"):
+                    rs.atom_risks(market.family, sp, alloc)
+
+
 class TestOptimalAllocations:
     def test_single_atom_takes_everything(self):
         sp = rs.ProbSpace([0.5, 0.5])
@@ -721,6 +827,17 @@ class TestMarketValidation:
         with pytest.raises(ValidationError):
             rs.Market.inflation(sp, rs.finite_agents(2), rs.ExpectedShortfall(1.0),
                                 [1.0, 0.5])
+
+    def test_profile_base_checked_once_when_built(self):
+        sp = rs.ProbSpace([0.5, 0.5])
+        agents = rs.finite_agents(3)
+        no_reference = rs.ScenarioSet((sp.density([1.5, 0.5]), sp.density([0.5, 1.5])))
+        for build, base, message in (
+                (rs.Market.dilation, "entropic", "dilation base must be a RiskSpec"),
+                (rs.Market.inflation, rs.Entropic(1.0), "entropic-type bases are rejected"),
+                (rs.Market.inflation, no_reference, "requires the all-ones density")):
+            with pytest.raises(ValidationError, match=message):
+                build(sp, agents, base, [1.0, 2.0, 3.0])
 
     def test_family_size_must_match(self):
         sp = rs.ProbSpace([0.5, 0.5])

@@ -873,3 +873,46 @@ def test_row_plan_rejects_a_kl_weight_that_is_not_finite(bad):
         with pytest.raises(ValidationError) as planned:
             ok._row_plan(duals)
         assert str(planned.value) == str(solo.value) == f"the KL weight must be finite, got {bad!r}"
+
+
+def _same_plan(got, want):
+    for a, b in zip(got[:4], want[:4]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(got[4]) == len(want[4])
+    for (d, rows, gammas), (want_d, want_rows, want_gammas) in zip(got[4], want[4]):
+        assert d is want_d
+        assert rows.tobytes() == want_rows.tobytes()
+        assert gammas.tobytes() == want_gammas.tobytes()
+    assert len(got[5]) == len(want[5])
+    for (i, k, c), (want_i, want_k, want_c) in zip(got[5], want[5]):
+        assert (i, k, c.cap) == (want_i, want_k, want_c.cap)
+        assert [(g, d) for g, d in c.hulls] == [(g, d) for g, d in want_c.hulls]
+
+
+def test_uniform_plan_groups_rows_as_row_plan_does():
+    # Per-row and shared parameters: KL weights with zeros (an underflowed
+    # dilation), caps beside KL weights, hull gammas at and above 1, and a
+    # cap beside a hull.
+    rng = np.random.default_rng(240)
+    n = 60
+    dmat = random_scenario_set(rng, rs.ProbSpace(_probs(rng, 5)), 3).matrix()
+    kappa = rng.choice([0.0, 0.5, 2.0], n)
+    cap = rng.choice([math.inf, 1.5, 4.0], n)
+    gamma = rng.choice([1.0, 1.0 + 1e-9, 3.0], n)
+    for k, c, hull in ((kappa, math.inf, None), (kappa, cap, None), (0.0, cap, None),
+                       (kappa, 2.0, None), (1.5, math.inf, None),
+                       (0.0, math.inf, (gamma, dmat)), (kappa, cap, (gamma, dmat)),
+                       (0.0, 2.0, (1.5, dmat)), (0.0, math.inf, (1.0, dmat))):
+        ks, cs = np.broadcast_to(k, n), np.broadcast_to(c, n)
+        hulls = [() if hull is None else ((float(g), dmat),)
+                 for g in np.broadcast_to(1.0 if hull is None else hull[0], n)]
+        duals = [(float(ks[i]), ok.DensityConstraints(float(cs[i]), hulls[i])) for i in range(n)]
+        _same_plan(ok._uniform_plan(n, k, c, hull), ok._row_plan(duals))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_uniform_plan_rejects_the_first_kl_weight_that_is_not_finite(bad):
+    kappa = [1.0, 0.0, bad, math.inf]
+    with pytest.raises(ValidationError) as planned:
+        ok._uniform_plan(4, kappa, math.inf)
+    assert str(planned.value) == f"the KL weight must be finite, got {bad!r}"

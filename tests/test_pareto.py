@@ -11,6 +11,7 @@ from support import (
     random_dilation_market,
     random_inflation_market,
     random_rv,
+    random_scenario_set,
     random_space,
     zero_integral_noise,
 )
@@ -76,6 +77,31 @@ class TestParetoCheck:
                 + zero_integral_noise(rng, market.agents, market.space.n_states, 0.5))
             verdict = rs.pareto_check(market, x, alloc, tol=1e-7)
             assert verdict.efficient == (verdict.excess <= 1e-7)
+
+
+    def test_each_allocation_is_valued_once(self, monkeypatch):
+        # The input's atom risks, then the optimal allocation's where the
+        # input is inefficient: one _maximize_block call each.
+        calls = []
+        real = rs.opt_kernel._maximize_block
+        monkeypatch.setattr(rs.opt_kernel, "_maximize_block",
+                            lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(95)
+        sp = random_space(rng)
+        x = random_rv(rng, sp)
+        agents = rs.aumann_agents(400)
+        for market, best in (
+                (rs.Market.dilation(sp, agents, rs.Entropic(1.0), rng.uniform(0.5, 3.0, 400)),
+                 rs.optimal_allocation_dilated),
+                (rs.Market.inflation(sp, agents, random_scenario_set(rng, sp, 3),
+                                     rng.uniform(1.2, 3.0, 400)),
+                 rs.optimal_allocation_inflated)):
+            for alloc, want_calls in ((rs.proportional_split(agents, x), 2),
+                                      (best(market, x), 1)):
+                calls.clear()
+                verdict = rs.pareto_check(market, x, alloc)
+                assert verdict.efficient is (verdict.witness is None) is (want_calls == 1)
+                assert len(calls) == want_calls
 
 
 class TestParetoImprove:
