@@ -217,8 +217,8 @@ def load_market(doc: dict) -> tuple[Market, np.ndarray]:
                 f"{agents.n_atoms} atoms"
             )
     elif "gamma_formula" in profile:
-        fn, _, _ = _formula_fn(profile["gamma_formula"], "spec.profile.gamma_formula")
-        gammas = np.array([fn(t) for t in agent_positions(agents)])
+        _, intercept, slope = _formula_fn(profile["gamma_formula"], "spec.profile.gamma_formula")
+        gammas = intercept + slope * agent_positions(agents)
     else:
         raise ValidationError("spec.profile: needs 'gammas' or 'gamma_formula'")
 

@@ -1,5 +1,6 @@
-"""Small dense optimization routines: a two-phase simplex, exact or
-certified maximization over densities, and membership in a set of densities.
+"""Small dense optimization routines: a two-phase simplex, the density LP
+by HiGHS, exact or certified maximization over densities, and membership in
+a set of densities.
 
 This module is the one place that picks the solve path for a constraint
 structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
@@ -11,32 +12,39 @@ and differ in their parameters), and
 of an allocation): the Gibbs, sorting-rule and inflated-hull rows vectorised
 but for one np.dot and one log per row, every other row by _maximize, bit
 for bit. One inflated hull takes the Rockafellar-Uryasev closed form
-(``_inflated_block``); the density LP is left to several hulls or a hull
-beside a cap. ``_admits`` tests whether a density meets the constraints,
-one small LP per hull (``_dominated``). So every LP in the package is built
-here. _maximize and _admits check the hulls themselves (one column per
-state, rows of unit P-mass); the payoff and the density are the caller's to
-check.
+(``_inflated_block``); the density LP (``_linear_density_lp``) is left to
+several hulls or a hull beside a cap, and HiGHS solves it
+(``highs_solve``). ``_admits`` tests whether a density meets the
+constraints, one small LP per hull (``_dominated``), which the simplex
+(``lp_solve``) solves. So every LP in the package is built here. _maximize
+and _admits check the hulls themselves (one column per state, rows of unit
+P-mass); the payoff and the density are the caller's to check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
 for some weights lam on the simplex; a plain scenario set is its gamma = 1
 entry.
 
-LP instances here are small (variables on the order of the number of states
-plus a handful of scenario weights), so the simplex favors determinism over
-speed: Bland's rule, no scaling, no presolve, and a dense tableau whose last
-row is the reduced-cost row (no artificial column is stored). Identical
-inputs produce bit-identical outputs. Bland's rule prevents cycling only in
-exact arithmetic; with floating-point ties in the reduced costs and ratio
-test the loop can still cycle on degenerate LPs, and then stops at the
-iteration cap with IterationLimitError.
+The membership LP is tiny (one column per state and a scale, one row per
+scenario and the weight-sum row, the origin feasible), so the simplex
+favors determinism and a low per-call cost over speed: Bland's rule, no
+scaling, no presolve, and a dense tableau whose last row is the
+reduced-cost row (no artificial column is stored). Identical inputs produce
+bit-identical outputs. Bland's rule prevents cycling only in exact
+arithmetic; with floating-point ties in the reduced costs and ratio test
+the loop can still cycle on degenerate LPs, and then stops at the
+iteration cap with IterationLimitError. The density LP grows with the
+states and scenarios, where that simplex stalls; HiGHS's dual revised
+simplex (through scipy, imported on the first density LP, so importing the
+package loads no scipy) solves it, and its point is checked here as the
+simplex's is.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +69,16 @@ MEMBERSHIP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """maximize objective @ z  subject to  a_ub z <= b_ub, a_eq z = b_eq, z >= 0."""
+    """maximize objective @ z  subject to  a_ub z <= b_ub, a_eq z = b_eq,
+    0 <= z <= upper. upper holds one bound per variable, math.inf where
+    there is none; None means none at all. Only highs_solve takes bounds."""
 
     objective: np.ndarray
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -80,6 +91,11 @@ class LpProblem:
                           (a_eq, "a_eq"), (b_eq, "b_eq")):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} must contain only finite entries")
+        if self.upper is not None:
+            upper = np.asarray(self.upper, dtype=float)
+            if upper.shape != (n,) or not (upper >= 0.0).all():
+                raise ValidationError(f"upper must hold {n} bounds >= 0, inf allowed")
+            object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "a_ub", a_ub)
         object.__setattr__(self, "b_ub", b_ub)
@@ -174,7 +190,11 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     rule reads it. Pivots and numbers match a tableau that stores them
     (tests/oracle.py, bland_tableau_lp). Deterministic given the input;
     primal residuals of an optimal point are verified to be within 1e-9.
+    Variable upper bounds are HiGHS's (:func:`highs_solve`); here they
+    raise ValidationError.
     """
+    if problem.upper is not None:
+        raise ValidationError("the simplex takes no variable upper bounds")
     n = problem.n_vars
     m_ub = problem.b_ub.size
     m = m_ub + problem.b_eq.size
@@ -232,7 +252,49 @@ def lp_solve(problem: LpProblem) -> LpSolution:
 
     full = np.zeros(n_cols)
     full[basis] = tableau[:-1, -1]
-    x = full[:n]
+    return _optimal(problem, full[:n])
+
+
+# HiGHS's primal and dual feasibility tolerances, below the 1e-9 at which
+# its point is verified. At HiGHS's default of 1e-7, 1 of 200 density LPs
+# of tests/support.aim_three_hull_market (n 20-150) ended "optimal" with a
+# hull row 2.5e-9 off; at 1e-10 the worst was 5.5e-11.
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_solve(problem: LpProblem) -> LpSolution:
+    """The LP by HiGHS (its dual revised simplex, through scipy.optimize.milp
+    with no integrality), upper bounds included. The optimal point's primal
+    residuals are verified to be within 1e-9, as lp_solve's are; HiGHS's
+    infeasible and unbounded verdicts are the statuses of those names, and
+    any other ending raises ConvergenceError. scipy is imported on the first
+    call."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m_ub = problem.b_ub.size
+    rows = np.vstack([problem.a_ub, problem.a_eq])
+    lower = np.concatenate([np.full(m_ub, -np.inf), problem.b_eq])
+    upper = math.inf if problem.upper is None else problem.upper
+    with warnings.catch_warnings():
+        # milp passes these HiGHS options on verbatim, and says so by a warning.
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(-problem.objective, bounds=Bounds(0.0, upper),
+                   constraints=LinearConstraint(rows, lower, np.concatenate([problem.b_ub,
+                                                                             problem.b_eq])),
+                   options=dict(_HIGHS_TOLERANCES))
+    if res.status == 2:
+        return LpSolution("infeasible")
+    if res.status == 3:
+        return LpSolution("unbounded")
+    if res.status != 0:
+        raise ConvergenceError(f"HiGHS ended with status {res.status}: {res.message}")
+    return _optimal(problem, res.x)
+
+
+def _optimal(problem: LpProblem, x: np.ndarray) -> LpSolution:
+    """The optimal solution at a solver's point x, once its residuals are
+    verified; entries within tolerance below 0 are set to 0."""
     _verify_residuals(problem, x)
     x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
     return LpSolution("optimal", x, float(problem.objective @ x))
@@ -252,6 +314,11 @@ def _verify_residuals(problem: LpProblem, x: np.ndarray):
     if np.min(x, initial=0.0) < -_FEAS_TOL:
         raise ConvergenceError("negative variable beyond tolerance",
                                best_point=x, residual=float(-np.min(x)))
+    if problem.upper is not None:
+        r = np.max(x - problem.upper)
+        if r > _FEAS_TOL:
+            raise ConvergenceError(f"upper bound residual {r:.3e} exceeds 1e-9",
+                                   best_point=x, residual=float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +382,16 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       cap: the Rockafellar-Uryasev minimum over t, the one-row case of
       :func:`_inflated_block`, O(nJ + J^2) after a sort;
     * kappa = 0 and any other scenario hulls (several, or beside a cap):
-      the dense simplex on the density LP.
+      the density LP, which HiGHS solves (:func:`_linear_density_lp`).
 
     Raises ValidationError when kappa is not finite or a hull matrix does
     not fit the space, InfeasibleError when no density satisfies the
     constraints, UnsupportedFamilyError for scenario hulls mixed with a KL
     penalty, and ConvergenceError (carrying the point and its residual) on
     the capped Gibbs path when the point's KKT residual exceeds the module
-    tolerance; the density LP's simplex may also raise ConvergenceError or
-    IterationLimitError.
+    tolerance; the density LP raises ConvergenceError when HiGHS ends
+    otherwise than optimal or its point misses the constraints by more than
+    1e-9.
     """
     _check_kl_weight(kappa)
     cap = constraints.cap
@@ -483,8 +551,7 @@ def _gibbs_block(p, xs, kappa):
 
 def _sorting_points(p, xs, cap):
     """:func:`sorting_rule_point` for each row of the block at its own cap,
-    bit for bit. A stable argsort of -x orders the states as the rule's
-    lexsort does."""
+    bit for bit: the rule's stable argsort of -x, row by row."""
     _check_cap(float(cap.min()))
     return _fill(p, np.argsort(-xs, axis=1, kind="stable"), cap[:, None])
 
@@ -624,52 +691,37 @@ def _envelope_minimum(above, mass, gamma, lo, hi):
 
 
 def _linear_density_lp(space, x, constraints):
+    """Maximize E_Q[x] over the densities that meet the constraints, as one
+    LP over (q, lam_1, ..., lam_H) for H hulls, solved by HiGHS
+    (:func:`highs_solve`): each hull enters as the n rows q - gamma * D^T
+    lam_h <= 0 and its weight-sum row, and the cap as the bounds q <= cap.
+    Raises InfeasibleError when no density meets them and ConvergenceError
+    when HiGHS ends otherwise than optimal."""
     p = space.probs
     n = space.n_states
-    # A stable sort puts the plain hulls (gamma = 1) first, so their weight
-    # columns lead. A plain hull enters as n equality rows rather than the
-    # equivalent q <= D^T lam, on which the Bland simplex can cycle.
-    hulls = sorted(((float(g), np.atleast_2d(np.asarray(d, dtype=float)))
-                    for g, d in constraints.hulls), key=lambda hull: hull[0] != 1.0)
+    hulls = [(float(g), np.atleast_2d(np.asarray(d, dtype=float))) for g, d in constraints.hulls]
     n_total = n + sum(len(d) for _, d in hulls)
 
     c = np.zeros(n_total)
     c[:n] = p * x
-
-    eq_rows, eq_rhs = [np.concatenate([p, np.zeros(n_total - n)])], [1.0]
-    ub_rows, ub_rhs = [], []
-    if math.isfinite(constraints.cap):
-        ub_rows.extend(np.eye(n, n_total))
-        ub_rhs.extend(np.full(n, constraints.cap))
-
+    a_ub = np.zeros((n * len(hulls), n_total))
+    a_eq = np.zeros((1 + len(hulls), n_total))
+    a_eq[0, :n] = p
     offset = n
-    for gamma, dmat in hulls:
+    for k, (gamma, dmat) in enumerate(hulls):
         weights = slice(offset, offset + len(dmat))
-        block = np.zeros((n, n_total))
-        if gamma == 1.0:  # q = D^T lam
-            block[:, :n] = -np.eye(n)
-            block[:, weights] = dmat.T
-            eq_rows.extend(block)
-            eq_rhs.extend(np.zeros(n))
-        else:  # q <= gamma * D^T lam
-            block[:, :n] = np.eye(n)
-            block[:, weights] = -gamma * dmat.T
-            ub_rows.extend(block)
-            ub_rhs.extend(np.zeros(n))
-        srow = np.zeros(n_total)
-        srow[weights] = 1.0
-        eq_rows.append(srow)
-        eq_rhs.append(1.0)
+        block = a_ub[k * n:(k + 1) * n]
+        block[:, :n] = np.eye(n)
+        block[:, weights] = -gamma * dmat.T
+        a_eq[1 + k, weights] = 1.0
         offset += len(dmat)
+    upper = None
+    if math.isfinite(constraints.cap):
+        upper = np.full(n_total, math.inf)
+        upper[:n] = constraints.cap
 
-    problem = LpProblem(
-        objective=c,
-        a_ub=np.array(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-        a_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
-    )
-    sol = lp_solve(problem)
+    problem = LpProblem(c, a_ub, np.zeros(len(a_ub)), a_eq, np.ones(len(a_eq)), upper)
+    sol = highs_solve(problem)
     if sol.status == "infeasible":
         raise InfeasibleError("no density satisfies the feasibility constraints")
     if sol.status != "optimal":
@@ -741,9 +793,11 @@ def sorting_rule_point(space: ProbSpace, x, cap: float = math.inf) -> np.ndarray
     x = np.asarray(x, dtype=float)
     _check_cap(cap)
     n = p.size
-    order = np.lexsort((np.arange(n), -x))
-    cum = np.cumsum(p[order] * cap)
-    k = min(int(np.searchsorted(cum, 1.0 - 1e-12)), n - 1)
+    # Array methods rather than numpy's function wrappers: the same
+    # kernels, with less Python per call on this one-row path.
+    order = (-x).argsort(kind="stable")
+    cum = (p[order] * cap).cumsum()
+    k = min(int(cum.searchsorted(1.0 - 1e-12)), n - 1)
     before = float(cum[k - 1]) if k > 0 else 0.0
     q = np.zeros(n)
     q[order[:k]] = cap

@@ -29,7 +29,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must contain only finite entries")
     return arr
 
@@ -78,7 +78,7 @@ class ProbSpace:
             raise ValidationError(
                 f"density has {q.size} entries but the space has {self.n_states} states"
             )
-        if np.any(q < -_DENSITY_NEG_TOL):
+        if (q < -_DENSITY_NEG_TOL).any():
             raise ValidationError("density entries must be nonnegative")
         q = np.maximum(q, 0.0)
         mass = float(np.dot(self.probs, q))

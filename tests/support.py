@@ -44,6 +44,33 @@ def spread_scenario_set(seed, n=200, n_scenarios=4):
     return space, np.vstack([np.ones(n), rows])
 
 
+def aim_three_hull_market(rng, n, with_es):
+    """A general market of moderate size whose dual is one density LP: two
+    inflated scenario sets, or an expected shortfall beside one. P mixes
+    the uniform weights with a Dirichlet(2) draw, half and half; each set
+    holds J = n // 3 + 1 densities, P itself and then Gamma(1, 1) draws
+    (plus 1e-3) scaled to P-mass 1, and is inflated by gamma ~ U(1.2, 3);
+    the ES level is U(0.1, 0.9). Every atom has weight 1. Returns the
+    market, a standard normal loss, the ES cap (None without ES) and the
+    (gamma, D) pairs of the inflated sets."""
+    p = 0.5 / n + 0.5 * rng.dirichlet(np.full(n, 2.0))
+    space = rs.ProbSpace(p / p.sum())
+    hulls = []
+    for _ in range(1 if with_es else 2):
+        rows = rng.gamma(1.0, size=(n // 3, n)) + 1e-3
+        rows /= (rows @ space.probs)[:, None]
+        hulls.append((float(rng.uniform(1.2, 3.0)), np.vstack([np.ones(n), rows])))
+    specs = [rs.Inflation(rs.ScenarioSet(tuple(space.density(d) for d in dmat)), gamma)
+             for gamma, dmat in hulls]
+    cap = None
+    if with_es:
+        alpha = float(rng.uniform(0.1, 0.9))
+        specs.insert(0, rs.ExpectedShortfall(alpha))
+        cap = 1.0 / alpha
+    market = rs.Market.general(space, rs.finite_agents(len(specs)), rs.RiskFamily(tuple(specs)))
+    return market, space.rv(rng.normal(0.0, 1.0, n)), cap, hulls
+
+
 def random_spec(rng, space, variant=None) -> rs.RiskSpec:
     """One random spec; variant in {entropic, es, scenario, dilation, inflation}."""
     if variant is None:

@@ -241,13 +241,16 @@ class TestAtomRisks:
         alloc = rs.Allocation(shares)
 
         lp_calls = [0]
-        lp_solve = opt_kernel.lp_solve
 
-        def counted(problem):
-            lp_calls[0] += 1
-            return lp_solve(problem)
+        def counted(solve):
+            def call(problem):
+                lp_calls[0] += 1
+                return solve(problem)
+            return call
 
-        monkeypatch.setattr(opt_kernel, "lp_solve", counted)
+        # Both LP entries: the simplex and HiGHS (the density LP).
+        for entry in ("lp_solve", "highs_solve"):
+            monkeypatch.setattr(opt_kernel, entry, counted(getattr(opt_kernel, entry)))
         got = rs.atom_risks(family, sp, alloc).tolist()
         block_lps = lp_calls[0]
         want = [rs.rho(spec, sp, row) for spec, row in zip(family.specs, alloc.shares)]

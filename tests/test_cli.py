@@ -46,7 +46,8 @@ def test_golden_allocate_records():
 
 def test_scenario_golden_value_is_the_highs_density_lp():
     # The inflated scenario set takes the closed form; an independent LP
-    # solver must agree with the golden record.
+    # solver must agree with the golden record: HiGHS's interior-point
+    # method, not the dual simplex the package runs on its density LP.
     linprog = pytest.importorskip("scipy.optimize").linprog
 
     doc = json.loads((MARKETS / "scenario.json").read_text())
@@ -58,7 +59,7 @@ def test_scenario_golden_value_is_the_highs_density_lp():
                   A_ub=np.hstack([np.eye(n), -gamma * dmat.T]), b_ub=np.zeros(n),
                   A_eq=[np.concatenate([p, np.zeros(j)]),
                         np.concatenate([np.zeros(n), np.ones(j)])],
-                  b_eq=[1.0, 1.0], bounds=(0.0, None), method="highs")
+                  b_eq=[1.0, 1.0], bounds=(0.0, None), method="highs-ipm")
     assert res.status == 0
     record = json.loads((GOLDEN / "value_scenario.json").read_text())
     assert abs(record["value"] - -res.fun) <= 1e-12
@@ -375,8 +376,8 @@ def test_whole_float_atom_count_is_a_count(tmp_path):
 
 
 def test_profile_positions_are_the_quadrature_midpoints(tmp_path):
-    # At n = 3 a 12-digit atom label does not round-trip its midpoint, and
-    # gamma_formula reads the positions back from the labels.
+    # At n = 3 a 12-digit atom label does not round-trip its midpoint;
+    # gamma_formula evaluates the midpoints the agent space holds.
     spec = _aumann_with_count(tmp_path, 3, "n3.json")
     value_out, na_out = tmp_path / "value.json", tmp_path / "na.json"
     assert run_cli(["value", "--spec", str(spec), "--out", str(value_out)]).exit_code == 0

@@ -430,11 +430,12 @@ class TestOptimalAllocations:
                 assert risk >= base - 1e-9
 
 
-def _recorded_lps(monkeypatch):
-    """The LpProblems handed to opt_kernel.lp_solve, in call order."""
+def _recorded_lps(monkeypatch, entry="lp_solve"):
+    """The LpProblems handed to opt_kernel's entry (the simplex, or
+    highs_solve for the density LP), in call order."""
     problems = []
-    real = rs.opt_kernel.lp_solve
-    monkeypatch.setattr(rs.opt_kernel, "lp_solve",
+    real = getattr(rs.opt_kernel, entry)
+    monkeypatch.setattr(rs.opt_kernel, entry,
                         lambda problem: problems.append(problem) or real(problem))
     return problems
 
@@ -573,8 +574,9 @@ class TestGeneralFamilyDual:
             assert abs(res.duality_gap) <= 1e-9
 
     def test_inflation_at_one_is_the_plain_hull(self, monkeypatch):
-        # Inflation(S, 1.0) admits S's hull: its rows are equalities, so the
-        # density LP's only inequalities are the n cap rows.
+        # Inflation(S, 1.0) admits S's hull. The density LP takes every hull
+        # as n rows q - gamma * D^T lam <= 0 and the ES cap as the bounds
+        # q <= cap, so its only inequalities are the hull's n rows.
         rng = np.random.default_rng(76)
         sp = random_space(rng, max_states=8, min_states=5)
         x = random_rv(rng, sp)
@@ -582,9 +584,11 @@ class TestGeneralFamilyDual:
         es = rs.ExpectedShortfall(float(rng.uniform(0.2, 0.8)))
         plain, at_one = (rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily((es, risk)))
                          for risk in (shared, rs.Inflation(shared, 1.0)))
-        problems = _recorded_lps(monkeypatch)
+        problems = _recorded_lps(monkeypatch, "highs_solve")
         got = rs.value(at_one, x).value
-        assert problems[0].a_ub.shape[0] == sp.n_states
+        n = sp.n_states
+        assert problems[0].a_ub.shape[0] == n
+        assert np.isfinite(problems[0].upper[:n]).all() and np.isinf(problems[0].upper[n:]).all()
         assert got == rs.value(plain, x).value
 
     def test_disjoint_scenario_supports_are_ill_posed(self):

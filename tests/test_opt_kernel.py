@@ -15,6 +15,7 @@ from oracle import (
     vertex_enum_lp,
 )
 from support import (
+    aim_three_hull_market,
     random_density,
     random_rv,
     random_scenario_set,
@@ -128,9 +129,9 @@ class TestLpSolve:
 # The simplex makes the earlier simplex's pivots on the same numbers
 # ---------------------------------------------------------------------------
 
-def _built_lps(build):
-    """The LPs that build() hands to lp_solve, each answered with a zero
-    point so that the builder carries on."""
+def _built_lps(build, entry="lp_solve"):
+    """The LPs that build() hands to opt_kernel's entry, each answered with
+    a zero point so that the builder carries on."""
     problems = []
 
     def record(problem):
@@ -138,16 +139,30 @@ def _built_lps(build):
         return ok.LpSolution("optimal", np.zeros(problem.n_vars), 0.0)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ok, "lp_solve", record)
+        mp.setattr(ok, entry, record)
         build()
     return problems
 
 
+def _as_rows(problem):
+    """The LP with its variable upper bounds as inequality rows, the form
+    the simplex takes."""
+    if problem.upper is None:
+        return problem
+    bounded = np.flatnonzero(np.isfinite(problem.upper))
+    return ok.LpProblem(problem.objective,
+                        np.vstack([np.eye(problem.n_vars)[bounded], problem.a_ub]),
+                        np.concatenate([problem.upper[bounded], problem.b_ub]),
+                        problem.a_eq, problem.b_eq)
+
+
 def _density_lps(rng):
-    """Density LPs of plain, inflated and mixed hulls at n = 8, 16 and 40,
-    uncapped and capped."""
+    """Density LPs of plain, inflated and mixed hulls at n = 8 and 16,
+    uncapped and capped, as HiGHS receives them but with the cap as rows:
+    degenerate LPs for the simplex. (At n = 40 the capped mixed one takes
+    the simplex 25 s; HiGHS solves the density LP.)"""
     problems = []
-    for n in (8, 16, 40):
+    for n in (8, 16):
         for kinds in ((1.0,), (None,), (1.0, None)):
             for capped in (False, True):
                 sp = random_space(rng, max_states=n, min_states=n)
@@ -158,7 +173,8 @@ def _density_lps(rng):
                     for g in kinds)
                 cap = 1.0 / float(rng.uniform(0.1, 0.9)) if capped else np.inf
                 constraints = ok.DensityConstraints(cap=cap, hulls=hulls)
-                problems += _built_lps(lambda: ok._linear_density_lp(sp, x, constraints))
+                problems += map(_as_rows, _built_lps(
+                    lambda: ok._linear_density_lp(sp, x, constraints), "highs_solve"))
     return problems
 
 
@@ -697,7 +713,8 @@ def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
 def _highs_cap_and_hulls(linprog, p, x, cap, hulls):
     """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and, for each (gamma, D) in
     hulls, q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the
-    simplex."""
+    simplex; by HiGHS's interior-point method, not the dual simplex the
+    package runs on its density LP."""
     n = len(p)
     n_vars = n + sum(len(dmat) for _, dmat in hulls)
     a_eq, b_eq = [np.concatenate([p, np.zeros(n_vars - n)])], [1.0]
@@ -718,7 +735,7 @@ def _highs_cap_and_hulls(linprog, p, x, cap, hulls):
     ref = linprog(-np.concatenate([p * x, np.zeros(n_vars - n)]),
                   A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
                   A_eq=np.array(a_eq), b_eq=b_eq,
-                  bounds=[(0.0, cap)] * n + [(0.0, None)] * (n_vars - n), method="highs")
+                  bounds=[(0.0, cap)] * n + [(0.0, None)] * (n_vars - n), method="highs-ipm")
     assert ref.status == 0
     return -ref.fun
 
@@ -744,6 +761,21 @@ def test_es_with_scenario_hull_matches_highs(seed, inflated):
         want = _highs_cap_and_hulls(linprog, sp.probs, x, 1.0 / alpha,
                                     [(g, hull.matrix()) for hull, g in zip(sets, gammas)])
         assert abs(rs.value(market, x).value - want) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [60, 100])
+@pytest.mark.parametrize("with_es", [False, True], ids=["two_inflated", "es_inflated"])
+def test_aim_three_hull_market_is_valued(n, with_es):
+    # Markets at aim-3 sizes (J = 21 and 34 scenarios per set) whose dual
+    # is one density LP: no exception, and the value of an independent LP
+    # solve with a zero duality gap.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for seed in range(4):
+        market, x, cap, hulls = aim_three_hull_market(np.random.default_rng([n, seed]), n, with_es)
+        res = rs.value(market, x)
+        want = _highs_cap_and_hulls(linprog, market.space.probs, x, cap, hulls)
+        assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want)), seed
+        assert abs(res.duality_gap) <= 1e-9
 
 
 def test_es_cap_that_excludes_the_scenario_hull_is_ill_posed():
@@ -810,9 +842,8 @@ def test_capped_gibbs_bisection_stops_where_200_steps_end(n):
 def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     # Gibbs rows (flat ones at kappa >= 1e9 among them), sorting-rule rows
     # on tied losses with -0.0 beside 0.0, a capped Gibbs row, a plain
-    # scenario set and two inflations of one set, in shuffled order. At
-    # n <= 16 (J <= 6, where the Bland simplex ends correctly) a cap beside
-    # a hull joins them, which takes a density LP.
+    # scenario set, two inflations of one set and a cap beside a hull,
+    # which takes a density LP, in shuffled order.
     rng = np.random.default_rng(230 + n)
     space = rs.ProbSpace(_probs(rng, n))
     plain = ok.DensityConstraints(hulls=((1.0, random_scenario_set(rng, space, 5).matrix()),))
@@ -822,9 +853,8 @@ def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     hull = random_scenario_set(rng, space, 6).matrix()
     duals += [(0.7, ok.DensityConstraints(cap=3.0)), (0.0, plain),
               (0.0, ok.DensityConstraints(hulls=((1.8, hull),))),
-              (0.0, ok.DensityConstraints(hulls=((1.0 + 1e-9, hull),)))]
-    if n <= 16:
-        duals += [(0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
+              (0.0, ok.DensityConstraints(hulls=((1.0 + 1e-9, hull),))),
+              (0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
     duals = [duals[i] for i in rng.permutation(len(duals))] * 3
     xs = rng.normal(0.0, 2.0, (len(duals), n))
     xs[::2] = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (len(xs[::2]), n))
@@ -846,19 +876,19 @@ def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
         set(range(len(duals))) - set(gibbs) - set(sort) - set(inflated))
 
     lp_calls = [0]
-    lp_solve = ok.lp_solve
+    highs_solve = ok.highs_solve
 
     def counted(problem):
         lp_calls[0] += 1
-        return lp_solve(problem)
+        return highs_solve(problem)
 
-    monkeypatch.setattr(ok, "lp_solve", counted)
+    monkeypatch.setattr(ok, "highs_solve", counted)
     got = ok._maximize_block(space, xs, plan).tolist()
     block_lps = lp_calls[0]
     want = [ok._maximize(space, x, k, c)[1] for x, (k, c) in zip(xs, duals)]
     assert got == want
     # Only the cap-beside-hull rows take the density LP.
-    assert block_lps == lp_calls[0] - block_lps == (3 if n <= 16 else 0)
+    assert block_lps == lp_calls[0] - block_lps == 3
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -302,8 +302,10 @@ class TestInflate:
     def test_literal_unit_inflation_is_the_plain_set_without_lp(self, monkeypatch):
         # Inflation(S, 1.0) admits S's hull, so it takes S's vertex maximum.
         calls = []
-        real = ok.lp_solve
-        monkeypatch.setattr(ok, "lp_solve", lambda problem: calls.append(1) or real(problem))
+        for entry in ("lp_solve", "highs_solve"):  # the simplex and the density LP's HiGHS
+            real = getattr(ok, entry)
+            monkeypatch.setattr(ok, entry,
+                                lambda problem, real=real: calls.append(1) or real(problem))
         rng = np.random.default_rng(34)
         for _ in range(20):
             sp = random_space(rng)
