@@ -26,13 +26,10 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class AgentSpace:
-    """Finitely many atoms (label, weight > 0); weights are the mu-masses.
-    positions, when given, holds each atom's unit-interval coordinate (the
-    quadrature factories set it; see :func:`agent_positions`)."""
+    """Finitely many atoms (label, weight > 0); weights are the mu-masses."""
 
     labels: tuple[str, ...]
     weights: np.ndarray
-    positions: np.ndarray | None = None
 
     def __post_init__(self):
         labels = tuple(str(lab) for lab in self.labels)
@@ -47,12 +44,6 @@ class AgentSpace:
             raise ValidationError("agent weights must be finite and > 0")
         w = w.copy()
         w.setflags(write=False)
-        if self.positions is not None:
-            t = np.array(self.positions, dtype=float)
-            if t.shape != w.shape:
-                raise ValidationError("positions and weights must have equal length")
-            t.setflags(write=False)
-            object.__setattr__(self, "positions", t)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", w)
 
@@ -99,7 +90,7 @@ def aumann_agents(n: int) -> AgentSpace:
     measure: N atoms of weight 1/N, a pure continuum discretization."""
     mids = unit_interval_midpoints(n)
     labels = tuple(f"t{float(t)!r}" for t in mids)
-    return AgentSpace(labels, np.full(mids.size, 1.0 / mids.size), mids)
+    return AgentSpace(labels, np.full(mids.size, 1.0 / mids.size))
 
 
 def shapley_agents(n: int) -> AgentSpace:
@@ -108,19 +99,15 @@ def shapley_agents(n: int) -> AgentSpace:
     continuum = aumann_agents(n)
     labels = ("dirac0",) + continuum.labels + ("dirac1",)
     weights = np.concatenate([[1.0], continuum.weights, [1.0]])
-    return AgentSpace(labels, weights, np.concatenate([[0.0], continuum.positions, [1.0]]))
+    return AgentSpace(labels, weights)
 
 
 def agent_positions(agents: AgentSpace) -> np.ndarray:
     """Unit-interval coordinates for quadrature-style atoms.
 
-    The positions the space holds, when it holds them (the factories'
-    midpoints and endpoints). Otherwise atoms labeled ``t<value>`` map to
-    that value and ``dirac0``/``dirac1`` to the endpoints. Used by profile
-    factories that evaluate a formula gamma(t).
+    Atoms labeled ``t<value>`` map to that value; ``dirac0``/``dirac1`` map to
+    the endpoints. Used by profile factories that evaluate a formula gamma(t).
     """
-    if agents.positions is not None:
-        return agents.positions
     out = np.empty(agents.n_atoms)
     for i, lab in enumerate(agents.labels):
         if lab == "dirac0":

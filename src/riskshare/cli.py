@@ -39,6 +39,7 @@ from .agent_space import (
     finite_agents,
     shapley_agents,
     total_risk,
+    unit_interval_midpoints,
 )
 from .errors import (
     ConvergenceError,
@@ -136,7 +137,10 @@ _AGENT_SPACES = {"finite": finite_agents, "aumann": aumann_agents,
                  "shapley": shapley_agents}
 
 
-def _parse_agent_space(doc, path: str) -> AgentSpace:
+def _parse_agent_space(doc, path: str) -> tuple[AgentSpace, np.ndarray | None]:
+    """The agent space, and its atoms' unit-interval positions: the
+    quadrature midpoints (shapley's endpoints beside them), None for finite
+    agents."""
     kind = _need(doc, "kind", path)
     n = _need(doc, "n", path)
     if not _is_whole_count(n):
@@ -144,7 +148,11 @@ def _parse_agent_space(doc, path: str) -> AgentSpace:
     factory = _AGENT_SPACES.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise ValidationError(f"{path}.kind: unknown agent space kind {kind!r}")
-    return factory(n)
+    agents = factory(n)
+    if kind == "finite":
+        return agents, None
+    mids = unit_interval_midpoints(n)
+    return agents, (mids if kind == "aumann" else np.concatenate([[0.0], mids, [1.0]]))
 
 
 def _parse_atom_list(entries, path: str, want_risks: bool,
@@ -199,10 +207,11 @@ def load_market(doc: dict) -> tuple[Market, np.ndarray]:
 
     if not isinstance(profile, dict):
         raise ValidationError("spec.profile: expected an object")
+    positions = None
     if "agents" in doc:
         agents, _ = _parse_atom_list(doc["agents"], "spec.agents", False, space)
     elif "agent_space" in doc:
-        agents = _parse_agent_space(doc["agent_space"], "spec.agent_space")
+        agents, positions = _parse_agent_space(doc["agent_space"], "spec.agent_space")
     else:
         raise ValidationError("spec: profile markets need 'agents' or 'agent_space'")
 
@@ -218,7 +227,9 @@ def load_market(doc: dict) -> tuple[Market, np.ndarray]:
             )
     elif "gamma_formula" in profile:
         _, intercept, slope = _formula_fn(profile["gamma_formula"], "spec.profile.gamma_formula")
-        gammas = intercept + slope * agent_positions(agents)
+        if positions is None:
+            positions = agent_positions(agents)
+        gammas = intercept + slope * positions
     else:
         raise ValidationError("spec.profile: needs 'gammas' or 'gamma_formula'")
 

@@ -481,6 +481,26 @@ def test_solver_nonconvergence_exits_3(tmp_path, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_density_lp_nonconvergence_exits_3(tmp_path, monkeypatch):
+    # Two inflated scenario sets take the density LP; HiGHS ending at its
+    # iteration limit (status 1) is a solver failure, not an answer.
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(optimize, "milp", lambda *args, **kwargs: optimize.OptimizeResult(
+        status=1, message="stub iteration limit", x=None))
+    spec = tmp_path / "hulls.json"
+    spec.write_text(json.dumps({
+        "probs": [0.5, 0.5], "loss": [1.0, -0.5],
+        "agents": [{"label": label, "weight": 1.0,
+                    "risk": {"type": "inflation", "gamma": 1.5,
+                             "base": {"type": "scenario_set",
+                                      "densities": [[1.0, 1.0], scenario]}}}
+                   for label, scenario in (("a", [0.5, 1.5]), ("b", [1.5, 0.5]))]}))
+    out = tmp_path / "out.json"
+    result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
+    assert result.exit_code == 3
+    assert not out.exists()
+
+
 def test_record_round_trips_losslessly(tmp_path):
     out = tmp_path / "out.json"
     result = run_cli(["value", "--spec", str(MARKETS / "shapley.json"),

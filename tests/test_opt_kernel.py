@@ -124,6 +124,18 @@ class TestLpSolve:
             ok.LpProblem(np.array([1.0]), a_ub=np.array([[1.0, 2.0]]),
                          b_ub=np.array([1.0]))
 
+    @pytest.mark.parametrize("upper", [[-1.0, 1.0], [math.nan, 1.0], [1.0], [[1.0, 1.0]]],
+                             ids=["negative", "nan", "short", "2d"])
+    def test_upper_bound_validation(self, upper):
+        with pytest.raises(ValidationError):
+            ok.LpProblem(np.ones(2), upper=np.array(upper))
+
+    def test_simplex_takes_no_upper_bounds(self):
+        problem = ok.LpProblem(np.ones(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                               upper=np.array([math.inf, 2.0]))
+        with pytest.raises(ValidationError):
+            ok.lp_solve(problem)
+
 
 # ---------------------------------------------------------------------------
 # The simplex makes the earlier simplex's pivots on the same numbers
@@ -157,12 +169,11 @@ def _as_rows(problem):
 
 
 def _density_lps(rng):
-    """Density LPs of plain, inflated and mixed hulls at n = 8 and 16,
+    """Density LPs of plain, inflated and mixed hulls at n = 8, 16 and 40,
     uncapped and capped, as HiGHS receives them but with the cap as rows:
-    degenerate LPs for the simplex. (At n = 40 the capped mixed one takes
-    the simplex 25 s; HiGHS solves the density LP.)"""
+    degenerate LPs for the simplex."""
     problems = []
-    for n in (8, 16):
+    for n in (8, 16, 40):
         for kinds in ((1.0,), (None,), (1.0, None)):
             for capped in (False, True):
                 sp = random_space(rng, max_states=n, min_states=n)
@@ -173,6 +184,8 @@ def _density_lps(rng):
                     for g in kinds)
                 cap = 1.0 / float(rng.uniform(0.1, 0.9)) if capped else np.inf
                 constraints = ok.DensityConstraints(cap=cap, hulls=hulls)
+                if n == 40 and capped and len(kinds) == 2:
+                    continue  # 120 rows on which the simplex takes 25 s
                 problems += map(_as_rows, _built_lps(
                     lambda: ok._linear_density_lp(sp, x, constraints), "highs_solve"))
     return problems
@@ -776,6 +789,45 @@ def test_aim_three_hull_market_is_valued(n, with_es):
         want = _highs_cap_and_hulls(linprog, market.space.probs, x, cap, hulls)
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want)), seed
         assert abs(res.duality_gap) <= 1e-9
+
+
+# Two states under P = (1/2, 1/2), one scenario set D with the cap 1.2: the
+# density LP over (q, lam), q <= D^T lam, E_P[q] = 1, sum(lam) = 1, q <= 1.2.
+_STUB_SPACE = rs.ProbSpace([0.5, 0.5])
+_STUB_CONSTRAINTS = ok.DensityConstraints(
+    cap=1.2, hulls=((1.0, np.array([[1.0, 1.0], [0.5, 1.5]])),))
+
+
+def _stub_milp(monkeypatch, status, x=None):
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(optimize, "milp", lambda *args, **kwargs: optimize.OptimizeResult(
+        status=status, message=f"stub status {status}", x=x))
+
+
+def test_density_lp_solves_the_stub_problem():
+    q, value = ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+    assert abs(value - 0.6) <= 1e-12 and np.allclose(q, [0.8, 1.2], atol=1e-12)
+
+
+def test_highs_infeasible_is_infeasible_error(monkeypatch):
+    _stub_milp(monkeypatch, 2)
+    with pytest.raises(InfeasibleError):
+        ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+
+
+@pytest.mark.parametrize("status", [1, 3, 4], ids=["limit", "unbounded", "other"])
+def test_highs_non_optimal_ending_is_convergence_error(monkeypatch, status):
+    _stub_milp(monkeypatch, status)
+    with pytest.raises(ConvergenceError):
+        ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+
+
+def test_highs_point_over_the_cap_is_convergence_error(monkeypatch):
+    # q = D^T lam at lam = (0, 1) meets every row, but q_2 = 1.5 > 1.2.
+    _stub_milp(monkeypatch, 0, np.array([0.5, 1.5, 0.0, 1.0]))
+    with pytest.raises(ConvergenceError, match="upper bound residual") as err:
+        ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+    assert abs(err.value.residual - 0.3) <= 1e-12
 
 
 def test_es_cap_that_excludes_the_scenario_hull_is_ill_posed():
