@@ -23,7 +23,6 @@ from .errors import (
     ConvergenceError,
     IllPosedError,
     InfeasibleError,
-    IterationLimitError,
     RiskShareError,
     UnsupportedFamilyError,
     ValidationError,

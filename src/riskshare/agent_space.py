@@ -55,12 +55,6 @@ class AgentSpace:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @classmethod
-    def from_atoms(cls, atoms) -> "AgentSpace":
-        atoms = list(atoms)
-        return cls(tuple(lab for lab, _ in atoms),
-                   np.array([w for _, w in atoms], dtype=float))
-
 
 def _is_whole_count(n, least: int = 1) -> bool:
     """Whether n is a whole number >= least, 3 and 3.0 alike; a bool is not."""

@@ -39,11 +39,6 @@ class ConvergenceError(RiskShareError):
         self.residual = residual
 
 
-class IterationLimitError(ConvergenceError):
-    """The simplex iteration cap was exceeded: the Bland-rule loop cycled
-    under floating-point ties, or ran longer than the cap allows."""
-
-
 class UnsupportedFamilyError(RiskShareError):
     """The requested operation has no supported algorithm for this family."""
 

@@ -26,9 +26,12 @@ operations, with the bits of the loops over the per-atom specs, which its
 family builds only when they are read.
 
 On every path the certificate values the aggregate penalty at the dual
-optimizer (aggregate_conjugate): one membership test in the merged set,
-through opt_kernel._admits, then the atoms' KL parts in atom order, a sum
-skipped (it is 0.0) when no atom has one.
+optimizer, as aggregate_conjugate does: one membership test in the merged
+set, through opt_kernel._admits, then the atoms' KL parts in atom order, a
+sum skipped (it is 0.0) when no atom has one. The optimizer comes with the
+kernel's hull weights, one lam per hull of the merged set (a profile's
+value spec has the same hulls), so the membership test checks that
+witness in O(nJ) and makes no LP unless the witness fails.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -69,9 +72,9 @@ from .risk_measures import (
     RiskSpec,
     _check_inflation_base,
     _conjugate,
+    _solve,
     dilate,
     dual_set,
-    dual_solve,
     inflate,
     rho,
 )
@@ -265,8 +268,9 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     infinity absorbing.
 
     q is checked once. Its membership is tested once, in the market's
-    merged dual set: the sum of the atoms' indicator penalties is the
-    indicator of that set. Off it the sum is math.inf; on it the KL parts
+    merged dual set (one membership LP per hull, as q comes with no hull
+    weights): the sum of the atoms' indicator penalties is the indicator
+    of that set. Off it the sum is math.inf; on it the KL parts
     add up in atom order, memoised over the nodes of the spec tree, so
     atoms dilating one base share one evaluation of it. A dilation
     profile's KL parts are w * (K * gamma), K the base's, so K is evaluated
@@ -274,8 +278,14 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     KL part returns 0.0, the bits of that sum of w * 0.0."""
     if q.q.size != market.space.n_states:
         raise ValidationError("density dimension does not match space")
+    return _aggregate_penalty(market, q)
+
+
+def _aggregate_penalty(market: Market, q: Density, weights: tuple | None = None) -> float:
+    """aggregate_conjugate at a density already sized to the space, its
+    membership tested with the hull weights given (opt_kernel._admits)."""
     _, constraints, has_kl = market._dual_set
-    if not opt_kernel._admits(market.space, constraints, q.q):
+    if not opt_kernel._admits(market.space, constraints, q.q, weights):
         return math.inf
     if not has_kl:
         return 0.0
@@ -325,20 +335,24 @@ def value(market: Market, x) -> ShareResult:
     kind = market.kind
     if isinstance(kind, DilationProfile):
         vspec = dilate(kind.base, kind.gamma_total)
-        val, q = dual_solve(vspec, market.space, x)
+        val, q, weights = _solve(vspec, market.space, x)
         alloc = optimal_allocation_dilated(market, x)
-        return _result(market, x, val, alloc, Attainment.ATTAINED, q)
+        return _result(market, x, val, alloc, Attainment.ATTAINED, q, weights)
     if isinstance(kind, InflationProfile):
         vspec = inflate(kind.base, kind.gamma_inf)
-        val, q = dual_solve(vspec, market.space, x)
+        val, q, weights = _solve(vspec, market.space, x)
         alloc = optimal_allocation_inflated(market, x)
-        return _result(market, x, val, alloc, Attainment.ATTAINED, q)
-    val, q = _general_dual_value(market, x)
-    return _result(market, x, val, None, Attainment.UNKNOWN, q)
+        return _result(market, x, val, alloc, Attainment.ATTAINED, q, weights)
+    val, q, weights = _general_dual_value(market, x)
+    return _result(market, x, val, None, Attainment.UNKNOWN, q, weights)
 
 
-def _result(market, x, val, alloc, attained, q) -> ShareResult:
-    pen = aggregate_conjugate(market, q)
+def _result(market, x, val, alloc, attained, q, weights) -> ShareResult:
+    """The ShareResult at the solver's value, optimizer vector q and its hull
+    weights: q is checked as a density, and the gap is val - (E_Q[x] -
+    penalty), the penalty's membership test taking the weights."""
+    q = market.space.density(q)
+    pen = _aggregate_penalty(market, q, weights)
     if math.isfinite(pen):
         # x and q were validated on this space already: E_Q[x] directly.
         gap = val - (float(np.dot(market.space.probs, q.q * x)) - pen)
@@ -349,16 +363,16 @@ def _result(market, x, val, alloc, attained, q) -> ShareResult:
     return ShareResult(float(val), alloc, attained, q, float(gap))
 
 
-def _general_dual_value(market: Market, x) -> tuple[float, Density]:
+def _general_dual_value(market: Market, x) -> tuple[float, np.ndarray, tuple]:
     try:
         kl_weight, constraints, _ = market._dual_set
-        q, val = opt_kernel._maximize(market.space, x, kl_weight, constraints)
+        q, val, weights = opt_kernel._maximize(market.space, x, kl_weight, constraints)
     except InfeasibleError as exc:
         raise IllPosedError(
             "every density has infinite aggregate penalty; the sharing value "
             "is -inf (the agents share no prior)"
         ) from exc
-    return val, market.space.density(q)
+    return val, q, weights
 
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:

@@ -1,6 +1,5 @@
-"""Small dense optimization routines: a two-phase simplex, the density LP
-by HiGHS, exact or certified maximization over densities, and membership in
-a set of densities.
+"""Small dense optimization routines: LPs by HiGHS, exact or certified
+maximization over densities, and membership in a set of densities.
 
 This module is the one place that picks the solve path for a constraint
 structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
@@ -13,31 +12,23 @@ of an allocation): the Gibbs, sorting-rule and inflated-hull rows vectorised
 but for one np.dot and one log per row, every other row by _maximize, bit
 for bit. One inflated hull takes the Rockafellar-Uryasev closed form
 (``_inflated_block``); the density LP (``_linear_density_lp``) is left to
-several hulls or a hull beside a cap, and HiGHS solves it
-(``highs_solve``). ``_admits`` tests whether a density meets the
-constraints, one small LP per hull (``_dominated``), which the simplex
-(``lp_solve``) solves. So every LP in the package is built here. _maximize
-and _admits check the hulls themselves (one column per state, rows of unit
+several hulls or a hull beside a cap. _maximize also returns, for each hull,
+the weights lam that put its optimizer under gamma * D^T lam.
+
+``_admits`` tests whether a density meets the constraints. A hull whose
+weights come with the density and prove it dominated is settled by that
+O(nJ) check; any other hull takes one small LP (``_dominated``), so a
+density from the kernel makes no LP and one from a user makes one per hull.
+Every LP in the package is built here and solved by HiGHS's dual revised
+simplex (``highs_solve``; scipy is imported on the first LP, so importing
+the package loads no scipy), and its point is checked here. _maximize and
+_admits check the hulls themselves (one column per state, rows of unit
 P-mass); the payoff and the density are the caller's to check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
 for some weights lam on the simplex; a plain scenario set is its gamma = 1
 entry.
-
-The membership LP is tiny (one column per state and a scale, one row per
-scenario and the weight-sum row, the origin feasible), so the simplex
-favors determinism and a low per-call cost over speed: Bland's rule, no
-scaling, no presolve, and a dense tableau whose last row is the
-reduced-cost row (no artificial column is stored). Identical inputs produce
-bit-identical outputs. Bland's rule prevents cycling only in exact
-arithmetic; with floating-point ties in the reduced costs and ratio test
-the loop can still cycle on degenerate LPs, and then stops at the
-iteration cap with IterationLimitError. The density LP grows with the
-states and scenarios, where that simplex stalls; HiGHS's dual revised
-simplex (through scipy, imported on the first density LP, so importing the
-package loads no scipy) solves it, and its point is checked here as the
-simplex's is.
 """
 
 from __future__ import annotations
@@ -49,19 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InfeasibleError,
-    IterationLimitError,
-    UnsupportedFamilyError,
-    ValidationError,
-)
+from .errors import ConvergenceError, InfeasibleError, UnsupportedFamilyError, ValidationError
 from .prob_core import DENSITY_SUM_TOL, Density, ProbSpace, kl_divergence
 
-_RC_TOL = 1e-10     # reduced-cost threshold for entering columns
-_PIV_TOL = 1e-10    # minimum magnitude for a pivot element
-_FEAS_TOL = 1e-9    # phase-1 residual above which the problem is infeasible
-_ITER_FACTOR = 10_000  # iteration cap = factor * number of columns
+_FEAS_TOL = 1e-9    # primal residual above which an LP solver's point is rejected
 # Shared cutoff for the 0-vs-infinity decision in coherent conjugates:
 # constraint residuals up to this size still count as feasible.
 MEMBERSHIP_TOL = 1e-9
@@ -71,7 +53,7 @@ MEMBERSHIP_TOL = 1e-9
 class LpProblem:
     """maximize objective @ z  subject to  a_ub z <= b_ub, a_eq z = b_eq,
     0 <= z <= upper. upper holds one bound per variable, math.inf where
-    there is none; None means none at all. Only highs_solve takes bounds."""
+    there is none; None means none at all."""
 
     objective: np.ndarray
     a_ub: np.ndarray | None = None
@@ -128,133 +110,6 @@ class LpSolution:
     value: float | None = None
 
 
-def _objective_row(tableau, basis, cost):
-    """Reduced-cost row z - c of the stored columns for the current basis
-    (rhs slot carries c_B b); in phase 1, cost runs on over the artificials."""
-    row = np.concatenate([-cost[:tableau.shape[1] - 1], [0.0]])
-    for i, b in enumerate(basis):
-        if cost[b] != 0.0:
-            row += cost[b] * tableau[i]
-    return row
-
-
-def _pivot(tableau, basis, row, col):
-    """One Gauss-Jordan pivot on (row, col). The reduced-cost row is the
-    tableau's last row, so the one outer-product update refreshes it too."""
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]  # np.outer, without its call overhead
-    basis[row] = col
-
-
-def _simplex_loop(tableau, basis, cap, counter):
-    """Run Bland-rule pivots to optimality. Returns 'optimal' or 'unbounded'."""
-    m = len(basis)
-    while True:
-        entering = -1
-        for j, rc in enumerate(tableau[-1, :-1].tolist()):
-            if rc < -_RC_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        rhs = tableau[:m, -1].tolist()
-        best_ratio = None
-        leave = -1
-        for i, a in enumerate(tableau[:m, entering].tolist()):
-            if a > _PIV_TOL:
-                ratio = rhs[i] / a
-                if leave < 0 or ratio < best_ratio - 1e-12:
-                    best_ratio = ratio
-                    leave = i
-                elif abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]:
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leave, entering)
-        counter[0] += 1
-        if counter[0] > cap:
-            raise IterationLimitError(
-                f"simplex iteration cap {cap} exceeded (cycling guard)"
-            )
-
-
-def lp_solve(problem: LpProblem) -> LpSolution:
-    """Dense two-phase simplex with Bland's rule.
-
-    The tableau is (m + 1) x (n_cols + 1): the constraint rows over the
-    original and slack columns, then the reduced-cost row; the last column
-    is the right-hand side. No pivot may enter a phase-1 artificial, so none
-    is stored; each keeps its index n_cols + i in the basis, where the tie
-    rule reads it. Pivots and numbers match a tableau that stores them
-    (tests/oracle.py, bland_tableau_lp). Deterministic given the input;
-    primal residuals of an optimal point are verified to be within 1e-9.
-    Variable upper bounds are HiGHS's (:func:`highs_solve`); here they
-    raise ValidationError.
-    """
-    if problem.upper is not None:
-        raise ValidationError("the simplex takes no variable upper bounds")
-    n = problem.n_vars
-    m_ub = problem.b_ub.size
-    m = m_ub + problem.b_eq.size
-    n_cols = n + m_ub  # originals + slacks
-
-    if m == 0:
-        # No constraints: optimum at 0 unless some objective entry is positive.
-        if np.any(problem.objective > _RC_TOL):
-            return LpSolution("unbounded")
-        return LpSolution("optimal", np.zeros(n), 0.0)
-
-    tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m_ub, :n] = problem.a_ub
-    tableau[:m_ub, n:n_cols] = np.eye(m_ub)
-    tableau[m_ub:m, :n] = problem.a_eq
-    rhs = np.concatenate([problem.b_ub, problem.b_eq])
-    tableau[np.flatnonzero(rhs < 0.0)] *= -1.0
-    tableau[:m, -1] = np.abs(rhs)
-
-    # Phase 1: artificial basis, minimize the artificial mass.
-    basis = list(range(n_cols, n_cols + m))
-    cost1 = np.zeros(n_cols + m)
-    cost1[n_cols:] = -1.0
-    tableau[-1] = _objective_row(tableau, basis, cost1)
-    cap = _ITER_FACTOR * (n_cols + m)
-    counter = [0]
-    status = _simplex_loop(tableau, basis, cap, counter)
-    if status != "optimal":  # phase 1 is always bounded below by 0
-        raise ConvergenceError("phase-1 simplex reported unbounded")
-    if tableau[-1, -1] < -_FEAS_TOL:
-        return LpSolution("infeasible")
-
-    # Drive artificials out of the basis; drop rows that are redundant.
-    keep = np.ones(m + 1, dtype=bool)
-    in_basis = set(basis)
-    for i in range(m):
-        if basis[i] >= n_cols:
-            pivot_col = next((j for j, a in enumerate(tableau[i, :n_cols].tolist())
-                              if j not in in_basis and abs(a) > _PIV_TOL), -1)
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
-                in_basis.add(pivot_col)
-            else:
-                keep[i] = False
-    tableau = tableau[keep]
-    basis = [b for i, b in enumerate(basis) if keep[i]]
-
-    # Phase 2.
-    cost2 = np.zeros(n_cols)
-    cost2[:n] = problem.objective
-    tableau[-1] = _objective_row(tableau, basis, cost2)
-    status = _simplex_loop(tableau, basis, cap, counter)
-    if status == "unbounded":
-        return LpSolution("unbounded")
-
-    full = np.zeros(n_cols)
-    full[basis] = tableau[:-1, -1]
-    return _optimal(problem, full[:n])
-
-
 # HiGHS's primal and dual feasibility tolerances, below the 1e-9 at which
 # its point is verified. At HiGHS's default of 1e-7, 1 of 200 density LPs
 # of tests/support.aim_three_hull_market (n 20-150) ended "optimal" with a
@@ -275,10 +130,10 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
 def highs_solve(problem: LpProblem) -> LpSolution:
     """The LP by HiGHS (its dual revised simplex, through scipy.optimize.milp
     with no integrality), upper bounds included. The optimal point's primal
-    residuals are verified to be within 1e-9, as lp_solve's are; HiGHS's
-    infeasible and unbounded verdicts are the statuses of those names, and
-    any other ending raises ConvergenceError. scipy is imported on the first
-    call."""
+    residuals are verified to be within 1e-9, and entries within that
+    tolerance below 0 are set to 0; HiGHS's infeasible and unbounded
+    verdicts are the statuses of those names, and any other ending raises
+    ConvergenceError. scipy is imported on the first call."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     m_ub = problem.b_ub.size
@@ -298,14 +153,8 @@ def highs_solve(problem: LpProblem) -> LpSolution:
         return LpSolution("unbounded")
     if res.status != 0:
         raise ConvergenceError(f"HiGHS ended with status {res.status}: {res.message}")
-    return _optimal(problem, res.x)
-
-
-def _optimal(problem: LpProblem, x: np.ndarray) -> LpSolution:
-    """The optimal solution at a solver's point x, once its residuals are
-    verified; entries within tolerance below 0 are set to 0."""
-    _verify_residuals(problem, x)
-    x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
+    _verify_residuals(problem, res.x)
+    x = np.where((res.x < 0.0) & (res.x > -_FEAS_TOL), 0.0, res.x)
     return LpSolution("optimal", x, float(problem.objective @ x))
 
 
@@ -369,11 +218,13 @@ def _check_kl_weight(kappa: float):
 
 
 def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
-              constraints: DensityConstraints) -> tuple[np.ndarray, float]:
+              constraints: DensityConstraints) -> tuple[np.ndarray, float, tuple]:
     """Maximize E_Q[x] - kappa * KL(Q||P) over the densities that meet the
-    constraints; returns the optimizer's vector and the value. x must be a
-    finite float vector already sized to the space; the hulls are checked
-    here.
+    constraints; returns the optimizer's vector, the value and its hull
+    weights: one lam per hull, in the constraints' order, with the
+    optimizer under gamma * D^T lam (the witness that :func:`_admits`
+    checks). x must be a finite float vector already sized to the space;
+    the hulls are checked here.
 
     Each constraint structure has one exact solve path:
 
@@ -386,12 +237,14 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     * kappa > 0 and a finite cap: the capped Gibbs point, certified by its
       KKT residual at its own multiplier (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
-      the best scenario, a vertex of the hull;
+      the best scenario j, a vertex of the hull, with weights e_j;
     * kappa = 0, one hull at gamma > 1 (an inflated scenario set) and no
       cap: the Rockafellar-Uryasev minimum over t, the one-row case of
-      :func:`_inflated_block`, O(nJ + J^2) after a sort;
+      :func:`_inflated_block`, O(nJ + J^2) after a sort, with the weights
+      of the (at most two) scenarios active at t*;
     * kappa = 0 and any other scenario hulls (several, or beside a cap):
-      the density LP, which HiGHS solves (:func:`_linear_density_lp`).
+      the density LP, which HiGHS solves (:func:`_linear_density_lp`),
+      with the weights of its solution.
 
     Raises ValidationError when kappa is not finite or a hull matrix does
     not fit the space, InfeasibleError when no density satisfies the
@@ -415,23 +268,28 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
         (gamma, dmat), *others = constraints.hulls
         if gamma == 1.0 and not others and cap == math.inf:
             # A plain scenario set: the best scenario, a vertex of its hull.
-            best_value, best = -math.inf, None
-            for d in np.atleast_2d(dmat):
+            rows = np.atleast_2d(dmat)
+            best_value, best = -math.inf, 0
+            for j, d in enumerate(rows):
                 v = float(np.dot(space.probs, d * x))
                 if v > best_value:
-                    best_value, best = v, d
-            return best, best_value
+                    best_value, best = v, j
+            lam = np.zeros(len(rows))
+            lam[best] = 1.0
+            return rows[best], best_value, (lam,)
         if _is_inflated_hull(kappa, constraints):
-            values, q, _ = _inflated_block(space.probs, dmat, x[None], np.array([gamma], float))
-            return q[0], values[0]
+            values, q, _, lam = _inflated_block(space.probs, dmat, x[None],
+                                                np.array([gamma], float))
+            return q[0], values[0], (lam[0],)
         return _linear_density_lp(space, x, constraints)
     if kappa == 0.0:
         q = sorting_rule_point(space, x, cap)
-        return q, float(np.dot(space.probs, q * x))
+        return q, float(np.dot(space.probs, q * x)), ()
     if cap == math.inf:
         values, w, mass = _gibbs_block(space.probs, x[None], np.array([kappa]))
-        return w[0] / mass[0], values[0]
-    return _certified_gibbs(space, x, kappa, cap)
+        return w[0] / mass[0], values[0], ()
+    q, value = _certified_gibbs(space, x, kappa, cap)
+    return q, value, ()
 
 
 def _is_inflated_hull(kappa, constraints) -> bool:
@@ -592,19 +450,21 @@ def _inflated_block(p, dmat, xs, gamma):
     """Maximize E_Q[x] over {q <= gamma * D^T lam, E_P[q] = 1, lam on the
     simplex} for each row x of a (k, n) block at its own gamma > 1, where
     the rows of D are densities. Returns the values, one np.dot per row, the
-    optimizers (k, n) and each row's t* (:func:`_inflated_rows`)."""
+    optimizers (k, n), each row's t* and its weights lam (k, J)
+    (:func:`_inflated_rows`)."""
     dmat = np.atleast_2d(np.asarray(dmat, dtype=float))
     j, n = dmat.shape
     step = max(1, _HULL_SLICE_CELLS // ((n + 1) * j + j * j))
-    parts = [_inflated_rows(p, dmat, xs[lo:lo + step], gamma[lo:lo + step])
-             for lo in range(0, len(xs), step)]
-    q = np.concatenate([part[0] for part in parts])
+    q, t, lam = (np.concatenate(part) for part in zip(*(
+        _inflated_rows(p, dmat, xs[lo:lo + step], gamma[lo:lo + step])
+        for lo in range(0, len(xs), step))))
     values = [float(np.dot(p, row)) for row in q * xs]
-    return values, q, np.concatenate([part[1] for part in parts])
+    return values, q, t, lam
 
 
 def _inflated_rows(p, dmat, xs, gamma):
-    """The optimizers and t* of :func:`_inflated_block` for a slice of rows.
+    """The optimizers, t* and weights of :func:`_inflated_block` for a
+    slice of rows.
 
     By LP duality over E_P[q] = 1 and a minimax swap, the value is
 
@@ -621,6 +481,7 @@ def _inflated_rows(p, dmat, xs, gamma):
     segment. The optimizer mixes the (at most two) scenarios active at t*
     by lam, so that f's slope is 0 at t*: q = gamma * D^T lam above t*, and
     the states at t* take the remainder, in state order (:func:`_fill`).
+    Those two entries of lam, zero elsewhere, are the row's weights.
     """
     k, n = xs.shape
     rows = np.arange(k)
@@ -672,7 +533,11 @@ def _inflated_rows(p, dmat, xs, gamma):
         pair = [np.where(take, a, b) for a, b in zip(js, pair)]
         lam = [np.where(take, a, b) for a, b in zip(lams, lam)]
     caps = gamma[:, None] * (lam[0][:, None] * dmat[pair[0]] + lam[1][:, None] * dmat[pair[1]])
-    return _fill(p, order, np.take_along_axis(caps, order, axis=1)), t
+    weights = np.zeros((k, len(dmat)))
+    # One scenario alone is the pair (j, j) with lam (1, 0): its 1 goes last.
+    weights[rows, pair[1]] = lam[1]
+    weights[rows, pair[0]] = lam[0]
+    return _fill(p, order, np.take_along_axis(caps, order, axis=1)), t, weights
 
 
 def _envelope_minimum(above, mass, gamma, lo, hi):
@@ -704,8 +569,9 @@ def _linear_density_lp(space, x, constraints):
     LP over (q, lam_1, ..., lam_H) for H hulls, solved by HiGHS
     (:func:`highs_solve`): each hull enters as the n rows q - gamma * D^T
     lam_h <= 0 and its weight-sum row, and the cap as the bounds q <= cap.
-    Raises InfeasibleError when no density meets them and ConvergenceError
-    when HiGHS ends otherwise than optimal."""
+    Returns q, the value and the weights (lam_1, ..., lam_H). Raises
+    InfeasibleError when no density meets them and ConvergenceError when
+    HiGHS ends otherwise than optimal."""
     p = space.probs
     n = space.n_states
     hulls = [(float(g), np.atleast_2d(np.asarray(d, dtype=float))) for g, d in constraints.hulls]
@@ -716,13 +582,15 @@ def _linear_density_lp(space, x, constraints):
     a_ub = np.zeros((n * len(hulls), n_total))
     a_eq = np.zeros((1 + len(hulls), n_total))
     a_eq[0, :n] = p
+    weights = []
     offset = n
     for k, (gamma, dmat) in enumerate(hulls):
-        weights = slice(offset, offset + len(dmat))
+        cols = slice(offset, offset + len(dmat))
+        weights.append(cols)
         block = a_ub[k * n:(k + 1) * n]
         block[:, :n] = np.eye(n)
-        block[:, weights] = -gamma * dmat.T
-        a_eq[1 + k, weights] = 1.0
+        block[:, cols] = -gamma * dmat.T
+        a_eq[1 + k, cols] = 1.0
         offset += len(dmat)
     upper = None
     if math.isfinite(constraints.cap):
@@ -735,13 +603,22 @@ def _linear_density_lp(space, x, constraints):
         raise InfeasibleError("no density satisfies the feasibility constraints")
     if sol.status != "optimal":
         raise ConvergenceError(f"density LP ended with status {sol.status}")
-    return sol.point[:n], float(sol.value)
+    return sol.point[:n], float(sol.value), tuple(sol.point[w] for w in weights)
 
 
-def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) -> bool:
+def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray,
+            weights: tuple | None = None) -> bool:
     """Whether the density vector q satisfies the constraints: q exceeds the
     cap by at most MEMBERSHIP_TOL, and for each hull q is dominated by
-    gamma times a point of the hull, up to MEMBERSHIP_TOL (:func:`_dominated`).
+    gamma times a point of the hull, up to MEMBERSHIP_TOL.
+
+    weights, where given, holds one lam per hull, as _maximize returns them
+    with its optimizer. A hull whose lam proves q dominated
+    (:func:`_proves`) is settled by that O(nJ) check. Every other hull, and
+    every hull when no weights are given (a density from a user), takes the
+    membership LP (:func:`_dominated`). A lam that proves q dominated makes
+    the LP's smallest violation at most MEMBERSHIP_TOL too, so the verdict
+    is the LP's either way.
 
     A hull at gamma = 1 (a plain scenario set) takes the same test: every
     state has p > 0, so q <= D^T lam with both sides of P-mass 1 forces
@@ -751,12 +628,26 @@ def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray) ->
         _check_hull(space, d)
     if not q.max() <= constraints.cap + MEMBERSHIP_TOL:
         return False
-    return all(_dominated(gamma, d, q) for gamma, d in constraints.hulls)
+    if weights is None:
+        weights = (None,) * len(constraints.hulls)
+    return all(_proves(gamma, d, q, lam) or _dominated(gamma, d, q)
+               for (gamma, d), lam in zip(constraints.hulls, weights, strict=True))
+
+
+def _proves(gamma: float, dmat: np.ndarray, q: np.ndarray, lam) -> bool:
+    """Whether the weights lam (None for none) prove q <= gamma * D^T lam'
+    up to MEMBERSHIP_TOL in every state, for lam' = lam / sum(lam), a point
+    of the simplex: lam must be >= 0 with a positive sum."""
+    if lam is None or not (lam >= 0.0).all():
+        return False
+    total = lam.sum()
+    return bool(total > 0.0
+                and (q - gamma * ((lam / total) @ np.atleast_2d(dmat))).max() <= MEMBERSHIP_TOL)
 
 
 def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
     """Whether q <= gamma * D^T lam for some weights lam on the simplex, up
-    to MEMBERSHIP_TOL in every state.
+    to MEMBERSHIP_TOL in every state, by one LP (:func:`highs_solve`).
 
     The smallest worst violation, min over lam of max(0, max_i (q - gamma *
     D^T lam)_i), equals by LP duality
@@ -764,10 +655,9 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
         max  q @ mu - gamma * s   over mu >= 0 (one per state), s >= 0,
         s.t. D mu <= s (one row per scenario),  sum(mu) <= 1.
 
-    Every right-hand side is >= 0, so the origin is feasible. (The primal
-    form, with right-hand side -q, can end its phase 1 unbounded or cycle
-    under Bland's rule on a hull's own vertex.) An LP that still ends other
-    than optimal is a solver failure: ConvergenceError.
+    Every right-hand side is >= 0, so the origin is feasible, and sum(mu)
+    <= 1 bounds the objective. An LP that still ends other than optimal is
+    a solver failure: ConvergenceError.
     """
     j, n = np.atleast_2d(dmat).shape
     c = np.concatenate([q, [-gamma]])
@@ -777,7 +667,7 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
     a_ub[j, :n] = 1.0
     b_ub = np.zeros(j + 1)
     b_ub[j] = 1.0
-    sol = lp_solve(LpProblem(c, a_ub, b_ub))
+    sol = highs_solve(LpProblem(c, a_ub, b_ub))
     if sol.status != "optimal":
         raise ConvergenceError(f"membership LP ended with status {sol.status}")
     return float(sol.value) <= MEMBERSHIP_TOL

@@ -24,7 +24,8 @@ weights for a KL weight alone, the best scenario for a plain set, the
 Rockafellar-Uryasev minimum for an inflated one). ``conjugate`` reads
 ``dual_set`` too and returns a float in [0, math.inf]: kappa * KL on the
 dual set, math.inf off it. This module builds no LP: ``opt_kernel`` also
-tests membership in a dual set.
+tests membership in a dual set, by one LP per hull for a density that
+comes from the caller.
 
 Validation boundary: the public functions check their inputs; the private
 evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
@@ -114,9 +115,11 @@ class ScenarioSet(RiskSpec):
         # + 0.0 turns -0.0 into 0.0, which array_equal already equates.
         return hash((self._matrix + 0.0).tobytes())
 
-    def contains_reference(self, tol: float = opt_kernel.MEMBERSHIP_TOL) -> bool:
-        """Whether P itself (the all-ones density) is listed as a scenario."""
-        return any(np.max(np.abs(d.q - 1.0)) <= tol for d in self.densities)
+    def contains_reference(self) -> bool:
+        """Whether P itself (the all-ones density) is listed as a scenario,
+        within opt_kernel.MEMBERSHIP_TOL in every state."""
+        return any(np.max(np.abs(d.q - 1.0)) <= opt_kernel.MEMBERSHIP_TOL
+                   for d in self.densities)
 
 
 @dataclass(frozen=True)
@@ -217,16 +220,18 @@ def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
 def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
     """Risk value together with a density attaining the dual supremum
     E_Q[x] - conjugate(Q)."""
-    value, q = _solve(spec, space, space.rv(x))
+    value, q, _ = _solve(spec, space, space.rv(x))
     return value, space.density(q)
 
 
-def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """rho and the vector of a dual optimizer, for a finite float vector
-    already sized to the space: every spec, a dilation included, maximizes
-    E_Q[x] minus its ``dual_set`` penalty in the kernel."""
-    q, value = opt_kernel._maximize(space, x, *dual_set(spec))
-    return value, q
+def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
+    """rho, the vector of a dual optimizer and its hull weights (one lam per
+    hull of the spec's ``dual_set``, as ``opt_kernel._maximize`` returns
+    them), for a finite float vector already sized to the space: every
+    spec, a dilation included, maximizes E_Q[x] minus its ``dual_set``
+    penalty in the kernel."""
+    q, value, weights = opt_kernel._maximize(space, x, *dual_set(spec))
+    return value, q, weights
 
 
 # ---------------------------------------------------------------------------

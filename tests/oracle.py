@@ -8,14 +8,8 @@ instead of the kernel's sort and envelope, the capped Gibbs oracle
 water-fills exactly instead of bisecting for a multiplier and projecting,
 the sharing-value oracle searches allocation space directly instead of
 using closed forms or the dual, and the LP oracle enumerates basic
-solutions instead of pivoting.
+solutions instead of running HiGHS's simplex, the package's one LP solver.
 The allocation search and the vertex enumeration are capped at desk scale.
-
-One reference is not independent by design: ``bland_tableau_lp`` is the
-package's earlier dense Bland simplex, which stored the phase-1 artificial
-columns and kept its reduced-cost row apart from the tableau. It is kept
-as written, with a pivot counter added, so that the package's simplex can
-be checked to make the same pivots on the same numbers.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshare.agent_space import Allocation, total_risk
-from riskshare.errors import ConvergenceError, IterationLimitError, ValidationError
+from riskshare.errors import ValidationError
 from riskshare.infimal_convolution import Market
 from riskshare.opt_kernel import LpProblem, LpSolution
 from riskshare.prob_core import ProbSpace
@@ -76,7 +70,7 @@ def es_lp_oracle(space: ProbSpace, alpha: float, x) -> float:
     min_t t + E_P[(x - t)^+] / alpha. The function of t is convex and
     piecewise linear with its kinks at the loss values, so the minimum over
     them is exact. O(n^2) numpy, independent of the sorting rule and of
-    the package's simplex."""
+    any LP solver."""
     if not (0.0 < alpha <= 1.0):
         raise ValidationError("quantile level must lie in (0, 1]")
     x = space.rv(x)
@@ -272,159 +266,3 @@ def vertex_enum_lp(problem: LpProblem) -> LpSolution:
     if best_pt is None:
         return LpSolution("infeasible")
     return LpSolution("optimal", np.where(best_pt < 0.0, 0.0, best_pt), best_val)
-
-
-# ---------------------------------------------------------------------------
-# The earlier dense Bland simplex, bit for bit
-# ---------------------------------------------------------------------------
-
-_RC_TOL = 1e-10
-_PIV_TOL = 1e-10
-_FEAS_TOL = 1e-9
-_ITER_FACTOR = 10_000
-
-
-def _objective_row(tableau, basis, cost):
-    """Reduced-cost row z - c for the current basis (rhs slot carries c_B b)."""
-    row = np.concatenate([-cost, [0.0]])
-    for i, b in enumerate(basis):
-        if cost[b] != 0.0:
-            row += cost[b] * tableau[i]
-    return row
-
-
-def _pivot(tableau, obj, basis, row, col, pivots):
-    pivots[0] += 1
-    tableau[row] /= tableau[row, col]
-    piv = tableau[row].copy()
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, piv)
-    obj -= obj[col] * piv
-    basis[row] = col
-
-
-def _simplex_loop(tableau, obj, basis, allowed_cols, cap, counter, pivots):
-    """Run Bland-rule pivots to optimality. Returns 'optimal' or 'unbounded'."""
-    while True:
-        entering = -1
-        for j in allowed_cols:
-            if obj[j] < -_RC_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        col = tableau[:, entering]
-        rhs = tableau[:, -1]
-        best_ratio = None
-        leave = -1
-        for i in range(tableau.shape[0]):
-            if col[i] > _PIV_TOL:
-                ratio = rhs[i] / col[i]
-                if leave < 0 or ratio < best_ratio - 1e-12:
-                    best_ratio = ratio
-                    leave = i
-                elif abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave]:
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tableau, obj, basis, leave, entering, pivots)
-        counter[0] += 1
-        if counter[0] > cap:
-            raise IterationLimitError(
-                f"simplex iteration cap {cap} exceeded (cycling guard)"
-            )
-
-
-def bland_tableau_lp(problem: LpProblem) -> tuple[LpSolution, int]:
-    """The earlier dense two-phase simplex with Bland's rule; returns the
-    solution and the number of pivots made, drive-out pivots included.
-    Raises as the package's simplex does (IterationLimitError at the cap,
-    ConvergenceError on a residual above 1e-9)."""
-    pivots = [0]
-    n = problem.n_vars
-    m_ub = problem.b_ub.size
-    m = m_ub + problem.b_eq.size
-    n_cols = n + m_ub  # originals + slacks
-
-    if m == 0:
-        # No constraints: optimum at 0 unless some objective entry is positive.
-        if np.any(problem.objective > _RC_TOL):
-            return LpSolution("unbounded"), pivots[0]
-        return LpSolution("optimal", np.zeros(n), 0.0), pivots[0]
-
-    body = np.zeros((m, n_cols))
-    body[:m_ub, :n] = problem.a_ub
-    body[:m_ub, n:] = np.eye(m_ub)
-    body[m_ub:, :n] = problem.a_eq
-    rhs = np.concatenate([problem.b_ub, problem.b_eq])
-    neg = rhs < 0.0
-    body[neg] *= -1.0
-    rhs = np.abs(rhs)
-
-    # Phase 1: artificial basis, minimize the artificial mass.
-    total_cols = n_cols + m
-    tableau = np.zeros((m, total_cols + 1))
-    tableau[:, :n_cols] = body
-    tableau[:, n_cols:total_cols] = np.eye(m)
-    tableau[:, -1] = rhs
-    basis = list(range(n_cols, total_cols))
-    cost1 = np.zeros(total_cols)
-    cost1[n_cols:] = -1.0
-    obj = _objective_row(tableau, basis, cost1)
-    cap = _ITER_FACTOR * total_cols
-    counter = [0]
-    status = _simplex_loop(tableau, obj, basis, range(n_cols), cap, counter, pivots)
-    if status != "optimal":  # phase 1 is always bounded below by 0
-        raise ConvergenceError("phase-1 simplex reported unbounded")
-    if obj[-1] < -_FEAS_TOL:
-        return LpSolution("infeasible"), pivots[0]
-
-    # Drive artificials out of the basis; drop rows that are redundant.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_cols:
-            pivot_col = -1
-            for j in range(n_cols):
-                if j not in basis and abs(tableau[i, j]) > _PIV_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, obj, basis, i, pivot_col, pivots)
-            else:
-                keep[i] = False
-    tableau = tableau[keep]
-    basis = [b for i, b in enumerate(basis) if keep[i]]
-
-    # Phase 2 on the original columns only.
-    tableau = np.concatenate([tableau[:, :n_cols], tableau[:, -1:]], axis=1)
-    cost2 = np.zeros(n_cols)
-    cost2[:n] = problem.objective
-    obj = _objective_row(tableau, basis, cost2)
-    status = _simplex_loop(tableau, obj, basis, range(n_cols), cap, counter, pivots)
-    if status == "unbounded":
-        return LpSolution("unbounded"), pivots[0]
-
-    full = np.zeros(n_cols)
-    for i, b in enumerate(basis):
-        full[b] = tableau[i, -1]
-    x = full[:n]
-    _verify_residuals(problem, x)
-    x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
-    return LpSolution("optimal", x, float(problem.objective @ x)), pivots[0]
-
-
-def _verify_residuals(problem: LpProblem, x: np.ndarray):
-    if problem.b_eq.size:
-        r = np.max(np.abs(problem.a_eq @ x - problem.b_eq))
-        if r > _FEAS_TOL:
-            raise ConvergenceError(f"equality residual {r:.3e} exceeds 1e-9",
-                                   best_point=x, residual=float(r))
-    if problem.b_ub.size:
-        r = np.max(problem.a_ub @ x - problem.b_ub)
-        if r > _FEAS_TOL:
-            raise ConvergenceError(f"inequality residual {r:.3e} exceeds 1e-9",
-                                   best_point=x, residual=float(r))
-    if np.min(x, initial=0.0) < -_FEAS_TOL:
-        raise ConvergenceError("negative variable beyond tolerance",
-                               best_point=x, residual=float(-np.min(x)))

@@ -71,6 +71,36 @@ def aim_three_hull_market(rng, n, with_es):
     return market, space.rv(rng.normal(0.0, 1.0, n)), cap, hulls
 
 
+def highs_ipm_density_lp(linprog, p, x, cap, hulls):
+    """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and, for each (gamma, D) in
+    hulls, q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the
+    simplex; cap may be None for none. By HiGHS's interior-point method, not
+    the dual simplex the package runs on its LPs."""
+    n = len(p)
+    n_vars = n + sum(len(dmat) for _, dmat in hulls)
+    a_eq, b_eq = [np.concatenate([p, np.zeros(n_vars - n)])], [1.0]
+    a_ub, b_ub = [], []
+    offset = n
+    for gamma, dmat in hulls:
+        link = np.zeros((n, n_vars))
+        link[:, :n] = np.eye(n)
+        link[:, offset:offset + len(dmat)] = -(1.0 if gamma is None else gamma) * dmat.T
+        rows, rhs = (a_eq, b_eq) if gamma is None else (a_ub, b_ub)
+        rows.extend(link)
+        rhs.extend(np.zeros(n))
+        simplex = np.zeros(n_vars)
+        simplex[offset:offset + len(dmat)] = 1.0
+        a_eq.append(simplex)
+        b_eq.append(1.0)
+        offset += len(dmat)
+    ref = linprog(-np.concatenate([p * x, np.zeros(n_vars - n)]),
+                  A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                  A_eq=np.array(a_eq), b_eq=b_eq,
+                  bounds=[(0.0, cap)] * n + [(0.0, None)] * (n_vars - n), method="highs-ipm")
+    assert ref.status == 0
+    return -ref.fun
+
+
 def random_spec(rng, space, variant=None) -> rs.RiskSpec:
     """One random spec; variant in {entropic, es, scenario, dilation, inflation}."""
     if variant is None:

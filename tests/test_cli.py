@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +502,30 @@ def test_density_lp_nonconvergence_exits_3(tmp_path, monkeypatch):
     result = run_cli(["value", "--spec", str(spec), "--out", str(out)])
     assert result.exit_code == 3
     assert not out.exists()
+
+
+def test_scenario_profile_makes_no_lp_and_loads_no_scipy(tmp_path):
+    # The inflated scenario-set profile certifies its optimizer by the closed
+    # form's own hull weights. A lost witness would make a membership LP,
+    # import scipy (about 0.3 s on first use) and pay HiGHS's set-up on every
+    # call; a fresh interpreter shows both.
+    script = """
+import sys
+import riskshare.opt_kernel as ok
+from riskshare.cli import main
+lps = []
+real = ok.highs_solve
+ok.highs_solve = lambda problem: lps.append(problem) or real(problem)
+for command in ("value", "allocate"):
+    main([command, "--spec", sys.argv[1], "--out", sys.argv[2]], standalone_mode=False)
+assert lps == [], len(lps)
+assert "scipy" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", script, str(MARKETS / "scenario.json"),
+                             str(tmp_path / "out.json")], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_record_round_trips_losslessly(tmp_path):

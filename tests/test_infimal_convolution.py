@@ -14,6 +14,8 @@ from riskshare.errors import (
 
 from oracle import brute_force_value, default_grid, inflated_hull_oracle
 from support import (
+    aim_three_hull_market,
+    highs_ipm_density_lp,
     random_density,
     random_dilation_market,
     random_general_market,
@@ -430,21 +432,21 @@ class TestOptimalAllocations:
                 assert risk >= base - 1e-9
 
 
-def _recorded_lps(monkeypatch, entry="lp_solve"):
-    """The LpProblems handed to opt_kernel's entry (the simplex, or
-    highs_solve for the density LP), in call order."""
+def _recorded_lps(monkeypatch):
+    """The LpProblems handed to opt_kernel.highs_solve, the package's one LP
+    entry, in call order."""
     problems = []
-    real = getattr(rs.opt_kernel, entry)
-    monkeypatch.setattr(rs.opt_kernel, entry,
+    real = rs.opt_kernel.highs_solve
+    monkeypatch.setattr(rs.opt_kernel, "highs_solve",
                         lambda problem: problems.append(problem) or real(problem))
     return problems
 
 
-def test_aim_three_inflated_market_makes_one_lp(monkeypatch):
+def test_aim_three_inflated_market_makes_no_lp(monkeypatch):
     # 1,000 atoms inflate one scenario set by gamma ~ U[1.2, 4], n = 200,
     # J = 20. The merged set is one inflated hull: the value is the closed
-    # form at the smallest gamma, and the certificate's membership test is
-    # the only LP (there were 1,001).
+    # form at the smallest gamma, and the certificate's membership test
+    # checks the closed form's own weights: no LP.
     rng = np.random.default_rng(10)
     n, j, n_atoms = 200, 20, 1000
     p = rng.uniform(0.2, 1.0, n)
@@ -458,14 +460,32 @@ def test_aim_three_inflated_market_makes_one_lp(monkeypatch):
     x = sp.rv(3.0 * rng.normal(0.0, 1.0, n))
     problems = _recorded_lps(monkeypatch)
     res = rs.value(market, x)
-    assert len(problems) == 1
     want = inflated_hull_oracle(sp.probs, dmat, x, float(gammas.min()))
     assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
     assert abs(res.duality_gap) <= 1e-9
-    problems.clear()
     verdict = rs.pareto_check(market, x, rs.proportional_split(market.agents, x))
-    assert len(problems) <= 1
     assert verdict.excess >= 0.0
+    assert problems == []
+
+
+# Two inflated scenario sets (tests/support.aim_three_hull_market, seeded
+# [n, seed]) on which a dense Bland-rule simplex, solving the membership LP,
+# called the optimizer a non-member (a gap of inf at n = 200, seed 33),
+# stopped at "phase-1 simplex reported unbounded" (100/7, 200/1) or missed a
+# row by 1.1e-9 to 2e-7 (100/38, 100/294, 200/2). The density LP's own
+# weights certify each, with no membership LP.
+@pytest.mark.parametrize("n,seed", [(100, 7), (100, 38), (100, 294), (200, 1), (200, 2),
+                                    (200, 33)])
+def test_two_inflated_hulls_certify_with_the_density_lps_weights(monkeypatch, n, seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    market, x, cap, hulls = aim_three_hull_market(np.random.default_rng([n, seed]), n, False)
+    problems = _recorded_lps(monkeypatch)
+    res = rs.value(market, x)
+    assert math.isfinite(res.duality_gap) and abs(res.duality_gap) <= 1e-9
+    # The density LP has equality rows; a membership LP has none.
+    assert [problem.b_eq.size for problem in problems] == [3]
+    want = highs_ipm_density_lp(linprog, market.space.probs, x, cap, hulls)
+    assert abs(res.value - want) <= 1e-12 * abs(want)
 
 
 class TestGeneralFamilyDual:
@@ -536,9 +556,9 @@ class TestGeneralFamilyDual:
             (rs.Inflation(shared, min(gammas)),)))
         problems = _recorded_lps(monkeypatch)
         got = rs.value(market, x).value
-        # One inflated hull takes the closed form; the only LP is the
-        # merged set's membership LP, in dual form.
-        assert [problem.n_vars for problem in problems] == [sp.n_states + 1]
+        # One inflated hull takes the closed form, and the merged set's
+        # membership test checks the closed form's weights: no LP.
+        assert problems == []
         assert got == rs.value(single, x).value
 
     def test_member_hull_subsumes_its_inflation(self, monkeypatch):
@@ -550,14 +570,9 @@ class TestGeneralFamilyDual:
             (rs.Inflation(shared, 2.0), shared)))
         problems = _recorded_lps(monkeypatch)
         got = rs.value(market, x).value
-        # One plain hull is left, solved as its best scenario: the only LPs
-        # are the certificate's membership LPs, in dual form (a weight per
-        # state and a scale; a row per scenario and the weight-sum row).
-        assert problems
-        for problem in problems:
-            assert problem.n_vars == sp.n_states + 1
-            assert problem.a_ub.shape[0] == 3 + 1
-            assert problem.b_eq.size == 0
+        # One plain hull is left, solved as its best scenario j; the
+        # certificate checks the weights e_j: no LP.
+        assert problems == []
         assert got == rs.rho(shared, sp, x)
 
     def test_plain_and_inflated_spread_set_is_certified(self):
@@ -584,7 +599,7 @@ class TestGeneralFamilyDual:
         es = rs.ExpectedShortfall(float(rng.uniform(0.2, 0.8)))
         plain, at_one = (rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily((es, risk)))
                          for risk in (shared, rs.Inflation(shared, 1.0)))
-        problems = _recorded_lps(monkeypatch, "highs_solve")
+        problems = _recorded_lps(monkeypatch)
         got = rs.value(at_one, x).value
         n = sp.n_states
         assert problems[0].a_ub.shape[0] == n

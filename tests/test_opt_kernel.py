@@ -8,7 +8,6 @@ from riskshare import opt_kernel as ok
 from riskshare.errors import ConvergenceError, IllPosedError, InfeasibleError, ValidationError
 
 from oracle import (
-    bland_tableau_lp,
     capped_gibbs_oracle,
     es_lp_oracle,
     inflated_hull_oracle,
@@ -16,6 +15,7 @@ from oracle import (
 )
 from support import (
     aim_three_hull_market,
+    highs_ipm_density_lp,
     random_density,
     random_rv,
     random_scenario_set,
@@ -38,7 +38,7 @@ def _random_bounded_problem(rng):
     return ok.LpProblem(c, a_ub, b_ub, a_eq, b_eq)
 
 
-class TestLpSolve:
+class TestHighsSolve:
     def test_matches_vertex_enumeration_on_random_problems(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -46,7 +46,7 @@ class TestLpSolve:
             problem = _random_bounded_problem(rng)
             if problem.b_ub.size + problem.b_eq.size > 8 or problem.n_vars > 6:
                 continue
-            got = ok.lp_solve(problem)
+            got = ok.highs_solve(problem)
             want = vertex_enum_lp(problem)
             assert got.status == want.status
             if got.status == "optimal":
@@ -65,7 +65,7 @@ class TestLpSolve:
                 a_ub=np.eye(n), b_ub=np.full(n, 1.0 / alpha),
                 a_eq=sp.probs.reshape(1, -1), b_eq=np.ones(1),
             )
-            sol = ok.lp_solve(problem)
+            sol = ok.highs_solve(problem)
             assert sol.status == "optimal"
             assert sol.value == pytest.approx(
                 rs.rho(rs.ExpectedShortfall(alpha), sp, x), abs=1e-9)
@@ -76,14 +76,14 @@ class TestLpSolve:
             a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
             b_eq=np.array([1.0, 2.0]),
         )
-        assert ok.lp_solve(problem).status == "infeasible"
+        assert ok.highs_solve(problem).status == "infeasible"
 
     def test_zero_objective_returns_zero_value(self):
         problem = ok.LpProblem(
             objective=np.zeros(2),
             a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
         )
-        sol = ok.lp_solve(problem)
+        sol = ok.highs_solve(problem)
         assert sol.status == "optimal"
         assert sol.value == 0.0
 
@@ -92,13 +92,13 @@ class TestLpSolve:
             objective=np.array([1.0]),
             a_ub=np.array([[-1.0]]), b_ub=np.array([1.0]),
         )
-        assert ok.lp_solve(problem).status == "unbounded"
+        assert ok.highs_solve(problem).status == "unbounded"
 
     def test_optimal_point_respects_residual_contract(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             problem = _random_bounded_problem(rng)
-            sol = ok.lp_solve(problem)
+            sol = ok.highs_solve(problem)
             if sol.status != "optimal":
                 continue
             z = sol.point
@@ -108,16 +108,6 @@ class TestLpSolve:
             if problem.b_ub.size:
                 assert np.max(problem.a_ub @ z - problem.b_ub) <= 1e-9
             assert sol.value == pytest.approx(float(problem.objective @ z), abs=1e-9)
-
-    def test_bit_identical_determinism(self):
-        rng = np.random.default_rng(14)
-        problem = _random_bounded_problem(rng)
-        a = ok.lp_solve(problem)
-        b = ok.lp_solve(problem)
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert a.value == b.value
-            assert np.array_equal(a.point, b.point)
 
     def test_dimension_validation(self):
         with pytest.raises(ValidationError):
@@ -129,131 +119,6 @@ class TestLpSolve:
     def test_upper_bound_validation(self, upper):
         with pytest.raises(ValidationError):
             ok.LpProblem(np.ones(2), upper=np.array(upper))
-
-    def test_simplex_takes_no_upper_bounds(self):
-        problem = ok.LpProblem(np.ones(2), a_eq=np.ones((1, 2)), b_eq=np.ones(1),
-                               upper=np.array([math.inf, 2.0]))
-        with pytest.raises(ValidationError):
-            ok.lp_solve(problem)
-
-
-# ---------------------------------------------------------------------------
-# The simplex makes the earlier simplex's pivots on the same numbers
-# ---------------------------------------------------------------------------
-
-def _built_lps(build, entry="lp_solve"):
-    """The LPs that build() hands to opt_kernel's entry, each answered with
-    a zero point so that the builder carries on."""
-    problems = []
-
-    def record(problem):
-        problems.append(problem)
-        return ok.LpSolution("optimal", np.zeros(problem.n_vars), 0.0)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ok, entry, record)
-        build()
-    return problems
-
-
-def _as_rows(problem):
-    """The LP with its variable upper bounds as inequality rows, the form
-    the simplex takes."""
-    if problem.upper is None:
-        return problem
-    bounded = np.flatnonzero(np.isfinite(problem.upper))
-    return ok.LpProblem(problem.objective,
-                        np.vstack([np.eye(problem.n_vars)[bounded], problem.a_ub]),
-                        np.concatenate([problem.upper[bounded], problem.b_ub]),
-                        problem.a_eq, problem.b_eq)
-
-
-def _density_lps(rng):
-    """Density LPs of plain, inflated and mixed hulls at n = 8, 16 and 40,
-    uncapped and capped, as HiGHS receives them but with the cap as rows:
-    degenerate LPs for the simplex."""
-    problems = []
-    for n in (8, 16, 40):
-        for kinds in ((1.0,), (None,), (1.0, None)):
-            for capped in (False, True):
-                sp = random_space(rng, max_states=n, min_states=n)
-                x = random_rv(rng, sp)
-                hulls = tuple(
-                    (float(rng.uniform(1.0, 3.0)) if g is None else g,
-                     random_scenario_set(rng, sp, int(rng.integers(2, 5))).matrix())
-                    for g in kinds)
-                cap = 1.0 / float(rng.uniform(0.1, 0.9)) if capped else np.inf
-                constraints = ok.DensityConstraints(cap=cap, hulls=hulls)
-                if n == 40 and capped and len(kinds) == 2:
-                    continue  # 120 rows on which the simplex takes 25 s
-                problems += map(_as_rows, _built_lps(
-                    lambda: ok._linear_density_lp(sp, x, constraints), "highs_solve"))
-    return problems
-
-
-def _membership_lps(rng):
-    """Membership LPs of hull points, shrunk hull points and random
-    densities at gamma 1 and 1.5."""
-    problems = []
-    for _ in range(12):
-        sp = random_space(rng, max_states=20, min_states=3)
-        dmat = random_scenario_set(rng, sp, int(rng.integers(2, 5))).matrix()
-        lam = rng.dirichlet(np.ones(len(dmat)))
-        for q in (dmat[0], lam @ dmat, 0.9 * (lam @ dmat), random_density(rng, sp).q):
-            for gamma in (1.0, 1.5):
-                problems += _built_lps(lambda: ok._dominated(gamma, dmat, q))
-    return problems
-
-
-def _flipped_and_redundant_lps(rng):
-    """Rows with negative right-hand sides (the sign flip) and equality rows
-    repeated, doubled or inconsistent (the drive-out step's dropped rows)."""
-    problems = []
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        a_eq = rng.uniform(0.0, 1.0, (int(rng.integers(1, 3)), n))
-        b_eq = rng.uniform(0.5, 2.0, len(a_eq))
-        a_eq = np.vstack([a_eq, a_eq[:1], 2.0 * a_eq[-1:]])
-        b_eq = np.concatenate([b_eq, b_eq[:1], 2.0 * b_eq[-1:]])
-        if rng.uniform() < 0.2:
-            b_eq[-1] += 1.0
-        a_ub = np.vstack([-rng.uniform(0.0, 1.0, (2, n)), np.eye(n)])
-        b_ub = np.concatenate([-rng.uniform(0.0, 0.5, 2), np.full(n, 4.0)])
-        problems.append(ok.LpProblem(rng.uniform(-2.0, 2.0, n), a_ub, b_ub, a_eq, b_eq))
-    return problems
-
-
-def _outcome(solve, problem):
-    try:
-        sol, pivots = solve(problem)
-    except ConvergenceError as exc:  # IterationLimitError included
-        return type(exc).__name__, str(exc)
-    point = None if sol.point is None else sol.point.tobytes()
-    return sol.status, point, sol.value, pivots
-
-
-def test_simplex_makes_the_reference_pivots_bit_for_bit(monkeypatch):
-    pivots = [0]
-    pivot = ok._pivot
-
-    def counted(*args):
-        pivots[0] += 1
-        return pivot(*args)
-
-    def library(problem):
-        pivots[0] = 0
-        return ok.lp_solve(problem), pivots[0]
-
-    rng = np.random.default_rng(23)
-    battery = ([_random_bounded_problem(rng) for _ in range(150)] + _density_lps(rng)
-               + _membership_lps(rng) + _flipped_and_redundant_lps(rng))
-    monkeypatch.setattr(ok, "_pivot", counted)
-    statuses = set()
-    for k, problem in enumerate(battery):
-        want = _outcome(bland_tableau_lp, problem)
-        assert _outcome(library, problem) == want, k
-        statuses.add(want[0])
-    assert {"optimal", "infeasible"} <= statuses
 
 
 class TestProjectToDensity:
@@ -294,7 +159,7 @@ class TestMaximizeOverDensities:
             sp = random_space(rng)
             x = random_rv(rng, sp)
             alpha = float(rng.uniform(0.2, 1.0))
-            q, val = ok._maximize(sp, sp.rv(x), 0.0,
+            q, val, _ = ok._maximize(sp, sp.rv(x), 0.0,
                                   ok.DensityConstraints(cap=1.0 / alpha))
             assert val == pytest.approx(rs.rho(rs.ExpectedShortfall(alpha), sp, x),
                                         abs=1e-9)
@@ -305,7 +170,7 @@ class TestMaximizeOverDensities:
         # entropic closed form exp(x / kappa) / E_P[exp(x / kappa)].
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, 2.0, 3.0])
-        q, val = ok._maximize(sp, sp.rv(x), 1.5, ok.DensityConstraints(cap=10.0))
+        q, val, _ = ok._maximize(sp, sp.rv(x), 1.5, ok.DensityConstraints(cap=10.0))
         want = rs.dual_solve(rs.Entropic(1.5), sp, x)[1]
         assert np.max(np.abs(q - want.q)) <= 1e-6
         assert val == pytest.approx(rs.rho(rs.Entropic(1.5), sp, x), abs=1e-9)
@@ -316,7 +181,7 @@ class TestMaximizeOverDensities:
             sp = random_space(rng)
             x = random_rv(rng, sp)
             kappa = float(rng.uniform(0.3, 3.0))
-            q, val = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints())
+            q, val, _ = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints())
             assert val == pytest.approx(rs.rho(rs.Entropic(kappa), sp, x), abs=1e-9)
             want = rs.dual_solve(rs.Entropic(kappa), sp, x)[1]
             assert np.max(np.abs(q - want.q)) <= 1e-6
@@ -324,7 +189,7 @@ class TestMaximizeOverDensities:
     def test_constant_payoff_gives_constant_value(self):
         sp = rs.ProbSpace([0.25, 0.75])
         c = 1.5
-        q, val = ok._maximize(sp, sp.rv(np.full(2, c)), 0.8, ok.DensityConstraints())
+        q, val, _ = ok._maximize(sp, sp.rv(np.full(2, c)), 0.8, ok.DensityConstraints())
         # minimal penalty is KL = 0 at the reference density
         assert val == pytest.approx(c, abs=1e-9)
         assert np.max(np.abs(q - 1.0)) <= 1e-6
@@ -336,7 +201,7 @@ class TestMaximizeOverDensities:
             x = random_rv(rng, sp)
             cap = float(rng.uniform(1.2, 3.0))
             kappa = float(rng.uniform(0.0, 2.0))
-            q, _ = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints(cap=cap))
+            q, _, _ = ok._maximize(sp, sp.rv(x), kappa, ok.DensityConstraints(cap=cap))
             assert np.max(q - cap) <= 1e-8
             assert np.min(q) >= -1e-8
             assert abs(float(np.dot(sp.probs, q)) - 1.0) <= 1e-8
@@ -348,7 +213,7 @@ class TestMaximizeOverDensities:
         d1 = random_density(rng, sp)
         d2 = random_density(rng, sp)
         hull = np.vstack([d1.q, d2.q])
-        q, val = ok._maximize(sp, sp.rv(x), 0.0, ok.DensityConstraints(hulls=((1.0, hull),)))
+        q, val, _ = ok._maximize(sp, sp.rv(x), 0.0, ok.DensityConstraints(hulls=((1.0, hull),)))
         want = max(rs.expect_under(sp, d1, x), rs.expect_under(sp, d2, x))
         assert val == pytest.approx(want, abs=1e-9)
 
@@ -385,7 +250,7 @@ class TestMaximizeOverDensities:
         # certificate is exact.
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
         x = sp.rv([1.0, -2.0, 0.5])
-        q, val = ok._maximize(sp, x, 0.7, ok.DensityConstraints(cap=1.0))
+        q, val, _ = ok._maximize(sp, x, 0.7, ok.DensityConstraints(cap=1.0))
         assert np.array_equal(q, np.ones(3))
         assert val == float(np.dot(sp.probs, x))
         monkeypatch.setattr(ok, "_KKT_TOL", -1.0)
@@ -422,15 +287,6 @@ class TestMaximizeOverDensities:
         runs = [ok._maximize(sp, x, 0.7, ok.DensityConstraints()) for _ in range(2)]
         assert runs[0][1] == runs[1][1]
         assert np.array_equal(runs[0][0], runs[1][0])
-
-
-def test_simplex_iteration_cap_is_distinct_error(monkeypatch):
-    from riskshare.errors import IterationLimitError
-    monkeypatch.setattr(ok, "_ITER_FACTOR", 0)
-    problem = ok.LpProblem(np.array([1.0, 1.0]),
-                           a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]))
-    with pytest.raises(IterationLimitError):
-        ok.lp_solve(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +347,7 @@ def _assert_kkt(p, x, kappa, cap, q):
 
 @pytest.mark.parametrize("n", [100, 200])
 class TestGeneralDualAtScale:
-    def test_caps_only_value_matches_lp_solve(self, n):
+    def test_caps_only_value_matches_highs_solve(self, n):
         rng = np.random.default_rng(30 + n)
         for _ in range(2):
             market, x, cap = _caps_market(rng, n)
@@ -499,7 +355,7 @@ class TestGeneralDualAtScale:
             res = rs.value(market, x)
             problem = ok.LpProblem(objective=p * x, a_ub=np.eye(n), b_ub=np.full(n, cap),
                                    a_eq=p.reshape(1, -1), b_eq=np.ones(1))
-            sol = ok.lp_solve(problem)
+            sol = ok.highs_solve(problem)
             assert sol.status == "optimal"
             assert abs(res.value - sol.value) <= 1e-9
             q = res.dual_optimizer.q
@@ -561,7 +417,7 @@ class TestGeneralDualAtScale:
             x = space.rv(rng.normal(0.0, 1.0, n))
             scores = [float(np.dot(space.probs, d * x)) for d in dmat]
             best = int(np.argmax(scores))
-            q, val = ok._maximize(space, x, 0.0, ok.DensityConstraints(hulls=((1.0, dmat),)))
+            q, val, _ = ok._maximize(space, x, 0.0, ok.DensityConstraints(hulls=((1.0, dmat),)))
             assert val == scores[best]
             assert np.array_equal(q, dmat[best])
 
@@ -577,7 +433,7 @@ def test_capped_gibbs_matches_the_water_filling_oracle(n):
         kappa = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
         cap = float(rng.uniform(1.01, 33.0))
         x = space.rv(kappa * scale * rng.normal(0.0, 1.0, n))
-        q, val = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        q, val, _ = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
         want_q, want_val = capped_gibbs_oracle(space.probs, x, kappa, cap)
         assert np.max(space.probs * np.abs(q - want_q)) <= 1e-12
         assert abs(val - want_val) <= 1e-12 * abs(want_val)
@@ -598,7 +454,7 @@ def test_capped_gibbs_far_below_the_loss_spread_is_certified(n, kappa):
         space = rs.ProbSpace(p / p.sum())
         x = space.rv(3.0 * rng.normal(0.0, 1.0, n))
         cap = float(rng.uniform(1.05, 20.0))
-        q, value = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        q, value, _ = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
         es = float(np.dot(space.probs, ok.sorting_rule_point(space, x, cap) * x))
         slack = n * ok._KKT_TOL * float(np.max(np.abs(x)))
         assert max(float(space.probs @ x), es - kappa * math.log(cap)) - slack <= value
@@ -631,7 +487,7 @@ class TestInflatedHull:
     def _check(space, dmat, xs, gammas):
         scen = rs.ScenarioSet(tuple(space.density(d) for d in dmat))
         specs = tuple(rs.Inflation(scen, float(g)) for g in gammas)
-        values, q, t = ok._inflated_block(space.probs, scen.matrix(), xs,
+        values, q, t, _ = ok._inflated_block(space.probs, scen.matrix(), xs,
                                           np.asarray(gammas, dtype=float))
         risks = rs.atom_risks(rs.RiskFamily(specs), space, rs.Allocation(xs)).tolist()
         assert risks == [rs.rho(spec, space, x) for spec, x in zip(specs, xs)] == values
@@ -702,10 +558,87 @@ def test_spread_hull_admits_its_own_vertices():
 def test_membership_lp_that_ends_unbounded_is_a_solver_failure(monkeypatch):
     # A solver failure exits 3, not 2 ("bad input"), at gamma 1 as at 2.
     sp, dmat = spread_scenario_set(0, n=6)
-    monkeypatch.setattr(ok, "lp_solve", lambda problem: ok.LpSolution("unbounded"))
+    monkeypatch.setattr(ok, "highs_solve", lambda problem: ok.LpSolution("unbounded"))
     for gamma in (1.0, 2.0):
         with pytest.raises(ConvergenceError, match="membership LP ended with status unbounded"):
             ok._admits(sp, ok.DensityConstraints(hulls=((gamma, dmat),)), dmat[0])
+
+
+def _hull_paths(rng, n):
+    """A space of n states and one dual set per hull path of _maximize: the
+    vertex (one plain set), one inflated set, a plain and an inflated set
+    (two hulls), and an inflated set beside a cap; J = n // 20 + 2 rows
+    from _scenario_rows, P among them, so every set is feasible."""
+    space = rs.ProbSpace(_probs(rng, n))
+    plain, other = (_scenario_rows(rng, space.probs, n // 20 + 2) for _ in range(2))
+    gamma, cap = rng.uniform(1.2, 3.0, 2)
+    return space, {"vertex": ok.DensityConstraints(hulls=((1.0, plain),)),
+                   "inflated": ok.DensityConstraints(hulls=((gamma, plain),)),
+                   "two_hulls": ok.DensityConstraints(hulls=((1.0, plain), (gamma, other))),
+                   "cap": ok.DensityConstraints(cap=1.0 + cap, hulls=((gamma, other),))}
+
+
+def _lp_verdict(constraints, q):
+    """Membership by the cap and one membership LP per hull, no weights."""
+    return bool(q.max() <= constraints.cap + ok.MEMBERSHIP_TOL
+                and all(ok._dominated(gamma, d, q) for gamma, d in constraints.hulls))
+
+
+def _feasible_by_ipm(linprog, constraints, q):
+    """Membership by the smallest worst violation min over lam on the
+    simplex of max_i (q - gamma * D^T lam)_i per hull, an LP in the primal
+    form solved by HiGHS's interior-point method."""
+    if not q.max() <= constraints.cap + ok.MEMBERSHIP_TOL:
+        return False
+    for gamma, dmat in constraints.hulls:
+        j, n = dmat.shape
+        res = linprog(np.concatenate([np.zeros(j), [1.0]]),
+                      A_ub=np.hstack([-gamma * dmat.T, -np.ones((n, 1))]), b_ub=-q,
+                      A_eq=np.concatenate([np.ones(j), [0.0]])[None], b_eq=[1.0],
+                      bounds=[(0.0, None)] * j + [(None, None)], method="highs-ipm")
+        assert res.status == 0
+        if res.fun > ok.MEMBERSHIP_TOL:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_hull_weights_give_the_membership_lps_verdict(monkeypatch, n):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(400 + n)
+    space, duals = _hull_paths(rng, n)
+    lps = []
+    highs_solve = ok.highs_solve
+    monkeypatch.setattr(ok, "highs_solve", lambda problem: lps.append(1) or highs_solve(problem))
+
+    def admits(constraints, q, weights=None):
+        lps.clear()
+        return ok._admits(space, constraints, q, weights), len(lps)
+
+    for path, constraints in duals.items():
+        x = space.rv(rng.normal(0.0, 1.0, n))
+        q, _, weights = ok._maximize(space, x, 0.0, constraints)
+        # The kernel's weights settle every hull: no LP, the LPs' verdict.
+        assert admits(constraints, q, weights) == (True, 0), path
+        assert _lp_verdict(constraints, q), path
+        # Weights moved to another scenario: that hull alone takes its LP.
+        for h, lam in enumerate(weights):
+            moved = list(weights)
+            moved[h] = np.roll(lam, 1)
+            assert admits(constraints, q, tuple(moved)) == (_lp_verdict(constraints, q), 1), path
+        # q raised by 1e-6 in its tightest state, where no cap binds (beside
+        # a cap every tight state may sit at the cap).
+        if path in ("vertex", "inflated"):
+            (gamma, dmat), = constraints.hulls
+            raised = q.copy()
+            raised[np.argmin(gamma * weights[0] @ dmat - q)] += 1e-6
+            assert admits(constraints, raised, weights) == (_lp_verdict(constraints, raised), 1), path
+        # Densities from outside the kernel take the LP when they meet the cap.
+        lam = rng.dirichlet(np.ones(len(constraints.hulls[0][1])))
+        for outside in (random_density(rng, space).q, 0.9 * (lam @ constraints.hulls[0][1])):
+            verdict, made = admits(constraints, outside)
+            assert made >= (outside.max() <= constraints.cap + ok.MEMBERSHIP_TOL), path
+            assert verdict == _feasible_by_ipm(linprog, constraints, outside), path
 
 
 def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
@@ -722,36 +655,6 @@ def test_entropic_caps_with_underflowing_gibbs_weights_is_certified():
 # ---------------------------------------------------------------------------
 # Density LP with a cap and a scenario hull
 # ---------------------------------------------------------------------------
-
-def _highs_cap_and_hulls(linprog, p, x, cap, hulls):
-    """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and, for each (gamma, D) in
-    hulls, q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the
-    simplex; by HiGHS's interior-point method, not the dual simplex the
-    package runs on its density LP."""
-    n = len(p)
-    n_vars = n + sum(len(dmat) for _, dmat in hulls)
-    a_eq, b_eq = [np.concatenate([p, np.zeros(n_vars - n)])], [1.0]
-    a_ub, b_ub = [], []
-    offset = n
-    for gamma, dmat in hulls:
-        link = np.zeros((n, n_vars))
-        link[:, :n] = np.eye(n)
-        link[:, offset:offset + len(dmat)] = -(1.0 if gamma is None else gamma) * dmat.T
-        rows, rhs = (a_eq, b_eq) if gamma is None else (a_ub, b_ub)
-        rows.extend(link)
-        rhs.extend(np.zeros(n))
-        simplex = np.zeros(n_vars)
-        simplex[offset:offset + len(dmat)] = 1.0
-        a_eq.append(simplex)
-        b_eq.append(1.0)
-        offset += len(dmat)
-    ref = linprog(-np.concatenate([p * x, np.zeros(n_vars - n)]),
-                  A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
-                  A_eq=np.array(a_eq), b_eq=b_eq,
-                  bounds=[(0.0, cap)] * n + [(0.0, None)] * (n_vars - n), method="highs-ipm")
-    assert ref.status == 0
-    return -ref.fun
-
 
 # Each market holds an ES cap and one scenario set per flag, inflated or
 # plain; "mixed" puts equality hull rows, inequality hull rows and cap rows
@@ -771,7 +674,7 @@ def test_es_with_scenario_hull_matches_highs(seed, inflated):
                       for hull, g in zip(sets, gammas))
         market = rs.Market.general(sp, rs.finite_agents(1 + len(risks)), rs.RiskFamily(
             (rs.ExpectedShortfall(alpha),) + risks))
-        want = _highs_cap_and_hulls(linprog, sp.probs, x, 1.0 / alpha,
+        want = highs_ipm_density_lp(linprog, sp.probs, x, 1.0 / alpha,
                                     [(g, hull.matrix()) for hull, g in zip(sets, gammas)])
         assert abs(rs.value(market, x).value - want) <= 1e-9
 
@@ -786,7 +689,7 @@ def test_aim_three_hull_market_is_valued(n, with_es):
     for seed in range(4):
         market, x, cap, hulls = aim_three_hull_market(np.random.default_rng([n, seed]), n, with_es)
         res = rs.value(market, x)
-        want = _highs_cap_and_hulls(linprog, market.space.probs, x, cap, hulls)
+        want = highs_ipm_density_lp(linprog, market.space.probs, x, cap, hulls)
         assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want)), seed
         assert abs(res.duality_gap) <= 1e-9
 
@@ -804,9 +707,11 @@ def _stub_milp(monkeypatch, status, x=None):
         status=status, message=f"stub status {status}", x=x))
 
 
-def test_density_lp_solves_the_stub_problem():
-    q, value = ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+def test_density_lp_returns_the_stub_problems_optimum_and_weights():
+    q, value, (lam,) = ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]),
+                                             _STUB_CONSTRAINTS)
     assert abs(value - 0.6) <= 1e-12 and np.allclose(q, [0.8, 1.2], atol=1e-12)
+    assert np.allclose(lam, [0.6, 0.4], atol=1e-12)  # q = D^T lam
 
 
 def test_highs_infeasible_is_infeasible_error(monkeypatch):
@@ -882,7 +787,7 @@ def test_capped_gibbs_bisection_stops_where_200_steps_end(n):
         spread = kappa * float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         offset = float(rng.uniform(-1e3, 1e3))
         x = space.rv(offset + spread * rng.normal(0.0, 1.0, n))
-        q, value = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
+        q, value, _ = ok._maximize(space, x, kappa, ok.DensityConstraints(cap=cap))
         want_q, want_value, below = _bisected_capped_gibbs(space, x, kappa, cap)
         assert q.tobytes() == want_q.tobytes()
         assert value == want_value

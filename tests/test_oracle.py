@@ -5,7 +5,7 @@ import pytest
 
 import riskshare as rs
 from riskshare.errors import ValidationError
-from riskshare.opt_kernel import LpProblem, lp_solve
+from riskshare.opt_kernel import LpProblem, highs_solve
 
 from oracle import (
     GridSpec,
@@ -192,7 +192,7 @@ class TestVertexEnumLp:
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(3.0, abs=1e-12)
 
-    def test_matches_lp_solve_on_random_problems(self):
+    def test_matches_highs_solve_on_random_problems(self):
         rng = np.random.default_rng(103)
         for _ in range(100):
             n = int(rng.integers(1, 5))
@@ -200,7 +200,7 @@ class TestVertexEnumLp:
             a_ub = np.vstack([rng.uniform(-1.0, 1.5, (2, n)), np.eye(n)])
             b_ub = np.concatenate([rng.uniform(0.5, 2.0, 2), np.full(n, 4.0)])
             problem = LpProblem(c, a_ub, b_ub)
-            want = lp_solve(problem)
+            want = highs_solve(problem)
             got = vertex_enum_lp(problem)
             assert got.status == want.status
             if got.status == "optimal":
@@ -251,7 +251,7 @@ class TestVertexEnumDegenerate:
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(2.0, abs=1e-12)
 
-    def test_degenerate_ties_match_simplex(self):
+    def test_degenerate_ties_match_highs_solve(self):
         rng = np.random.default_rng(104)
         for _ in range(150):
             n = int(rng.integers(1, 5))
@@ -263,7 +263,7 @@ class TestVertexEnumDegenerate:
                 continue
             c = rng.integers(-3, 4, n).astype(float)
             problem = LpProblem(c, a_ub, b_ub)
-            got = lp_solve(problem)
+            got = highs_solve(problem)
             want = vertex_enum_lp(problem)
             assert got.status == want.status == "optimal"
             assert got.value == pytest.approx(want.value, abs=1e-8)

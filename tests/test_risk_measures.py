@@ -302,10 +302,8 @@ class TestInflate:
     def test_literal_unit_inflation_is_the_plain_set_without_lp(self, monkeypatch):
         # Inflation(S, 1.0) admits S's hull, so it takes S's vertex maximum.
         calls = []
-        for entry in ("lp_solve", "highs_solve"):  # the simplex and the density LP's HiGHS
-            real = getattr(ok, entry)
-            monkeypatch.setattr(ok, entry,
-                                lambda problem, real=real: calls.append(1) or real(problem))
+        real = ok.highs_solve
+        monkeypatch.setattr(ok, "highs_solve", lambda problem: calls.append(1) or real(problem))
         rng = np.random.default_rng(34)
         for _ in range(20):
             sp = random_space(rng)
@@ -586,7 +584,7 @@ class TestDualSet:
                     (hull,) = plain
                     want = max(float(np.dot(sp.probs, d * x)) for d in hull)
                 else:
-                    _, want = ok._maximize(sp, sp.rv(x), kappa, dset)
+                    _, want, _ = ok._maximize(sp, sp.rv(x), kappa, dset)
                 assert rs.rho(spec, sp, x) == pytest.approx(want, abs=1e-9), spec
 
     def test_conjugate_is_finite_exactly_on_the_dual_set(self):
@@ -625,8 +623,9 @@ class TestDualSet:
         sp = self.SPACE
         scen = _families(sp)[2]
         calls = []
-        real = ok.lp_solve
-        monkeypatch.setattr(ok, "lp_solve", lambda problem: calls.append(1) or real(problem))
+        real = ok.highs_solve
+        monkeypatch.setattr(ok, "highs_solve", lambda problem: calls.append(1) or real(problem))
+        # A density from the caller comes with no hull weights: one membership LP.
         rs.conjugate(rs.Inflation(scen, 1.5), sp, sp.uniform_density())
         assert len(calls) == 1
         rs.conjugate(rs.ExpectedShortfall(0.4), sp, sp.uniform_density())
@@ -814,6 +813,6 @@ class TestDualSetAtScale:
             x = random_rv(rng, sp)
             kappa = float(rng.uniform(0.05, 5.0))
             cap = float(rng.uniform(1.05, 20.0))
-            q, value = ok._maximize(sp, x, kappa, ok.DensityConstraints(cap=cap))
+            q, value, _ = ok._maximize(sp, x, kappa, ok.DensityConstraints(cap=cap))
             want = float(np.dot(sp.probs, x * q)) - kappa * rs.kl_divergence(sp, rs.Density(q))
             assert value == want, (kappa, cap)
