@@ -20,10 +20,12 @@ weights come with the density and prove it dominated is settled by that
 O(nJ) check; any other hull takes one small LP (``_dominated``), so a
 density from the kernel makes no LP and one from a user makes one per hull.
 Every LP in the package is built here and solved by HiGHS's dual revised
-simplex (``highs_solve``; scipy is imported on the first LP, so importing
-the package loads no scipy), and its point is checked here. _maximize and
-_admits check the hulls themselves (one column per state, rows of unit
-P-mass); the payoff and the density are the caller's to check.
+simplex, called through scipy's binding of HiGHS (``highs_solve``; scipy is
+imported on the first LP, so importing the package loads no scipy). Its
+point is checked here, and one that misses the check is solved once more by
+HiGHS's interior-point method. _maximize and _admits check the hulls
+themselves (one column per state, rows of unit P-mass); the payoff and the
+density are the caller's to check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
@@ -34,8 +36,8 @@ entry.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,51 +113,103 @@ class LpSolution:
 
 
 # HiGHS's primal and dual feasibility tolerances, below the 1e-9 at which
-# its point is verified. At HiGHS's default of 1e-7, 1 of 200 density LPs
-# of tests/support.aim_three_hull_market (n 20-150) ended "optimal" with a
-# hull row 2.5e-9 off; at 1e-10 the worst was 5.5e-11.
-#
-# milp takes them as HiGHS options it does not list, passes them on and
-# warns. linprog(method="highs-ds") lists them, but on the 96 density LPs of
-# three general_dual seed-1 rounds (n = 10, 20 and 60; one Xeon core, scipy
-# 1.17.1) it cost 2.39 ms per LP against milp's 1.87 ms (medians of 15
-# interleaved passes, quartiles within 0.13 ms of them), and 1.69 against
-# 1.24 ms on the n = 10 ones. So milp, with the warning filtered; as
-# catch_warnings swaps process-wide state, callers that value markets from
-# several threads may see their warnings filters race.
+# its point is verified; HiGHS accepts none below 1e-10. At HiGHS's default
+# of 1e-7, 1 of 200 density LPs of tests/support.aim_three_hull_market
+# (n 20-150) ended "optimal" with a hull row 2.5e-9 off; at 1e-10 the worst
+# was 5.5e-11.
 _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
                      "dual_feasibility_tolerance": 1e-10}
 
 
 def highs_solve(problem: LpProblem) -> LpSolution:
-    """The LP by HiGHS (its dual revised simplex, through scipy.optimize.milp
-    with no integrality), upper bounds included. The optimal point's primal
-    residuals are verified to be within 1e-9, and entries within that
-    tolerance below 0 are set to 0; HiGHS's infeasible and unbounded
-    verdicts are the statuses of those names, and any other ending raises
-    ConvergenceError. scipy is imported on the first call."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    m_ub = problem.b_ub.size
-    rows = np.vstack([problem.a_ub, problem.a_eq])
-    lower = np.concatenate([np.full(m_ub, -np.inf), problem.b_eq])
-    upper = math.inf if problem.upper is None else problem.upper
-    with warnings.catch_warnings():
-        # milp passes these HiGHS options on verbatim, and says so by a warning.
-        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(-problem.objective, bounds=Bounds(0.0, upper),
-                   constraints=LinearConstraint(rows, lower, np.concatenate([problem.b_ub,
-                                                                             problem.b_eq])),
-                   options=dict(_HIGHS_TOLERANCES))
-    if res.status == 2:
-        return LpSolution("infeasible")
-    if res.status == 3:
-        return LpSolution("unbounded")
-    if res.status != 0:
-        raise ConvergenceError(f"HiGHS ended with status {res.status}: {res.message}")
-    _verify_residuals(problem, res.x)
-    x = np.where((res.x < 0.0) & (res.x > -_FEAS_TOL), 0.0, res.x)
+    """The LP by HiGHS (its dual revised simplex), upper bounds included,
+    through scipy's binding of HiGHS with the model and options that
+    scipy.optimize.milp would pass it, without milp's set-up. The optimal
+    point's primal residuals are verified to be within 1e-9; a point that
+    misses is solved once more by HiGHS's interior-point method (with its
+    crossover), whose point must pass the same check, or ConvergenceError
+    is raised. Entries within that tolerance below 0 are set to 0. HiGHS's
+    infeasible and unbounded verdicts are the statuses of those names, and
+    any other ending raises ConvergenceError. scipy is imported on the
+    first call."""
+    lp = _highs_lp(problem)
+    status, x = _highs_run(lp, "choose")
+    if status in ("infeasible", "unbounded"):
+        return LpSolution(status)
+    if status != "optimal":
+        raise ConvergenceError(f"HiGHS ended with status {status!r}")
+    try:
+        _verify_residuals(problem, x)
+    except ConvergenceError as missed:
+        # The simplex point can end "optimal" within HiGHS's 1e-10 yet miss
+        # a row by more than 1e-9 (two n = 500 inflated-hull markets of
+        # aim_three_hull_market do), and HiGHS takes no tighter tolerance.
+        status, x = _highs_run(lp, "ipm")
+        if status != "optimal":
+            raise missed
+        _verify_residuals(problem, x)
+    x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
     return LpSolution("optimal", x, float(problem.objective @ x))
+
+
+def _highs_lp(problem: LpProblem):
+    """The problem as a HiGHS model: minimize -objective over 0 <= z <=
+    upper, with the rows of a_ub (below b_ub) and then of a_eq (at b_eq),
+    held column by column. Every vector goes in as a list, which the
+    binding copies about twice as fast as an array."""
+    from scipy.optimize._highspy import _core
+
+    n = problem.n_vars
+    rows = np.vstack([problem.a_ub, problem.a_eq])
+    cols, row_index = np.nonzero(rows.T)
+    lp = _core.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = len(rows)
+    lp.col_cost_ = (-problem.objective).tolist()
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [math.inf] * n if problem.upper is None else problem.upper.tolist()
+    lp.row_lower_ = [-math.inf] * problem.b_ub.size + problem.b_eq.tolist()
+    lp.row_upper_ = problem.b_ub.tolist() + problem.b_eq.tolist()
+    matrix = lp.a_matrix_  # a view: setting its fields sets the model's
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = len(rows)
+    matrix.start_ = np.searchsorted(cols, np.arange(n + 1)).tolist()
+    matrix.index_ = row_index.tolist()
+    matrix.value_ = rows[row_index, cols].tolist()
+    return lp
+
+
+@functools.cache
+def _highs_options(solver: str):
+    """The options milp passes HiGHS (no log, the tolerances above), for
+    HiGHS's solver of that name; built once per name, as building them
+    costs about 30 us, a tenth of a small LP."""
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    options.log_to_console = False
+    for name, value in _HIGHS_TOLERANCES.items():
+        setattr(options, name, value)
+    options.solver = solver
+    return options
+
+
+def _highs_run(lp, solver: str) -> tuple[str, np.ndarray | None]:
+    """Run HiGHS's solver of that name ("choose" for its default, "ipm")
+    on the model: its model status in lower case ("optimal",
+    "infeasible", "unbounded", "iteration limit reached", ...) and, when
+    optimal, its point."""
+    from scipy.optimize._highspy import _core
+
+    highs = _core._Highs()
+    highs.passOptions(_highs_options(solver))
+    highs.passModel(lp)
+    highs.run()
+    status = highs.modelStatusToString(highs.getModelStatus()).lower()
+    if status != "optimal":
+        return status, None
+    return status, np.array(highs.getSolution().col_value)
 
 
 def _verify_residuals(problem: LpProblem, x: np.ndarray):

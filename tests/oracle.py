@@ -8,7 +8,7 @@ instead of the kernel's sort and envelope, the capped Gibbs oracle
 water-fills exactly instead of bisecting for a multiplier and projecting,
 the sharing-value oracle searches allocation space directly instead of
 using closed forms or the dual, and the LP oracle enumerates basic
-solutions instead of running HiGHS's simplex, the package's one LP solver.
+solutions instead of running HiGHS, the package's one LP solver.
 The allocation search and the vertex enumeration are capped at desk scale.
 """
 

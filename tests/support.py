@@ -71,11 +71,37 @@ def aim_three_hull_market(rng, n, with_es):
     return market, space.rv(rng.normal(0.0, 1.0, n)), cap, hulls
 
 
+def general_dual_hull_market(rng, n, inflated):
+    """A general market of two scenario sets, plain or each inflated by
+    gamma ~ U(1.2, 3), as the benchmark's general_dual workload draws them:
+    P mixes the uniform weights with a Dirichlet(2) draw, half and half;
+    each set holds J = n // 3 + 1 densities, P itself and then Gamma(1, 1)
+    draws (plus 1e-3) scaled to P-mass 1, drawn row by row. Every atom has
+    weight 1. Returns the market and a standard normal loss."""
+    p = 0.5 / n + 0.5 * rng.dirichlet(np.full(n, 2.0))
+    p /= p.sum()
+    space = rs.ProbSpace(p)
+    mats = []
+    for _ in range(2):
+        rows = [np.ones(n)]
+        while len(rows) < n // 3 + 1:
+            w = rng.gamma(1.0, size=n) + 1e-3
+            rows.append(w / float(p @ w))
+        mats.append(np.vstack(rows))
+    specs = [rs.ScenarioSet(tuple(space.density(r) for r in m)) for m in mats]
+    if inflated:
+        specs = [rs.Inflation(s, float(g)) for s, g in zip(specs, rng.uniform(1.2, 3.0, 2))]
+    market = rs.Market.general(space, rs.finite_agents(2), rs.RiskFamily(tuple(specs)))
+    return market, space.rv(rng.normal(0.0, 1.0, n))
+
+
 def highs_ipm_density_lp(linprog, p, x, cap, hulls):
     """max E_Q[x] over 0 <= q <= cap, E_P[q] = 1 and, for each (gamma, D) in
     hulls, q = D^T lam (gamma None) or q <= gamma D^T lam, lam on the
     simplex; cap may be None for none. By HiGHS's interior-point method, not
-    the dual simplex the package runs on its LPs."""
+    the dual simplex the package runs first on its LPs; the package runs the
+    interior-point method too, on a simplex point that misses its 1e-9
+    residual check, so on such LPs this reference is not independent."""
     n = len(p)
     n_vars = n + sum(len(dmat) for _, dmat in hulls)
     a_eq, b_eq = [np.concatenate([p, np.zeros(n_vars - n)])], [1.0]

@@ -486,10 +486,9 @@ def test_solver_nonconvergence_exits_3(tmp_path, monkeypatch):
 
 def test_density_lp_nonconvergence_exits_3(tmp_path, monkeypatch):
     # Two inflated scenario sets take the density LP; HiGHS ending at its
-    # iteration limit (status 1) is a solver failure, not an answer.
-    optimize = pytest.importorskip("scipy.optimize")
-    monkeypatch.setattr(optimize, "milp", lambda *args, **kwargs: optimize.OptimizeResult(
-        status=1, message="stub iteration limit", x=None))
+    # iteration limit is a solver failure, not an answer.
+    monkeypatch.setattr(rs.opt_kernel, "_highs_run",
+                        lambda lp, solver: ("iteration limit reached", None))
     spec = tmp_path / "hulls.json"
     spec.write_text(json.dumps({
         "probs": [0.5, 0.5], "loss": [1.0, -0.5],

@@ -15,6 +15,7 @@ from oracle import (
 )
 from support import (
     aim_three_hull_market,
+    general_dual_hull_market,
     highs_ipm_density_lp,
     random_density,
     random_rv,
@@ -119,6 +120,90 @@ class TestHighsSolve:
     def test_upper_bound_validation(self, upper):
         with pytest.raises(ValidationError):
             ok.LpProblem(np.ones(2), upper=np.array(upper))
+
+
+def _milp_solution(problem):
+    """The LP by a plain scipy.optimize.milp call with highs_solve's HiGHS
+    tolerances: milp's status code and its point, with the entries within
+    1e-9 below 0 set to 0 as highs_solve sets them (None with no point)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    res = milp(-problem.objective,
+               bounds=Bounds(0.0, math.inf if problem.upper is None else problem.upper),
+               constraints=LinearConstraint(
+                   np.vstack([problem.a_ub, problem.a_eq]),
+                   np.concatenate([np.full(problem.b_ub.size, -math.inf), problem.b_eq]),
+                   np.concatenate([problem.b_ub, problem.b_eq])),
+               options=dict(ok._HIGHS_TOLERANCES))
+    if res.x is None:
+        return res.status, None
+    return res.status, np.where((res.x < 0.0) & (res.x > -1e-9), 0.0, res.x)
+
+
+@pytest.mark.filterwarnings("ignore:Unrecognized options:RuntimeWarning")
+def test_highs_binding_ends_where_milp_ends_bit_for_bit(monkeypatch):
+    # highs_solve hands HiGHS, through scipy's private binding, the model
+    # and options that milp hands it: the density LPs of general_dual's hull
+    # markets (n = 10, 20, 60, plain and inflated), the membership LPs of
+    # user densities and an infeasible density LP end as milp's do, to the
+    # last bit of every point.
+    lps = []
+    highs_solve = ok.highs_solve
+    monkeypatch.setattr(ok, "highs_solve", lambda problem: lps.append(problem) or highs_solve(problem))
+    for n in (10, 20, 60):
+        for seed in range(3):
+            for inflated in (False, True):
+                market, x = general_dual_hull_market(np.random.default_rng([n, seed]), n, inflated)
+                rs.value(market, x)
+    assert len(lps) == 18  # one density LP per market; its weights certify it
+    rng = np.random.default_rng(32)
+    for n in (10, 60, 200):
+        sp, dmat = spread_scenario_set(n, n=n)
+        for gamma in (1.0, 2.0):
+            for q in (dmat[1], 0.5 * (dmat[0] + dmat[2]), random_density(rng, sp).q):
+                ok._admits(sp, ok.DensityConstraints(hulls=((gamma, dmat),)), q)
+    assert len(lps) == 36
+    with pytest.raises(InfeasibleError):
+        ok._linear_density_lp(rs.ProbSpace([0.5, 0.5]), np.array([0.0, 1.0]),
+                              ok.DensityConstraints(cap=1.2, hulls=((1.0, np.array([[1.8, 0.2]])),)))
+    infeasible = lps.pop()
+    assert highs_solve(infeasible).status == "infeasible"
+    assert _milp_solution(infeasible) == (2, None)
+    for problem in lps:
+        got = highs_solve(problem)
+        status, point = _milp_solution(problem)
+        assert (got.status, status) == ("optimal", 0)
+        assert got.point.tobytes() == point.tobytes()
+        assert got.value == float(problem.objective @ point)
+
+
+def test_point_that_misses_is_solved_again_by_interior_point(monkeypatch):
+    # The stub problem's optimum is q = (0.8, 1.2), lam = (0.6, 0.4). A
+    # simplex point over the cap is replaced by the interior-point run's.
+    runs = []
+    highs_run = ok._highs_run
+
+    def missing_simplex(lp, solver):
+        runs.append(solver)
+        if solver == "choose":
+            return "optimal", np.array([0.5, 1.5, 0.0, 1.0])
+        return highs_run(lp, solver)
+
+    monkeypatch.setattr(ok, "_highs_run", missing_simplex)
+    q, value, (lam,) = ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]),
+                                             _STUB_CONSTRAINTS)
+    assert runs == ["choose", "ipm"]
+    assert abs(value - 0.6) <= 1e-12 and np.allclose(q, [0.8, 1.2], atol=1e-12)
+    assert np.allclose(lam, [0.6, 0.4], atol=1e-12)
+
+
+def test_interior_point_run_that_fails_raises_the_simplex_miss(monkeypatch):
+    monkeypatch.setattr(ok, "_highs_run", lambda lp, solver: (
+        ("optimal", np.array([0.5, 1.5, 0.0, 1.0])) if solver == "choose"
+        else ("iteration limit reached", None)))
+    with pytest.raises(ConvergenceError, match="upper bound residual") as err:
+        ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
+    assert abs(err.value.residual - 0.3) <= 1e-12
 
 
 class TestProjectToDensity:
@@ -694,6 +779,19 @@ def test_aim_three_hull_market_is_valued(n, with_es):
         assert abs(res.duality_gap) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [5, 36])
+def test_aim_three_market_at_500_states_is_valued(seed):
+    # HiGHS's simplex point misses a hull row by 3.6e-9 (seed 5) and 5.4e-8
+    # (seed 36), past the 1e-9 check; the interior-point run mends it. The
+    # reference also runs HiGHS's interior-point method, on the primal LP.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    market, x, cap, hulls = aim_three_hull_market(np.random.default_rng([500, seed]), 500, False)
+    res = rs.value(market, x)
+    want = highs_ipm_density_lp(linprog, market.space.probs, x, cap, hulls)
+    assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want))
+    assert abs(res.duality_gap) <= 1e-9
+
+
 # Two states under P = (1/2, 1/2), one scenario set D with the cap 1.2: the
 # density LP over (q, lam), q <= D^T lam, E_P[q] = 1, sum(lam) = 1, q <= 1.2.
 _STUB_SPACE = rs.ProbSpace([0.5, 0.5])
@@ -701,10 +799,9 @@ _STUB_CONSTRAINTS = ok.DensityConstraints(
     cap=1.2, hulls=((1.0, np.array([[1.0, 1.0], [0.5, 1.5]])),))
 
 
-def _stub_milp(monkeypatch, status, x=None):
-    optimize = pytest.importorskip("scipy.optimize")
-    monkeypatch.setattr(optimize, "milp", lambda *args, **kwargs: optimize.OptimizeResult(
-        status=status, message=f"stub status {status}", x=x))
+def _stub_highs_run(monkeypatch, status, x=None):
+    """Every HiGHS run, simplex and interior point alike, ends in status at x."""
+    monkeypatch.setattr(ok, "_highs_run", lambda lp, solver: (status, x))
 
 
 def test_density_lp_returns_the_stub_problems_optimum_and_weights():
@@ -715,21 +812,22 @@ def test_density_lp_returns_the_stub_problems_optimum_and_weights():
 
 
 def test_highs_infeasible_is_infeasible_error(monkeypatch):
-    _stub_milp(monkeypatch, 2)
+    _stub_highs_run(monkeypatch, "infeasible")
     with pytest.raises(InfeasibleError):
         ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
 
 
-@pytest.mark.parametrize("status", [1, 3, 4], ids=["limit", "unbounded", "other"])
+@pytest.mark.parametrize("status", ["iteration limit reached", "unbounded", "solve error"],
+                         ids=["limit", "unbounded", "other"])
 def test_highs_non_optimal_ending_is_convergence_error(monkeypatch, status):
-    _stub_milp(monkeypatch, status)
+    _stub_highs_run(monkeypatch, status)
     with pytest.raises(ConvergenceError):
         ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
 
 
 def test_highs_point_over_the_cap_is_convergence_error(monkeypatch):
     # q = D^T lam at lam = (0, 1) meets every row, but q_2 = 1.5 > 1.2.
-    _stub_milp(monkeypatch, 0, np.array([0.5, 1.5, 0.0, 1.0]))
+    _stub_highs_run(monkeypatch, "optimal", np.array([0.5, 1.5, 0.0, 1.0]))
     with pytest.raises(ConvergenceError, match="upper bound residual") as err:
         ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
     assert abs(err.value.residual - 0.3) <= 1e-12
