@@ -19,7 +19,7 @@ import numpy as np
 from . import opt_kernel
 from .errors import ValidationError
 from .prob_core import ProbSpace
-from .risk_measures import RiskSpec, dual_set
+from .risk_measures import RiskSpec, _AtomDuals
 
 FEASIBILITY_TOL = 1e-9
 
@@ -120,8 +120,9 @@ def agent_positions(agents: AgentSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RiskFamily:
-    """One risk spec per atom, in atom order. The atoms' dual sets are
-    grouped by solve path once, lazily, for atom_risks (``_plan``)."""
+    """One risk spec per atom, in atom order. The atoms' dual sets are held
+    in array form (``_duals``) and grouped by solve path once for
+    atom_risks (``_plan``), both built on first use."""
 
     specs: tuple[RiskSpec, ...]
 
@@ -138,10 +139,12 @@ class RiskFamily:
         return len(self.specs)
 
     @cached_property
+    def _duals(self) -> _AtomDuals:
+        return _AtomDuals.of(self.specs)
+
+    @cached_property
     def _plan(self) -> tuple:
-        """opt_kernel._row_plan of the atoms' dual sets, built on the first
-        atom_risks call rather than at construction."""
-        return opt_kernel._row_plan([dual_set(spec) for spec in self.specs])
+        return self._duals.plan()
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,25 +13,27 @@ are handled:
   loading all risk on the minimizing atoms;
 * general families: the value is computed through its dual, maximizing
   E_Q[x] minus the weighted sum of per-atom penalties over densities. The
-  atoms' dual sets (risk_measures.dual_set) merge into one KL weight, one
+  atoms' dual sets, held by the family as arrays (risk_measures._AtomDuals),
+  merge into one KL weight, one
   density cap and one scenario hull per distinct matrix, at the smallest
   gamma any atom gives it (a plain set is gamma = 1); each Market holds
   that merged set, built on first use. It goes to opt_kernel._maximize,
   the entry that also evaluates rho, which picks the exact solve path for
   its structure. No primal allocation is certified on this path.
 
-A profile market is held as its base and parameter vector: its merged
-dual set, certificate and per-atom plan come from them by array
-operations, with the bits of the loops over the per-atom specs, which its
-family builds only when they are read.
+A profile market is held as its base and parameter vector: its family
+builds the atoms' array form from them by array operations, equal to the
+form of the per-atom specs, which it builds only when they are read. Every
+market then takes the same folds over that form: the merged dual set, the
+certificate and the per-atom plan.
 
 On every path the certificate values the aggregate penalty at the dual
 optimizer, as aggregate_conjugate does: one membership test in the merged
-set, through opt_kernel._admits, then the atoms' KL parts in atom order, a
-sum skipped (it is 0.0) when no atom has one. The optimizer comes with the
-kernel's hull weights, one lam per hull of the merged set (a profile's
-value spec has the same hulls), so the membership test checks that
-witness in O(nJ) and makes no LP unless the witness fails.
+set, through opt_kernel._admits, then, where some atom has a KL part,
+KL(Q||P) once and the atoms' KL parts summed in atom order. The optimizer
+comes with the kernel's hull weights, one lam per hull of the merged set
+(a profile's value spec has the same hulls), so the membership test checks
+that witness in O(nJ) and makes no LP unless the witness fails.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -66,15 +68,13 @@ from .errors import (
 )
 from .prob_core import Density, ProbSpace, essup
 from .risk_measures import (
-    Dilation,
-    Entropic,
     ExpectedShortfall,
     RiskSpec,
+    ScenarioSet,
+    _AtomDuals,
     _check_inflation_base,
-    _conjugate,
     _solve,
     dilate,
-    dual_set,
     inflate,
     rho,
 )
@@ -132,35 +132,26 @@ class _ProfileFamily(RiskFamily):
         return tuple(wrap(self.kind.base, float(v)) for v in self.kind.gammas)
 
     @cached_property
-    def _plan(self) -> tuple:
-        """opt_kernel._uniform_plan of the atoms' dual sets. A dilation's
-        rows share its base's constraints, with KL weights dual_set(base,
-        gamma); an ES inflation's are sorting rows at caps gamma / alpha; a
-        scenario-set inflation's form one hull group, but for atoms at
-        gamma = 1, which are the base itself."""
+    def _duals(self) -> _AtomDuals:
+        """The base's form spread over the atoms by array operations, equal
+        field for field to the spelled-out specs' form. A dilation puts
+        gamma before the base's factors, unless no atom is dilated (a
+        scenario-set base, which dilate returns as it is, or every gamma
+        1.0; an atom at gamma = 1 keeps the padding 1.0 in that column). An
+        inflation sets the caps gamma / alpha of an ES base, or the hull
+        gammas of a scenario set, the base itself at gamma = 1."""
         base, g = self.kind.base, self.kind.gammas
+        one = _AtomDuals.of((base,))
+        kl, factors, cap, gamma, hull = [a.repeat(g.size, axis=0) for a in (
+            one.kl, one.factors, one.cap, one.gamma, one.hull)]
         if isinstance(self.kind, DilationProfile):
-            with np.errstate(over="ignore"):  # as a float fold, to inf
-                kappa, dset = dual_set(base, g)
-            return opt_kernel._uniform_plan(g.size, kappa, dset.cap,
-                                            dset.hulls[0] if dset.hulls else None)
-        if isinstance(base, ExpectedShortfall):
-            return opt_kernel._uniform_plan(g.size, 0.0, g / base.alpha)
-        return opt_kernel._uniform_plan(g.size, 0.0, math.inf, (g, base.matrix()))
-
-
-def _has_kl(spec: RiskSpec) -> bool:
-    """Whether a spec has a KL part: it is Entropic under its dilations."""
-    while isinstance(spec, Dilation):
-        spec = spec.base
-    return isinstance(spec, Entropic)
-
-
-def _sum_in_atom_order(terms) -> float:
-    """The sum 0.0 + t_0 + t_1 + ... of a float loop over the atoms, bit for
-    bit: np.add.accumulate adds in sequence, where np.sum adds pairwise."""
-    with np.errstate(over="ignore"):  # as a float loop, to inf
-        return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+            if not isinstance(base, ScenarioSet) and (g != 1.0).any():
+                factors = np.column_stack((g, factors))
+        elif isinstance(base, ExpectedShortfall):
+            cap = g / base.alpha
+        else:
+            gamma = g
+        return _AtomDuals(kl, factors, cap, gamma, hull, one.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,47 +167,10 @@ class Market:
 
     @cached_property
     def _dual_set(self) -> tuple[float, opt_kernel.DensityConstraints, bool]:
-        """The merged dual set (kappa, DensityConstraints) of the weighted
-        atoms, and whether any atom has a KL part, built on first use
-        rather than at construction: weighted KL weights add up in atom
-        order, the tightest cap binds, and each distinct scenario matrix D
-        applies once. The set {q <= gamma * D^T lam} grows with gamma, so
-        D keeps its smallest gamma (at its first-seen position); a plain
-        set is gamma = 1, the least. The indicator of this set is the sum
-        of the atoms' indicators.
-
-        A dilation profile's atoms share their base's constraints, and
-        their KL weights are dual_set(base, w * gamma), summed in atom
-        order. An inflation profile's merged set is its base's inflated at
-        gamma_inf: the cap gamma / alpha and the hull's gamma are both
-        least at the least gamma.
-
-        Whether an atom has a KL part is read from its own unweighted KL
-        weight: that of the spec under its dilations, as ``_conjugate``
-        reads it, which is > 0 exactly for an Entropic spec. The merged
-        kappa cannot tell: w * kappa can underflow to 0.0 where
-        w * (kappa * KL) does not."""
-        kind = self.kind
-        if isinstance(kind, DilationProfile):
-            with np.errstate(over="ignore"):  # as a float fold, to inf
-                kappa, dset = dual_set(kind.base, self.agents.weights * kind.gammas)
-            has_kl = _has_kl(kind.base)
-            return (_sum_in_atom_order(kappa) if has_kl else 0.0), dset, has_kl
-        if isinstance(kind, InflationProfile):
-            return 0.0, dual_set(inflate(kind.base, kind.gamma_inf))[1], False
-        kl_weight, cap, has_kl = 0.0, math.inf, False
-        hulls: dict[bytes, tuple[float, np.ndarray]] = {}
-        for spec, w in zip(self.family.specs, self.agents.weights):
-            kappa, dset = dual_set(spec, float(w))
-            kl_weight += kappa
-            cap = min(cap, dset.cap)
-            for gamma, d in dset.hulls:
-                key = d.tobytes()
-                if key not in hulls or gamma < hulls[key][0]:
-                    hulls[key] = (gamma, d)
-            has_kl = has_kl or _has_kl(spec)
-        return (kl_weight, opt_kernel.DensityConstraints(cap, tuple(hulls.values())),
-                has_kl)
+        """The merged dual set of the weighted atoms and whether any atom
+        has a KL part (risk_measures._AtomDuals.merged), built on first use
+        rather than at construction."""
+        return self.family._duals.merged(self.agents.weights)
 
     @classmethod
     def general(cls, space, agents, family) -> "Market":
@@ -267,39 +221,21 @@ def aggregate_conjugate(market: Market, q: Density) -> float:
     """Weighted sum of per-atom penalties at q, in [0, math.inf], with
     infinity absorbing.
 
-    q is checked once. Its membership is tested once, in the market's
-    merged dual set (one membership LP per hull, as q comes with no hull
-    weights): the sum of the atoms' indicator penalties is the indicator
-    of that set. Off it the sum is math.inf; on it the KL parts
-    add up in atom order, memoised over the nodes of the spec tree, so
-    atoms dilating one base share one evaluation of it. A dilation
-    profile's KL parts are w * (K * gamma), K the base's, so K is evaluated
-    once and the terms are summed as arrays. A market whose atoms have no
+    q is checked once, as ProbSpace.density checks it. Its membership is
+    tested once, in the market's merged dual set (one membership LP per
+    hull, as q comes with no hull weights): the sum of the atoms' indicator
+    penalties is the indicator of that set. Off it the sum is math.inf; on
+    it KL(Q||P) is evaluated once, and each atom's KL part, w times its
+    spec's conjugate, adds up in atom order. A market whose atoms have no
     KL part returns 0.0, the bits of that sum of w * 0.0."""
-    if q.q.size != market.space.n_states:
-        raise ValidationError("density dimension does not match space")
-    return _aggregate_penalty(market, q)
+    return _aggregate_penalty(market, market.space.density(q.q))
 
 
 def _aggregate_penalty(market: Market, q: Density, weights: tuple | None = None) -> float:
-    """aggregate_conjugate at a density already sized to the space, its
+    """aggregate_conjugate at a density already checked on the space, its
     membership tested with the hull weights given (opt_kernel._admits)."""
-    _, constraints, has_kl = market._dual_set
-    if not opt_kernel._admits(market.space, constraints, q.q, weights):
-        return math.inf
-    if not has_kl:
-        return 0.0
-    kind = market.kind
-    if isinstance(kind, DilationProfile):
-        pen = _conjugate(kind.base, market.space, q, {})
-        with np.errstate(over="ignore"):  # as a float loop, to inf
-            terms = market.agents.weights * (pen * kind.gammas)
-        return _sum_in_atom_order(terms)
-    total = 0.0
-    memo: dict[int, float] = {}
-    for spec, w in zip(market.family.specs, market.agents.weights):
-        total += float(w) * _conjugate(spec, market.space, q, memo)
-    return total
+    return market.family._duals.penalty(market.space, q, market.agents.weights,
+                                         market._dual_set, weights)
 
 
 def optimal_allocation_dilated(market: Market, x) -> Allocation:

@@ -4,11 +4,12 @@ maximization over densities, and membership in a set of densities.
 This module is the one place that picks the solve path for a constraint
 structure. ``_maximize`` maximizes E_Q[x] - kappa * KL(Q||P) over densities
 for one payoff row (the risk-measure evaluator and the general sharing value
-call it). ``_row_plan`` groups many rows' dual sets by path once
-(``_uniform_plan`` by array operations, where the rows share one structure
-and differ in their parameters), and
-``_maximize_block`` follows the plan for a block of rows (the per-atom risks
-of an allocation): the Gibbs, sorting-rule and inflated-hull rows vectorised
+call it). ``_row_plan``, the one planner, groups many rows' dual sets by
+path once, by array operations on their array form (per row a KL weight,
+a cap and at most one hull, as ``risk_measures._AtomDuals`` holds a
+family's), and ``_maximize_block`` follows the plan for a block of rows
+(the per-atom risks of an allocation): the Gibbs, sorting-rule and
+inflated-hull rows (one block per distinct matrix) vectorised
 but for one np.dot and one log per row, every other row by _maximize, bit
 for bit. One inflated hull takes the Rockafellar-Uryasev closed form
 (``_inflated_block``); the density LP (``_linear_density_lp``) is left to
@@ -352,69 +353,36 @@ def _is_inflated_hull(kappa, constraints) -> bool:
             and constraints.hulls[0][0] > 1.0)
 
 
-def _row_plan(duals) -> tuple:
-    """Group rows by the path _maximize picks, from each row's dual set
-    (kappa, DensityConstraints): the Gibbs rows (kappa > 0, no cap, no hull)
-    with their KL weights, the sorting-rule rows (kappa = 0, no hull) with
-    their caps, the inflated-hull rows as (D, rows, gammas), one entry per
-    matrix object, and every other row as (row, kappa, constraints). Raises
-    _maximize's ValidationError when some kappa is not finite."""
-    gibbs, kappas, sort, caps, other = [], [], [], [], []
-    hulls: dict[int, tuple] = {}
-    for i, (kappa, constraints) in enumerate(duals):
-        _check_kl_weight(kappa)
-        if not constraints.hulls and kappa == 0.0:
-            sort.append(i)
-            caps.append(constraints.cap)
-        elif not constraints.hulls and kappa > 0.0 and constraints.cap == math.inf:
-            gibbs.append(i)
-            kappas.append(kappa)
-        elif _is_inflated_hull(kappa, constraints):
-            gamma, dmat = constraints.hulls[0]
-            group = hulls.setdefault(id(dmat), (dmat, [], []))
-            group[1].append(i)
-            group[2].append(gamma)
-        else:
-            other.append((i, kappa, constraints))
-    return (np.array(gibbs, dtype=int), np.array(kappas, dtype=float),
-            np.array(sort, dtype=int), np.array(caps, dtype=float),
-            tuple((d, np.array(rows, dtype=int), np.array(gammas, dtype=float))
-                  for d, rows, gammas in hulls.values()),
-            tuple(other))
-
-
-def _uniform_plan(n_rows: int, kappa, cap, hull=None) -> tuple:
-    """_row_plan, by array operations, for n_rows rows whose dual sets share
-    one structure and differ only in their parameters: the KL weight kappa
-    and the cap, each one entry per row or one for all, and at most one hull
-    (gamma, D), D shared by every row and gamma one entry per row or one for
-    all. The groups, their order and their entries are _row_plan's, and so
-    is the ValidationError for the first KL weight that is not finite."""
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), n_rows)
-    cap = np.broadcast_to(np.asarray(cap, dtype=float), n_rows)
+def _row_plan(kappa, cap, gamma, hull, matrices) -> tuple:
+    """Group rows by the path _maximize picks, from their dual sets in array
+    form: per row a KL weight, a cap and at most one hull, as its gamma and
+    an index into matrices (-1 for none). The groups are the Gibbs rows
+    (kappa > 0, no cap, no hull) with their KL weights, the sorting-rule
+    rows (kappa = 0, no hull) with their caps, the inflated-hull rows as
+    (D, rows, gammas), one entry per matrix that has such rows, in the
+    order of matrices, and every other row as (row, kappa, constraints).
+    Raises _maximize's ValidationError for the first KL weight that is not
+    finite."""
     bad = np.flatnonzero(~np.isfinite(kappa))
     if bad.size:
         _check_kl_weight(float(kappa[bad[0]]))
-    rows = np.arange(n_rows)
-    if hull is None:
-        sort = kappa == 0.0
-        gibbs = (kappa > 0.0) & (cap == math.inf)
-        groups, other = (), ~(sort | gibbs)
-    else:
-        gamma = np.broadcast_to(np.asarray(hull[0], dtype=float), n_rows)
-        dmat = hull[1]
-        sort = gibbs = np.zeros(n_rows, dtype=bool)
-        inflated = (kappa == 0.0) & (cap == math.inf) & (gamma > 1.0)
-        groups = ((dmat, rows[inflated], gamma[inflated]),) if inflated.any() else ()
-        other = ~inflated
+    rows = np.arange(kappa.size)
+    free = hull < 0
+    sort = free & (kappa == 0.0)
+    gibbs = free & (kappa > 0.0) & (cap == math.inf)
+    inflated = ~free & (kappa == 0.0) & (cap == math.inf) & (gamma > 1.0)
+    at = rows[inflated][np.argsort(hull[inflated], kind="stable")]
+    heads, starts = np.unique(hull[at], return_index=True)
+    groups = tuple((matrices[m], part, gamma[part])
+                   for m, part in zip(heads.tolist(), np.split(at, starts[1:])))
 
     def constraints(i):
-        hulls = () if hull is None else ((float(gamma[i]), dmat),)
+        hulls = () if hull[i] < 0 else ((float(gamma[i]), matrices[hull[i]]),)
         return DensityConstraints(float(cap[i]), hulls)
 
     return (rows[gibbs], kappa[gibbs], rows[sort], cap[sort], groups,
             tuple((i, float(kappa[i]), constraints(i))
-                  for i in np.flatnonzero(other).tolist()))
+                  for i in np.flatnonzero(~(sort | gibbs | inflated)).tolist()))
 
 
 def _maximize_block(space: ProbSpace, xs: np.ndarray, plan: tuple) -> np.ndarray:

@@ -21,26 +21,31 @@ one evaluator, ``_solve``: every spec maximizes over its ``dual_set`` (a
 dilation only scales the KL weight) in ``opt_kernel._maximize``, which
 picks the solve path, closed forms included (log-sum-exp and its Gibbs
 weights for a KL weight alone, the best scenario for a plain set, the
-Rockafellar-Uryasev minimum for an inflated one). ``conjugate`` reads
-``dual_set`` too and returns a float in [0, math.inf]: kappa * KL on the
-dual set, math.inf off it. This module builds no LP: ``opt_kernel`` also
-tests membership in a dual set, by one LP per hull for a density that
-comes from the caller.
+Rockafellar-Uryasev minimum for an inflated one).
 
-Validation boundary: the public functions check their inputs; the private
-evaluators ``_solve`` and ``_conjugate`` trust them, except for the width and
-row masses of a scenario matrix, which ``opt_kernel`` checks itself where
-the matrix meets the space. Per-atom loops run through
+``_AtomDuals`` holds the dual sets of a family's atoms as arrays: per atom
+its leaf's KL weight and constraints (from ``dual_set``), its dilation
+factors, and at most one hull, as gamma and an index into the family's
+distinct scenario matrices. A market's merged dual set, its penalty sum at
+a density and its per-atom solve plan (``opt_kernel._row_plan``) are each
+one fold over that form. ``conjugate`` reads the same form for its one
+spec and returns a float in [0, math.inf]: kappa * KL on the dual set,
+math.inf off it. This module builds no LP: ``opt_kernel`` also tests
+membership in a dual set, by one LP per hull for a density that comes from
+the caller.
+
+Validation boundary: the public functions check their inputs, ``conjugate``
+its density as ``ProbSpace.density`` does; the private evaluators
+(``_solve`` and the folds of ``_AtomDuals``) trust them, except for the
+width and row masses of a scenario matrix, which ``opt_kernel`` checks
+itself where the matrix meets the space. Per-atom loops run through
 ``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
 which check a whole allocation or density once. ``aggregate_conjugate``
 then tests membership once in the market's merged dual set, as
-``conjugate`` does in the spec's own, and calls ``_conjugate`` per atom for
-its KL part alone (a dilation profile's, once on its base); ``atom_risks``
-hands the atoms' ``dual_set``s, grouped once per family by
-``opt_kernel._row_plan`` (a profile's by ``opt_kernel._uniform_plan``, from
-the base's ``dual_set`` and the parameter vector), to one
-``opt_kernel._maximize_block`` call, which values every atom with
-``rho``'s bits.
+``conjugate`` does in the spec's own, and evaluates KL(Q||P) once for all
+the atoms' KL parts; ``atom_risks`` hands the family's plan, grouped once
+from its form, to one ``opt_kernel._maximize_block`` call, which values
+every atom with ``rho``'s bits.
 """
 
 from __future__ import annotations
@@ -188,10 +193,8 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
     admits its hull, the hull at gamma = 1; an inflation admits its base set
     enlarged by gamma (within the densities); a dilation by d multiplies kappa by d and keeps
     the constraints. Weights and dilation factors fold into kappa
-    outermost first, (w * d) * g, so a market's merged KL weight is the sum
-    of its atoms' in atom order. The weight may be an array, one entry per
-    atom that dilates this spec: the fold is elementwise, with each scalar
-    fold's bits, and a KL weight that is not 0.0 comes back as an array.
+    outermost first, (w * d) * g, as :class:`_AtomDuals` folds them for a
+    whole family.
     """
     if isinstance(spec, Dilation):
         return dual_set(spec.base, weight * spec.gamma)
@@ -240,31 +243,128 @@ def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.n
 
 def conjugate(spec: RiskSpec, space: ProbSpace, q: Density) -> float:
     """Convex conjugate (penalty) of the spec at a density, in [0, math.inf].
-    A coherent spec's penalty is 0 on its dual set and math.inf off it."""
-    if q.q.size != space.n_states:
-        raise ValidationError("density dimension does not match space")
-    if not opt_kernel._admits(space, dual_set(spec)[1], q.q):
-        return math.inf
-    return _conjugate(spec, space, q, {})
+    A coherent spec's penalty is 0 on its dual set and math.inf off it.
+    q is checked as ProbSpace.density checks it."""
+    duals = _AtomDuals.of((spec,))
+    return duals.penalty(space, space.density(q.q), 1.0, duals.merged(1.0))
 
 
-def _conjugate(spec: RiskSpec, space: ProbSpace, q: Density,
-               memo: dict[int, float]) -> float:
-    """conjugate at a density already sized to the space and already found
-    in the spec's dual set: the KL part alone. Memoised in ``memo`` by spec
-    node: a dilation's penalty is its base's times gamma, so each distinct
-    base object is evaluated once per memo. The keys are object ids, so the
-    memo must not outlive the specs."""
-    pen = memo.get(id(spec))
-    if pen is not None:
-        return pen
-    if isinstance(spec, Dilation):
-        pen = _conjugate(spec.base, space, q, memo) * spec.gamma
-    else:
-        kappa = dual_set(spec)[0]
-        pen = kappa * kl_divergence(space, q) if kappa > 0.0 else 0.0
-    memo[id(spec)] = pen
-    return pen
+def _sum_in_atom_order(terms) -> float:
+    """The sum 0.0 + t_0 + t_1 + ... of a float loop over the atoms, bit for
+    bit: np.add.accumulate adds in sequence, where np.sum adds pairwise."""
+    with np.errstate(over="ignore"):  # as a float loop, to inf
+        return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class _AtomDuals:
+    """The dual sets of a family's atoms in array form, one row per atom in
+    atom order:
+
+    * kl: the KL weight of the atom's leaf, the spec under its dilations
+      (0.0 for a coherent leaf);
+    * factors: its dilation factors, outermost first, right-aligned and
+      padded on the left with 1.0, a factor that moves no bit;
+    * cap: its density cap (math.inf for none);
+    * gamma, hull: its hull, if any, as gamma and an index into matrices
+      (1.0 and -1 for none).
+
+    matrices holds the family's distinct scenario matrices, distinct by
+    shape and bytes, in first-seen order. The merged dual set, the penalty sum and
+    the per-atom plan are each one fold over these arrays.
+    """
+
+    kl: np.ndarray
+    factors: np.ndarray
+    cap: np.ndarray
+    gamma: np.ndarray
+    hull: np.ndarray
+    matrices: tuple
+
+    @classmethod
+    def of(cls, specs) -> "_AtomDuals":
+        """The form of a nonempty spec sequence, in one pass over it: each
+        spec's dilation factors, then its leaf's ``dual_set``."""
+        rows = []
+        for spec in specs:
+            chain = []
+            while isinstance(spec, Dilation):
+                chain.append(spec.gamma)
+                spec = spec.base
+            kl, dset = dual_set(spec)
+            rows.append((kl, chain, dset.cap, dset.hulls))
+        return cls._of_rows(rows)
+
+    @classmethod
+    def _of_rows(cls, rows) -> "_AtomDuals":
+        """The form of rows (leaf KL weight, factors outermost first, cap,
+        hulls: at most one (gamma, D)), its matrices keyed by their shape
+        and bytes: a 2 x 2 matrix that shares a 1 x 4 one's bytes must not
+        pass as it."""
+        kl, chains, cap, hulls = zip(*rows)
+        depth = max(map(len, chains))
+        matrices: dict[tuple, tuple[int, np.ndarray]] = {}
+        hull = [matrices.setdefault((h[0][1].shape, h[0][1].tobytes()),
+                                    (len(matrices), h[0][1]))[0]
+                if h else -1 for h in hulls]
+        return cls(np.array(kl, dtype=float),
+                   np.array([(1.0,) * (depth - len(c)) + tuple(c) for c in chains], dtype=float),
+                   np.array(cap, dtype=float),
+                   np.array([h[0][0] if h else 1.0 for h in hulls], dtype=float),
+                   np.array(hull, dtype=int), tuple(d for _, d in matrices.values()))
+
+    def kappa(self, weights) -> np.ndarray:
+        """Each atom's KL weight at its weight (one per atom, or one for
+        all), as ``dual_set(spec, w)`` folds it: w times the factors
+        outermost first, times the leaf's. A coherent atom's is 0.0, also
+        where the fold overflowed (inf * 0.0 would be NaN)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            fold = weights
+            for f in self.factors.T:
+                fold = fold * f
+            return np.where(self.kl > 0.0, fold * self.kl, 0.0)
+
+    def merged(self, weights) -> tuple[float, opt_kernel.DensityConstraints, bool]:
+        """The merged dual set of the weighted atoms: their KL weights
+        summed in atom order, the tightest cap, and each distinct matrix D
+        once at the smallest gamma any atom gives it (the set {q <= gamma *
+        D^T lam} grows with gamma; a plain set is gamma = 1). Its indicator
+        is the sum of the atoms' indicators. The third entry says whether
+        some leaf has a KL weight, never whether the merged one is > 0:
+        w * kappa can underflow to 0.0 where w * (kappa * KL) does not."""
+        gammas = np.full(len(self.matrices), math.inf)
+        some = self.hull >= 0
+        np.minimum.at(gammas, self.hull[some], self.gamma[some])
+        constraints = opt_kernel.DensityConstraints(
+            float(self.cap.min()), tuple(zip(gammas.tolist(), self.matrices)))
+        has_kl = bool((self.kl > 0.0).any())
+        # With no KL leaf every term is 0.0, and so is their sum.
+        return (_sum_in_atom_order(self.kappa(weights)) if has_kl else 0.0), constraints, has_kl
+
+    def plan(self) -> tuple:
+        """opt_kernel._row_plan of the unweighted atoms."""
+        return opt_kernel._row_plan(self.kappa(1.0), self.cap, self.gamma, self.hull,
+                                    self.matrices)
+
+    def penalty(self, space: ProbSpace, q: Density, weights, merged: tuple,
+                hull_weights: tuple | None = None) -> float:
+        """The weighted sum of the atoms' penalties at a density already
+        checked on the space, given the ``merged`` set at these weights: q
+        is tested once in that set (with the hull weights, where given,
+        through opt_kernel._admits); off it the sum is math.inf. On it each
+        KL atom's part is w * ((kl * KL(Q||P)) * its factors innermost
+        first), the conjugate of its spec times w, with KL(Q||P) evaluated
+        once; the parts add in atom order. No KL leaf: 0.0."""
+        _, constraints, has_kl = merged
+        if not opt_kernel._admits(space, constraints, q.q, hull_weights):
+            return math.inf
+        if not has_kl:
+            return 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = self.kl * kl_divergence(space, q)
+            for f in self.factors.T[::-1]:
+                parts = parts * f
+            return _sum_in_atom_order(np.where(self.kl > 0.0, weights * parts, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,20 @@ class TestAggregateConjugate:
                     assert got == self._naive(market, dens)
 
     @staticmethod
+    def _kl_part(spec, space, q):
+        """A spec's penalty at a q in its dual set, by recursion on the
+        spec: its leaf's kappa * KL, then each dilation factor."""
+        if isinstance(spec, rs.Dilation):
+            return TestAggregateConjugate._kl_part(spec.base, space, q) * spec.gamma
+        kappa = rs.dual_set(spec)[0]
+        return kappa * rs.kl_divergence(space, q) if kappa > 0.0 else 0.0
+
+    @staticmethod
     def _atom_loop(market, q):
         """The per-atom sum of KL parts, for a q already in the merged set."""
-        total, memo = 0.0, {}
+        total = 0.0
         for spec, w in zip(market.family.specs, market.agents.weights):
-            total += float(w) * rs.risk_measures._conjugate(spec, market.space, q, memo)
+            total += float(w) * TestAggregateConjugate._kl_part(spec, market.space, q)
         return total
 
     def test_markets_without_a_kl_weight_keep_the_loop_bits(self):
@@ -238,6 +247,33 @@ class TestAggregateConjugate:
                             lambda *a: calls.append(1) or real(*a))
         rs.value(market, random_rv(rng, sp))
         assert len(calls) == 1
+
+    def test_general_family_evaluates_kl_once(self, monkeypatch):
+        # Nested dilations of Entropic bases that are distinct objects but
+        # equal, beside ES and inflated ES atoms.
+        rng = np.random.default_rng(72)
+        sp = random_space(rng, min_states=8, max_states=12)
+        g = float(rng.uniform(0.3, 3.0))
+
+        def spec(k):
+            return (lambda: rs.Entropic(g),
+                    lambda: rs.Dilation(rs.Entropic(g), 2.5),
+                    lambda: rs.Dilation(rs.Dilation(rs.Entropic(g), 0.4), 3.1),
+                    lambda: rs.ExpectedShortfall(0.5),
+                    lambda: rs.inflate(rs.ExpectedShortfall(0.5), 1.5))[k]()
+
+        specs = tuple(spec(k) for k in rng.integers(5, size=1000))
+        agents = rs.AgentSpace(tuple(map(str, range(1000))), rng.uniform(0.01, 3.0, 1000))
+        market = rs.Market.general(sp, agents, rs.RiskFamily(specs))
+        calls = []
+        real = rs.risk_measures.kl_divergence
+        monkeypatch.setattr(rs.risk_measures, "kl_divergence",
+                            lambda *a: calls.append(1) or real(*a))
+        q = rs.value(market, random_rv(rng, sp)).dual_optimizer
+        assert len(calls) == 1
+        got = rs.aggregate_conjugate(market, q)
+        assert len(calls) == 2
+        assert math.isfinite(got) and _bits(got) == _bits(self._naive(market, q))
 
 
 def _bits(v) -> bytes:
@@ -322,6 +358,25 @@ class TestProfileParameterForm:
                 if n_atoms <= 40:
                     assert got.tolist() == [rs.rho(spec, sp, row)
                                             for spec, row in zip(specs, shares.shares)]
+
+    def test_array_form_is_the_spelled_out_specs_form(self):
+        rng = np.random.default_rng(172)
+        for n_atoms in (1, 3, 40):
+            sp = random_space(rng, max_states=12)
+            agents = rs.AgentSpace(tuple(map(str, range(n_atoms))),
+                                   rng.uniform(0.01, 3.0, n_atoms))
+            for market, wrap in list(self._markets(rng, sp, agents)):
+                build = rs.Market.dilation if wrap is rs.dilate else rs.Market.inflation
+                # and the same base with no atom dilated or inflated
+                unit = build(sp, agents, market.kind.base, np.ones(n_atoms))
+                for m in (market, unit):
+                    got = m.family._duals
+                    want = rs.risk_measures._AtomDuals.of(m.family.specs)
+                    for field in ("kl", "factors", "cap", "gamma", "hull"):
+                        a, b = getattr(got, field), getattr(want, field)
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    assert [d.tobytes() for d in got.matrices] == \
+                        [d.tobytes() for d in want.matrices]
 
     def test_an_overflowing_kl_weight_is_inf_without_a_warning(self):
         # Tier-1 turns numpy's overflow warning into an error, where a float

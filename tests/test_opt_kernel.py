@@ -893,12 +893,22 @@ def test_capped_gibbs_bisection_stops_where_200_steps_end(n):
     assert sides == {True, False}
 
 
+def _planned(duals):
+    """ok._row_plan of (kappa, DensityConstraints) rows: their KL weights as
+    given, their caps and hulls in a family's array form, whose matrices
+    are distinct by bytes."""
+    form = rs.risk_measures._AtomDuals._of_rows([(0.0, [], c.cap, c.hulls) for _, c in duals])
+    return ok._row_plan(np.array([k for k, _ in duals], dtype=float),
+                        form.cap, form.gamma, form.hull, form.matrices)
+
+
 @pytest.mark.parametrize("n", [12, 16, 100, 500])
 def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     # Gibbs rows (flat ones at kappa >= 1e9 among them), sorting-rule rows
     # on tied losses with -0.0 beside 0.0, a capped Gibbs row, a plain
-    # scenario set, two inflations of one set and a cap beside a hull,
-    # which takes a density LP, in shuffled order.
+    # scenario set, three inflations of one set (two matrix objects, equal
+    # by bytes) and a cap beside a hull, which takes a density LP, in
+    # shuffled order.
     rng = np.random.default_rng(230 + n)
     space = rs.ProbSpace(_probs(rng, n))
     plain = ok.DensityConstraints(hulls=((1.0, random_scenario_set(rng, space, 5).matrix()),))
@@ -909,21 +919,22 @@ def test_block_under_row_plan_is_maximize_row_by_row(monkeypatch, n):
     duals += [(0.7, ok.DensityConstraints(cap=3.0)), (0.0, plain),
               (0.0, ok.DensityConstraints(hulls=((1.8, hull),))),
               (0.0, ok.DensityConstraints(hulls=((1.0 + 1e-9, hull),))),
+              (0.0, ok.DensityConstraints(hulls=((2.5, hull.copy()),))),
               (0.0, ok.DensityConstraints(cap=2.5, hulls=((1.0, hull),)))]
     duals = [duals[i] for i in rng.permutation(len(duals))] * 3
     xs = rng.normal(0.0, 2.0, (len(duals), n))
     xs[::2] = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (len(xs[::2]), n))
 
-    plan = ok._row_plan(duals)
+    plan = _planned(duals)
     gibbs, kappa, sort, cap, hulls, other = plan
     assert gibbs.tolist() == [i for i, (k, c) in enumerate(duals)
                               if k > 0.0 and c.cap == math.inf and not c.hulls]
     assert kappa.tolist() == [duals[i][0] for i in gibbs]
     assert sort.tolist() == [i for i, (k, c) in enumerate(duals) if k == 0.0 and not c.hulls]
     assert cap.tolist() == [duals[i][1].cap for i in sort]
-    # The two inflations share one matrix object: one group.
+    # The three inflations share one matrix by bytes: one group.
     (matrix, inflated, gammas), = hulls
-    assert matrix is hull
+    assert matrix.tobytes() == hull.tobytes()
     assert inflated.tolist() == [i for i, (k, c) in enumerate(duals)
                                  if c.cap == math.inf and len(c.hulls) == 1 and c.hulls[0][0] > 1.0]
     assert gammas.tolist() == [duals[i][1].hulls[0][0] for i in inflated]
@@ -956,48 +967,13 @@ def test_row_plan_rejects_a_kl_weight_that_is_not_finite(bad):
     for at in range(len(rows) + 1):
         duals = rows[:at] + [(bad, ok.DensityConstraints())] + rows[at:]
         with pytest.raises(ValidationError) as planned:
-            ok._row_plan(duals)
+            _planned(duals)
         assert str(planned.value) == str(solo.value) == f"the KL weight must be finite, got {bad!r}"
 
 
-def _same_plan(got, want):
-    for a, b in zip(got[:4], want[:4]):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert len(got[4]) == len(want[4])
-    for (d, rows, gammas), (want_d, want_rows, want_gammas) in zip(got[4], want[4]):
-        assert d is want_d
-        assert rows.tobytes() == want_rows.tobytes()
-        assert gammas.tobytes() == want_gammas.tobytes()
-    assert len(got[5]) == len(want[5])
-    for (i, k, c), (want_i, want_k, want_c) in zip(got[5], want[5]):
-        assert (i, k, c.cap) == (want_i, want_k, want_c.cap)
-        assert [(g, d) for g, d in c.hulls] == [(g, d) for g, d in want_c.hulls]
-
-
-def test_uniform_plan_groups_rows_as_row_plan_does():
-    # Per-row and shared parameters: KL weights with zeros (an underflowed
-    # dilation), caps beside KL weights, hull gammas at and above 1, and a
-    # cap beside a hull.
-    rng = np.random.default_rng(240)
-    n = 60
-    dmat = random_scenario_set(rng, rs.ProbSpace(_probs(rng, 5)), 3).matrix()
-    kappa = rng.choice([0.0, 0.5, 2.0], n)
-    cap = rng.choice([math.inf, 1.5, 4.0], n)
-    gamma = rng.choice([1.0, 1.0 + 1e-9, 3.0], n)
-    for k, c, hull in ((kappa, math.inf, None), (kappa, cap, None), (0.0, cap, None),
-                       (kappa, 2.0, None), (1.5, math.inf, None),
-                       (0.0, math.inf, (gamma, dmat)), (kappa, cap, (gamma, dmat)),
-                       (0.0, 2.0, (1.5, dmat)), (0.0, math.inf, (1.0, dmat))):
-        ks, cs = np.broadcast_to(k, n), np.broadcast_to(c, n)
-        hulls = [() if hull is None else ((float(g), dmat),)
-                 for g in np.broadcast_to(1.0 if hull is None else hull[0], n)]
-        duals = [(float(ks[i]), ok.DensityConstraints(float(cs[i]), hulls[i])) for i in range(n)]
-        _same_plan(ok._uniform_plan(n, k, c, hull), ok._row_plan(duals))
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_uniform_plan_rejects_the_first_kl_weight_that_is_not_finite(bad):
+def test_row_plan_rejects_the_first_of_several_kl_weights_that_are_not_finite(bad):
     kappa = [1.0, 0.0, bad, math.inf]
     with pytest.raises(ValidationError) as planned:
-        ok._uniform_plan(4, kappa, math.inf)
+        _planned([(k, ok.DensityConstraints()) for k in kappa])
     assert str(planned.value) == f"the KL weight must be finite, got {bad!r}"

@@ -725,6 +725,19 @@ class TestScenarioWidth:
             rs.conjugate(spec, self.SPACE, self.SPACE.uniform_density())
 
 
+def test_a_set_of_another_width_is_not_merged_by_its_bytes():
+    # (1, 1) twice on 2 states has the bytes of (1, 1, 1, 1) on 4 states.
+    wide, narrow = rs.ProbSpace([0.25] * 4), rs.ProbSpace([0.5, 0.5])
+    family = rs.RiskFamily((rs.ScenarioSet((wide.uniform_density(),)),
+                            rs.ScenarioSet((narrow.uniform_density(),) * 2)))
+    assert family.specs[0].matrix().tobytes() == family.specs[1].matrix().tobytes()
+    market = rs.Market.general(wide, rs.finite_agents(2), family)
+    with pytest.raises(ValidationError, match="2 entries"):
+        rs.value(market, np.arange(4.0))
+    with pytest.raises(ValidationError, match="2 entries"):
+        rs.atom_risks(family, wide, rs.Allocation(np.zeros((2, 4))))
+
+
 class TestScenarioMass:
     """Scenario densities checked on P = (0.2, 0.3, 0.5), used on the uniform
     3-state space, where (2, 1, 0.6) has P-mass 1.2."""
@@ -745,6 +758,28 @@ class TestScenarioMass:
     def test_conjugate_rejects_the_mass(self):
         with pytest.raises(ValidationError, match="P-expectation 1.2"):
             rs.conjugate(self._scen(), self.SPACE, self.SPACE.uniform_density())
+
+
+_QUARTER = rs.ProbSpace([0.25, 0.75])
+
+
+@pytest.mark.parametrize("values", [[2.0, 2.0], [-1.0, 5.0 / 3.0], [math.inf, 0.0]],
+                         ids=["mass_2", "negative_entry", "inf_entry"])
+@pytest.mark.parametrize("spec", [
+    rs.Entropic(1.0), rs.ExpectedShortfall(0.5),
+    rs.ScenarioSet((_QUARTER.uniform_density(), _QUARTER.density([2.0, 2.0 / 3.0]))),
+], ids=["entropic", "es", "scenario"])
+@pytest.mark.parametrize("through", ["conjugate", "aggregate_conjugate"])
+def test_penalties_check_a_density_built_directly(values, spec, through):
+    # Density does not validate, so these reach the penalty unless it
+    # checks them as ProbSpace.density does.
+    q = rs.Density(np.array(values))
+    with pytest.raises(ValidationError, match="density"):
+        if through == "conjugate":
+            rs.conjugate(spec, _QUARTER, q)
+        else:
+            market = rs.Market.general(_QUARTER, rs.finite_agents(1), rs.RiskFamily((spec,)))
+            rs.aggregate_conjugate(market, q)
 
 
 class TestScenarioEquality:
