@@ -24,7 +24,10 @@ Every LP in the package is built here and solved by HiGHS's dual revised
 simplex, called through scipy's binding of HiGHS (``highs_solve``; scipy is
 imported on the first LP, so importing the package loads no scipy). Its
 point is checked here, and one that misses the check is solved once more by
-HiGHS's interior-point method. _maximize and _admits check the hulls
+HiGHS's interior-point method. highs_solve returns the optimal point and
+its value or raises the package's own errors: InfeasibleError for an
+infeasible LP, ConvergenceError for any other ending, so no caller reads a
+solver status. _maximize and _admits check the hulls
 themselves (one column per state, rows of unit P-mass); the payoff and the
 density are the caller's to check.
 
@@ -106,13 +109,6 @@ def _as_constraints(a, b, n, name):
     return a, b
 
 
-@dataclass(frozen=True, eq=False)
-class LpSolution:
-    status: str                      # "optimal" | "infeasible" | "unbounded"
-    point: np.ndarray | None = None
-    value: float | None = None
-
-
 # HiGHS's primal and dual feasibility tolerances, below the 1e-9 at which
 # its point is verified; HiGHS accepts none below 1e-10. At HiGHS's default
 # of 1e-7, 1 of 200 density LPs of tests/support.aim_three_hull_market
@@ -122,21 +118,21 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
                      "dual_feasibility_tolerance": 1e-10}
 
 
-def highs_solve(problem: LpProblem) -> LpSolution:
-    """The LP by HiGHS (its dual revised simplex), upper bounds included,
-    through scipy's binding of HiGHS with the model and options that
-    scipy.optimize.milp would pass it, without milp's set-up. The optimal
-    point's primal residuals are verified to be within 1e-9; a point that
-    misses is solved once more by HiGHS's interior-point method (with its
-    crossover), whose point must pass the same check, or ConvergenceError
-    is raised. Entries within that tolerance below 0 are set to 0. HiGHS's
-    infeasible and unbounded verdicts are the statuses of those names, and
-    any other ending raises ConvergenceError. scipy is imported on the
-    first call."""
+def highs_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
+    """The optimal point of the LP and its value, by HiGHS (its dual
+    revised simplex), upper bounds included, through scipy's binding of
+    HiGHS with the model and options that scipy.optimize.milp would pass
+    it, without milp's set-up. The optimal point's primal residuals are
+    verified to be within 1e-9; a point that misses is solved once more by
+    HiGHS's interior-point method (with its crossover), whose point must
+    pass the same check, or ConvergenceError is raised. Entries within that
+    tolerance below 0 are set to 0. Raises InfeasibleError when HiGHS finds
+    the LP infeasible and ConvergenceError on any other ending, unbounded
+    included. scipy is imported on the first call."""
     lp = _highs_lp(problem)
     status, x = _highs_run(lp, "choose")
-    if status in ("infeasible", "unbounded"):
-        return LpSolution(status)
+    if status == "infeasible":
+        raise InfeasibleError("no point satisfies the LP's constraints")
     if status != "optimal":
         raise ConvergenceError(f"HiGHS ended with status {status!r}")
     try:
@@ -150,7 +146,7 @@ def highs_solve(problem: LpProblem) -> LpSolution:
             raise missed
         _verify_residuals(problem, x)
     x = np.where((x < 0.0) & (x > -_FEAS_TOL), 0.0, x)
-    return LpSolution("optimal", x, float(problem.objective @ x))
+    return x, float(problem.objective @ x)
 
 
 def _highs_lp(problem: LpProblem):
@@ -332,7 +328,7 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
             lam = np.zeros(len(rows))
             lam[best] = 1.0
             return rows[best], best_value, (lam,)
-        if _is_inflated_hull(kappa, constraints):
+        if not others and cap == math.inf and gamma > 1.0:
             values, q, _, lam = _inflated_block(space.probs, dmat, x[None],
                                                 np.array([gamma], float))
             return q[0], values[0], (lam[0],)
@@ -345,12 +341,6 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
         return w[0] / mass[0], values[0], ()
     q, value = _certified_gibbs(space, x, kappa, cap)
     return q, value, ()
-
-
-def _is_inflated_hull(kappa, constraints) -> bool:
-    """One hull at gamma > 1, no cap and no KL weight: the closed form."""
-    return (kappa == 0.0 and constraints.cap == math.inf and len(constraints.hulls) == 1
-            and constraints.hulls[0][0] > 1.0)
 
 
 def _row_plan(kappa, cap, gamma, hull, matrices) -> tuple:
@@ -591,9 +581,8 @@ def _linear_density_lp(space, x, constraints):
     LP over (q, lam_1, ..., lam_H) for H hulls, solved by HiGHS
     (:func:`highs_solve`): each hull enters as the n rows q - gamma * D^T
     lam_h <= 0 and its weight-sum row, and the cap as the bounds q <= cap.
-    Returns q, the value and the weights (lam_1, ..., lam_H). Raises
-    InfeasibleError when no density meets them and ConvergenceError when
-    HiGHS ends otherwise than optimal."""
+    Returns q, the value and the weights (lam_1, ..., lam_H). Raises what
+    highs_solve raises: InfeasibleError when no density meets them."""
     p = space.probs
     n = space.n_states
     hulls = [(float(g), np.atleast_2d(np.asarray(d, dtype=float))) for g, d in constraints.hulls]
@@ -619,13 +608,9 @@ def _linear_density_lp(space, x, constraints):
         upper = np.full(n_total, math.inf)
         upper[:n] = constraints.cap
 
-    problem = LpProblem(c, a_ub, np.zeros(len(a_ub)), a_eq, np.ones(len(a_eq)), upper)
-    sol = highs_solve(problem)
-    if sol.status == "infeasible":
-        raise InfeasibleError("no density satisfies the feasibility constraints")
-    if sol.status != "optimal":
-        raise ConvergenceError(f"density LP ended with status {sol.status}")
-    return sol.point[:n], float(sol.value), tuple(sol.point[w] for w in weights)
+    point, value = highs_solve(LpProblem(c, a_ub, np.zeros(len(a_ub)), a_eq,
+                                         np.ones(len(a_eq)), upper))
+    return point[:n], value, tuple(point[w] for w in weights)
 
 
 def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray,
@@ -678,8 +663,8 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
         s.t. D mu <= s (one row per scenario),  sum(mu) <= 1.
 
     Every right-hand side is >= 0, so the origin is feasible, and sum(mu)
-    <= 1 bounds the objective. An LP that still ends other than optimal is
-    a solver failure: ConvergenceError.
+    <= 1 bounds the objective. An LP that still ends other than optimal,
+    infeasible included, is a solver failure: ConvergenceError.
     """
     j, n = np.atleast_2d(dmat).shape
     c = np.concatenate([q, [-gamma]])
@@ -689,10 +674,10 @@ def _dominated(gamma: float, dmat: np.ndarray, q: np.ndarray) -> bool:
     a_ub[j, :n] = 1.0
     b_ub = np.zeros(j + 1)
     b_ub[j] = 1.0
-    sol = highs_solve(LpProblem(c, a_ub, b_ub))
-    if sol.status != "optimal":
-        raise ConvergenceError(f"membership LP ended with status {sol.status}")
-    return float(sol.value) <= MEMBERSHIP_TOL
+    try:
+        return highs_solve(LpProblem(c, a_ub, b_ub))[1] <= MEMBERSHIP_TOL
+    except InfeasibleError as exc:
+        raise ConvergenceError("membership LP ended infeasible at a feasible origin") from exc
 
 
 def _check_cap(cap: float):

@@ -35,7 +35,8 @@ membership in a dual set, by one LP per hull for a density that comes from
 the caller.
 
 Validation boundary: the public functions check their inputs, ``conjugate``
-its density as ``ProbSpace.density`` does; the private evaluators
+its density and ``ScenarioSet`` its members' entries as
+``ProbSpace.density`` does; the private evaluators
 (``_solve`` and the folds of ``_AtomDuals``) trust them, except for the
 width and row masses of a scenario matrix, which ``opt_kernel`` checks
 itself where the matrix meets the space. Per-atom loops run through
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import opt_kernel
 from .errors import ValidationError
-from .prob_core import Density, ProbSpace, kl_divergence
+from .prob_core import _DENSITY_NEG_TOL, Density, ProbSpace, kl_divergence
 
 
 class RiskSpec:
@@ -87,7 +88,10 @@ class ExpectedShortfall(RiskSpec):
 @dataclass(frozen=True, eq=False)
 class ScenarioSet(RiskSpec):
     """Compares and hashes by its stacked matrix: Density compares by
-    identity, so two sets listing equal densities would otherwise differ."""
+    identity, so two sets listing equal densities would otherwise differ.
+    A Density built directly is not checked, so the set checks its members'
+    entries once, as ProbSpace.density does (finite, none below -1e-12);
+    their P-mass needs a space, which opt_kernel brings."""
 
     densities: tuple[Density, ...]
 
@@ -103,7 +107,10 @@ class ScenarioSet(RiskSpec):
         if len(sizes) != 1:
             raise ValidationError("scenario members must share one dimension")
         object.__setattr__(self, "densities", dens)
-        matrix = np.vstack([d.q for d in dens])
+        # + 0.0 turns -0.0 into 0.0, so that equal matrices share their bytes.
+        matrix = np.vstack([d.q for d in dens]) + 0.0
+        if not np.isfinite(matrix).all() or (matrix < -_DENSITY_NEG_TOL).any():
+            raise ValidationError("scenario densities must be finite and nonnegative")
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 
@@ -117,8 +124,7 @@ class ScenarioSet(RiskSpec):
         return np.array_equal(self._matrix, other._matrix)
 
     def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which array_equal already equates.
-        return hash((self._matrix + 0.0).tobytes())
+        return hash(self._matrix.tobytes())
 
     def contains_reference(self) -> bool:
         """Whether P itself (the all-ones density) is listed as a scenario,

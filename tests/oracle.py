@@ -23,7 +23,7 @@ import numpy as np
 from riskshare.agent_space import Allocation, total_risk
 from riskshare.errors import ValidationError
 from riskshare.infimal_convolution import Market
-from riskshare.opt_kernel import LpProblem, LpSolution
+from riskshare.opt_kernel import LpProblem
 from riskshare.prob_core import ProbSpace
 
 BRUTE_FORCE_MAX_DIMS = 6
@@ -207,7 +207,17 @@ def brute_force_value(market: Market, x, grid: GridSpec) -> float:
     return float(best_val)
 
 
-def vertex_enum_lp(problem: LpProblem) -> LpSolution:
+@dataclass(frozen=True, eq=False)
+class VertexLpResult:
+    """vertex_enum_lp's verdict: "optimal" with the best vertex and its
+    value, or "infeasible" with neither."""
+
+    status: str
+    point: np.ndarray | None = None
+    value: float | None = None
+
+
+def vertex_enum_lp(problem: LpProblem) -> VertexLpResult:
     """Exhaustive basic-solution enumeration for small LPs.
 
     Converts to standard equality form with slacks and tries every basis.
@@ -225,7 +235,7 @@ def vertex_enum_lp(problem: LpProblem) -> LpSolution:
     if m == 0:
         if np.any(problem.objective > 1e-10):
             raise ValidationError("unconstrained problem has no vertices")
-        return LpSolution("optimal", np.zeros(n), 0.0)
+        return VertexLpResult("optimal", np.zeros(n), 0.0)
     n_cols = n + m_ub
     body = np.zeros((m, n_cols))
     body[:m_ub, :n] = problem.a_ub
@@ -264,5 +274,5 @@ def vertex_enum_lp(problem: LpProblem) -> LpSolution:
         if val > best_val:
             best_val, best_pt = val, z[:n]
     if best_pt is None:
-        return LpSolution("infeasible")
-    return LpSolution("optimal", np.where(best_pt < 0.0, 0.0, best_pt), best_val)
+        return VertexLpResult("infeasible")
+    return VertexLpResult("optimal", np.where(best_pt < 0.0, 0.0, best_pt), best_val)

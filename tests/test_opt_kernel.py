@@ -47,11 +47,12 @@ class TestHighsSolve:
             problem = _random_bounded_problem(rng)
             if problem.b_ub.size + problem.b_eq.size > 8 or problem.n_vars > 6:
                 continue
-            got = ok.highs_solve(problem)
             want = vertex_enum_lp(problem)
-            assert got.status == want.status
-            if got.status == "optimal":
-                assert got.value == pytest.approx(want.value, abs=1e-8)
+            if want.status == "infeasible":
+                with pytest.raises(InfeasibleError):
+                    ok.highs_solve(problem)
+            else:
+                assert ok.highs_solve(problem)[1] == pytest.approx(want.value, abs=1e-8)
             checked += 1
 
     def test_reproduces_es_sorting_rule(self):
@@ -66,10 +67,8 @@ class TestHighsSolve:
                 a_ub=np.eye(n), b_ub=np.full(n, 1.0 / alpha),
                 a_eq=sp.probs.reshape(1, -1), b_eq=np.ones(1),
             )
-            sol = ok.highs_solve(problem)
-            assert sol.status == "optimal"
-            assert sol.value == pytest.approx(
-                rs.rho(rs.ExpectedShortfall(alpha), sp, x), abs=1e-9)
+            _, value = ok.highs_solve(problem)
+            assert value == pytest.approx(rs.rho(rs.ExpectedShortfall(alpha), sp, x), abs=1e-9)
 
     def test_infeasible_equalities(self):
         problem = ok.LpProblem(
@@ -77,38 +76,38 @@ class TestHighsSolve:
             a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
             b_eq=np.array([1.0, 2.0]),
         )
-        assert ok.highs_solve(problem).status == "infeasible"
+        with pytest.raises(InfeasibleError):
+            ok.highs_solve(problem)
 
     def test_zero_objective_returns_zero_value(self):
         problem = ok.LpProblem(
             objective=np.zeros(2),
             a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
         )
-        sol = ok.highs_solve(problem)
-        assert sol.status == "optimal"
-        assert sol.value == 0.0
+        assert ok.highs_solve(problem)[1] == 0.0
 
     def test_unbounded(self):
         problem = ok.LpProblem(
             objective=np.array([1.0]),
             a_ub=np.array([[-1.0]]), b_ub=np.array([1.0]),
         )
-        assert ok.highs_solve(problem).status == "unbounded"
+        with pytest.raises(ConvergenceError, match="'unbounded'"):
+            ok.highs_solve(problem)
 
     def test_optimal_point_respects_residual_contract(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             problem = _random_bounded_problem(rng)
-            sol = ok.highs_solve(problem)
-            if sol.status != "optimal":
+            try:
+                z, value = ok.highs_solve(problem)
+            except InfeasibleError:
                 continue
-            z = sol.point
             assert np.min(z) >= -1e-9
             if problem.b_eq.size:
                 assert np.max(np.abs(problem.a_eq @ z - problem.b_eq)) <= 1e-9
             if problem.b_ub.size:
                 assert np.max(problem.a_ub @ z - problem.b_ub) <= 1e-9
-            assert sol.value == pytest.approx(float(problem.objective @ z), abs=1e-9)
+            assert value == pytest.approx(float(problem.objective @ z), abs=1e-9)
 
     def test_dimension_validation(self):
         with pytest.raises(ValidationError):
@@ -167,14 +166,15 @@ def test_highs_binding_ends_where_milp_ends_bit_for_bit(monkeypatch):
         ok._linear_density_lp(rs.ProbSpace([0.5, 0.5]), np.array([0.0, 1.0]),
                               ok.DensityConstraints(cap=1.2, hulls=((1.0, np.array([[1.8, 0.2]])),)))
     infeasible = lps.pop()
-    assert highs_solve(infeasible).status == "infeasible"
+    with pytest.raises(InfeasibleError):
+        highs_solve(infeasible)
     assert _milp_solution(infeasible) == (2, None)
     for problem in lps:
-        got = highs_solve(problem)
+        got, value = highs_solve(problem)
         status, point = _milp_solution(problem)
-        assert (got.status, status) == ("optimal", 0)
-        assert got.point.tobytes() == point.tobytes()
-        assert got.value == float(problem.objective @ point)
+        assert status == 0
+        assert got.tobytes() == point.tobytes()
+        assert value == float(problem.objective @ point)
 
 
 def test_point_that_misses_is_solved_again_by_interior_point(monkeypatch):
@@ -440,9 +440,8 @@ class TestGeneralDualAtScale:
             res = rs.value(market, x)
             problem = ok.LpProblem(objective=p * x, a_ub=np.eye(n), b_ub=np.full(n, cap),
                                    a_eq=p.reshape(1, -1), b_eq=np.ones(1))
-            sol = ok.highs_solve(problem)
-            assert sol.status == "optimal"
-            assert abs(res.value - sol.value) <= 1e-9
+            _, value = ok.highs_solve(problem)
+            assert abs(res.value - value) <= 1e-9
             q = res.dual_optimizer.q
             assert np.max(q) <= cap + 1e-9
             assert abs(float(p @ (q * x)) - res.value) <= 1e-12
@@ -641,12 +640,16 @@ def test_spread_hull_admits_its_own_vertices():
 
 
 def test_membership_lp_that_ends_unbounded_is_a_solver_failure(monkeypatch):
-    # A solver failure exits 3, not 2 ("bad input"), at gamma 1 as at 2.
+    # A solver failure exits 3, not 2 ("bad input"), at gamma 1 as at 2. The
+    # membership LP is feasible at its origin, so HiGHS's infeasible verdict
+    # on it is a solver failure too, not an empty dual set.
     sp, dmat = spread_scenario_set(0, n=6)
-    monkeypatch.setattr(ok, "highs_solve", lambda problem: ok.LpSolution("unbounded"))
-    for gamma in (1.0, 2.0):
-        with pytest.raises(ConvergenceError, match="membership LP ended with status unbounded"):
-            ok._admits(sp, ok.DensityConstraints(hulls=((gamma, dmat),)), dmat[0])
+    for status, message in (("unbounded", "HiGHS ended with status 'unbounded'"),
+                            ("infeasible", "membership LP ended infeasible")):
+        _stub_highs_run(monkeypatch, status)
+        for gamma in (1.0, 2.0):
+            with pytest.raises(ConvergenceError, match=message):
+                ok._admits(sp, ok.DensityConstraints(hulls=((gamma, dmat),)), dmat[0])
 
 
 def _hull_paths(rng, n):
@@ -661,12 +664,6 @@ def _hull_paths(rng, n):
                    "inflated": ok.DensityConstraints(hulls=((gamma, plain),)),
                    "two_hulls": ok.DensityConstraints(hulls=((1.0, plain), (gamma, other))),
                    "cap": ok.DensityConstraints(cap=1.0 + cap, hulls=((gamma, other),))}
-
-
-def _lp_verdict(constraints, q):
-    """Membership by the cap and one membership LP per hull, no weights."""
-    return bool(q.max() <= constraints.cap + ok.MEMBERSHIP_TOL
-                and all(ok._dominated(gamma, d, q) for gamma, d in constraints.hulls))
 
 
 def _feasible_by_ipm(linprog, constraints, q):
@@ -705,19 +702,21 @@ def test_hull_weights_give_the_membership_lps_verdict(monkeypatch, n):
         q, _, weights = ok._maximize(space, x, 0.0, constraints)
         # The kernel's weights settle every hull: no LP, the LPs' verdict.
         assert admits(constraints, q, weights) == (True, 0), path
-        assert _lp_verdict(constraints, q), path
+        assert _feasible_by_ipm(linprog, constraints, q), path
         # Weights moved to another scenario: that hull alone takes its LP.
         for h, lam in enumerate(weights):
             moved = list(weights)
             moved[h] = np.roll(lam, 1)
-            assert admits(constraints, q, tuple(moved)) == (_lp_verdict(constraints, q), 1), path
+            assert admits(constraints, q, tuple(moved)) == (
+                _feasible_by_ipm(linprog, constraints, q), 1), path
         # q raised by 1e-6 in its tightest state, where no cap binds (beside
         # a cap every tight state may sit at the cap).
         if path in ("vertex", "inflated"):
             (gamma, dmat), = constraints.hulls
             raised = q.copy()
             raised[np.argmin(gamma * weights[0] @ dmat - q)] += 1e-6
-            assert admits(constraints, raised, weights) == (_lp_verdict(constraints, raised), 1), path
+            assert admits(constraints, raised, weights) == (
+                _feasible_by_ipm(linprog, constraints, raised), 1), path
         # Densities from outside the kernel take the LP when they meet the cap.
         lam = rng.dirichlet(np.ones(len(constraints.hulls[0][1])))
         for outside in (random_density(rng, space).q, 0.9 * (lam @ constraints.hulls[0][1])):

@@ -782,6 +782,16 @@ def test_penalties_check_a_density_built_directly(values, spec, through):
             rs.aggregate_conjugate(market, q)
 
 
+@pytest.mark.parametrize("entry", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_scenario_set_checks_a_member_built_directly(entry):
+    # Density does not validate. At P = (1/4, 3/4) the member (-1, 5/3) has
+    # P-mass 1, and rho of the set with P at x = (0, 1) read 1.25, above
+    # essup(x) = 1; a NaN member was skipped by the scenario scan.
+    member = rs.Density(np.array([entry, 5.0 / 3.0]))
+    with pytest.raises(ValidationError, match="scenario densities must be finite"):
+        rs.ScenarioSet((member, _QUARTER.uniform_density()))
+
+
 class TestScenarioEquality:
     def test_equal_densities_give_equal_sets(self):
         sp = rs.ProbSpace([0.2, 0.3, 0.5])
@@ -796,6 +806,22 @@ class TestScenarioEquality:
         assert a != rs.ScenarioSet((sp.uniform_density(),))
         assert a != rs.ScenarioSet((sp.density([2.0, 1.0, 0.6]), sp.uniform_density()))
         assert a != rs.ExpectedShortfall(0.5)
+
+    def test_sets_equal_but_for_a_negative_zero_make_one_hull(self, monkeypatch):
+        # Both sets list P and (2, 0, 1) at P = (1/4, 1/4, 1/2); one spells
+        # its 0 as -0.0. Equal sets merge into one hull, whose best scenario
+        # is P: no density LP.
+        sp = rs.ProbSpace([0.25, 0.25, 0.5])
+        a, b = (rs.ScenarioSet((sp.uniform_density(), rs.Density(np.array([2.0, zero, 1.0]))))
+                for zero in (0.0, -0.0))
+        assert a == b and hash(a) == hash(b)
+        lps = []
+        real = ok.highs_solve
+        monkeypatch.setattr(ok, "highs_solve", lambda problem: lps.append(1) or real(problem))
+        for family in ((a, a), (a, b)):
+            market = rs.Market.general(sp, rs.finite_agents(2), rs.RiskFamily(family))
+            assert rs.value(market, [1.0, 3.0, 0.0]).value == 1.0
+        assert lps == []
 
 
 def _same_solve(got, want):
