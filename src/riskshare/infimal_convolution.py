@@ -1,39 +1,39 @@
 """The value function of unconstrained risk sharing over an agent space.
 
 The sharing problem minimizes the weighted sum of per-atom risks over all
-allocations whose Gelfand integral is the shared loss. Three market kinds
-are handled:
+allocations whose Gelfand integral is the shared loss. Its dual maximizes
+E_Q[x] minus the aggregate penalty, the weighted sum of the atoms'
+penalties, over densities. Every market takes one value path: its dual set
+(Market._dual_set) goes to opt_kernel._maximize, the entry that also
+evaluates rho, which picks the exact solve path for its structure. Three
+market kinds are handled:
 
 * dilation profiles: per-atom dilations of one base with parameters
-  gamma_a; the value closed-forms to the base dilated by the aggregate
-  Gamma = sum_a w_a gamma_a, and the proportional allocation
-  (gamma_a x / Gamma) attains it;
-* inflation profiles: per-atom inflations of one coherent base; the value
-  closed-forms to the base inflated by the smallest gamma_a, attained by
-  loading all risk on the minimizing atoms;
-* general families: the value is computed through its dual, maximizing
-  E_Q[x] minus the weighted sum of per-atom penalties over densities. The
-  atoms' dual sets, held by the family as arrays (risk_measures._AtomDuals),
-  merge into one KL weight, one
-  density cap and one scenario hull per distinct matrix, at the smallest
-  gamma any atom gives it (a plain set is gamma = 1); each Market holds
-  that merged set, built on first use. It goes to opt_kernel._maximize,
-  the entry that also evaluates rho, which picks the exact solve path for
-  its structure. No primal allocation is certified on this path.
+  gamma_a; the aggregate penalty is the base's dilated by Gamma = sum_a
+  w_a gamma_a, so the dual set is the base's at the weight Gamma, and the
+  proportional allocation (gamma_a x / Gamma) attains the value;
+* inflation profiles: per-atom inflations of one coherent base; the
+  aggregate penalty is the base's inflated by the smallest gamma_a, and
+  loading all risk on the minimizing atoms attains the value;
+* general families: no primal allocation is certified.
 
-A profile market is held as its base and parameter vector: its family
-builds the atoms' array form from them by array operations, equal to the
-form of the per-atom specs, which it builds only when they are read. Every
-market then takes the same folds over that form: the merged dual set, the
-certificate and the per-atom plan.
+The atoms' dual sets, held by the family as arrays
+(risk_measures._AtomDuals), merge into one KL weight, one density cap and
+one scenario hull per distinct matrix, at the smallest gamma any atom gives
+it (a plain set is gamma = 1): that merge is the dual set of a general or
+inflation market. A profile market is held as its base and parameter
+vector: its family builds the atoms' array form from them by array
+operations, equal to the form of the per-atom specs, which it builds only
+when they are read. Every market then takes the same folds over that form:
+the certificate and the per-atom plan.
 
-On every path the certificate values the aggregate penalty at the dual
-optimizer, as aggregate_conjugate does: one membership test in the merged
-set, through opt_kernel._admits, then, where some atom has a KL part,
-KL(Q||P) once and the atoms' KL parts summed in atom order. The optimizer
-comes with the kernel's hull weights, one lam per hull of the merged set
-(a profile's value spec has the same hulls), so the membership test checks
-that witness in O(nJ) and makes no LP unless the witness fails.
+The certificate values the aggregate penalty at the dual optimizer, as
+aggregate_conjugate does: one membership test in the market's dual set,
+through opt_kernel._admits, then, where some atom has a KL part, KL(Q||P)
+once and the atoms' KL parts summed in atom order. The optimizer comes with
+the kernel's hull weights, one lam per hull of that same set, so the
+membership test checks that witness in O(nJ) and makes no LP unless the
+witness fails.
 
 The non-attainment experiment discretizes a strictly-decreasing-to-Gamma
 parameter profile at increasing resolution and reports the (positive,
@@ -73,7 +73,6 @@ from .risk_measures import (
     ScenarioSet,
     _AtomDuals,
     _check_inflation_base,
-    _solve,
     dilate,
     inflate,
     rho,
@@ -132,6 +131,11 @@ class _ProfileFamily(RiskFamily):
         return tuple(wrap(self.kind.base, float(v)) for v in self.kind.gammas)
 
     @cached_property
+    def _base_duals(self) -> _AtomDuals:
+        """The base's own one-row form."""
+        return _AtomDuals.of((self.kind.base,))
+
+    @cached_property
     def _duals(self) -> _AtomDuals:
         """The base's form spread over the atoms by array operations, equal
         field for field to the spelled-out specs' form. A dilation puts
@@ -140,8 +144,7 @@ class _ProfileFamily(RiskFamily):
         1.0; an atom at gamma = 1 keeps the padding 1.0 in that column). An
         inflation sets the caps gamma / alpha of an ES base, or the hull
         gammas of a scenario set, the base itself at gamma = 1."""
-        base, g = self.kind.base, self.kind.gammas
-        one = _AtomDuals.of((base,))
+        base, g, one = self.kind.base, self.kind.gammas, self._base_duals
         kl, factors, cap, gamma, hull = [a.repeat(g.size, axis=0) for a in (
             one.kl, one.factors, one.cap, one.gamma, one.hull)]
         if isinstance(self.kind, DilationProfile):
@@ -167,9 +170,18 @@ class Market:
 
     @cached_property
     def _dual_set(self) -> tuple[float, opt_kernel.DensityConstraints, bool]:
-        """The merged dual set of the weighted atoms and whether any atom
-        has a KL part (risk_measures._AtomDuals.merged), built on first use
-        rather than at construction."""
+        """The market's one dual set, which value maximizes over and the
+        certificate tests: a KL weight, the merged constraints and whether
+        any atom has a KL part (risk_measures._AtomDuals.merged), built on
+        first use rather than at construction. A dilation profile takes its
+        base's set at the weight Gamma, the KL weight folding as
+        dual_set(dilate(base, Gamma)) does, (Gamma * d) * kappa; its atoms
+        share the base's constraints. Every other market merges its
+        weighted atoms; for an inflation profile that merge is
+        dual_set(inflate(base, gamma_inf)) bit for bit, as the smallest
+        gamma gives the tightest cap and the smallest hull."""
+        if isinstance(self.kind, DilationProfile):
+            return self.family._base_duals.merged(self.kind.gamma_total)
         return self.family._duals.merged(self.agents.weights)
 
     @classmethod
@@ -263,52 +275,36 @@ def optimal_allocation_inflated(market: Market, x) -> Allocation:
 def value(market: Market, x) -> ShareResult:
     """Evaluate the sharing problem's value at x, with certificates.
 
-    Closed-form profiles return an optimal allocation; the general path
-    returns the dual value and optimizer only. Raises IllPosedError when no
-    density has finite aggregate penalty (the value would be -inf).
+    Every market maximizes over its one dual set (Market._dual_set) in one
+    kernel call. Closed-form profiles also return an optimal allocation;
+    general markets return the dual value and optimizer only. The gap is
+    val - (E_Q[x] - penalty) at the kernel's optimizer, the penalty's
+    membership test taking the kernel's hull weights. Raises IllPosedError
+    when no density has finite aggregate penalty (the value would be -inf).
     """
-    x = market.space.rv(x)
-    kind = market.kind
-    if isinstance(kind, DilationProfile):
-        vspec = dilate(kind.base, kind.gamma_total)
-        val, q, weights = _solve(vspec, market.space, x)
-        alloc = optimal_allocation_dilated(market, x)
-        return _result(market, x, val, alloc, Attainment.ATTAINED, q, weights)
-    if isinstance(kind, InflationProfile):
-        vspec = inflate(kind.base, kind.gamma_inf)
-        val, q, weights = _solve(vspec, market.space, x)
-        alloc = optimal_allocation_inflated(market, x)
-        return _result(market, x, val, alloc, Attainment.ATTAINED, q, weights)
-    val, q, weights = _general_dual_value(market, x)
-    return _result(market, x, val, None, Attainment.UNKNOWN, q, weights)
-
-
-def _result(market, x, val, alloc, attained, q, weights) -> ShareResult:
-    """The ShareResult at the solver's value, optimizer vector q and its hull
-    weights: q is checked as a density, and the gap is val - (E_Q[x] -
-    penalty), the penalty's membership test taking the weights."""
-    q = market.space.density(q)
-    pen = _aggregate_penalty(market, q, weights)
-    if math.isfinite(pen):
-        # x and q were validated on this space already: E_Q[x] directly.
-        gap = val - (float(np.dot(market.space.probs, q.q * x)) - pen)
-    else:
-        gap = math.inf
-    if -CERTIFICATE_TOL <= gap < 0.0:
-        gap = 0.0
-    return ShareResult(float(val), alloc, attained, q, float(gap))
-
-
-def _general_dual_value(market: Market, x) -> tuple[float, np.ndarray, tuple]:
+    space, x = market.space, market.space.rv(x)
+    kl_weight, constraints, _ = market._dual_set
     try:
-        kl_weight, constraints, _ = market._dual_set
-        q, val, weights = opt_kernel._maximize(market.space, x, kl_weight, constraints)
+        q, val, weights = opt_kernel._maximize(space, x, kl_weight, constraints)
     except InfeasibleError as exc:
         raise IllPosedError(
             "every density has infinite aggregate penalty; the sharing value "
             "is -inf (the agents share no prior)"
         ) from exc
-    return val, q, weights
+    if isinstance(market.kind, DilationProfile):
+        alloc = optimal_allocation_dilated(market, x)
+    elif isinstance(market.kind, InflationProfile):
+        alloc = optimal_allocation_inflated(market, x)
+    else:
+        alloc = None
+    q = space.density(q)
+    pen = _aggregate_penalty(market, q, weights)
+    # x and q were validated on this space already: E_Q[x] directly.
+    gap = val - (float(np.dot(space.probs, q.q * x)) - pen) if math.isfinite(pen) else math.inf
+    if -CERTIFICATE_TOL <= gap < 0.0:
+        gap = 0.0
+    attained = Attainment.UNKNOWN if alloc is None else Attainment.ATTAINED
+    return ShareResult(float(val), alloc, attained, q, float(gap))
 
 
 def acceptance_member(market: Market, x, tol: float = 1e-7) -> bool:

@@ -285,8 +285,12 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       exp(x / kappa) / E_P[exp(x / kappa)], by log-sum-exp (by log1p and
       expm1 where the loss spread is below kappa / 1024), the one-row case
       of :func:`_gibbs_block`;
-    * kappa > 0 and a finite cap: the capped Gibbs point, certified by its
-      KKT residual at its own multiplier (:func:`_certified_gibbs`);
+    * kappa > 0 and a finite cap: where the loss spread is below kappa /
+      1024 and the Gibbs density stays under the cap, that density, as
+      with no cap (the cap does not bind, and a bisected multiplier near
+      -kappa would carry kappa * 1e-16 of rounding); otherwise the capped
+      Gibbs point, certified by its KKT residual at its own multiplier
+      (:func:`_certified_gibbs`);
     * kappa = 0, one hull at gamma = 1 (a plain scenario set) and no cap:
       the best scenario j, a vertex of the hull, with weights e_j;
     * kappa = 0, one hull at gamma > 1 (an inflated scenario set) and no
@@ -336,9 +340,11 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
     if kappa == 0.0:
         q = sorting_rule_point(space, x, cap)
         return q, float(np.dot(space.probs, q * x)), ()
-    if cap == math.inf:
+    # Python floats: a spread that overflows is inf, with no numpy warning.
+    if cap == math.inf or float(x.max()) - float(x.min()) < _FLAT_SPREAD * kappa:
         values, w, mass = _gibbs_block(space.probs, x[None], np.array([kappa]))
-        return w[0] / mass[0], values[0], ()
+        if 1.0 / mass[0] <= cap:  # the density's largest entry: w peaks at exp(0)
+            return w[0] / mass[0], values[0], ()
     q, value = _certified_gibbs(space, x, kappa, cap)
     return q, value, ()
 

@@ -16,12 +16,13 @@ Five families are supported:
   expected shortfall from the plain expectation.
 
 ``dual_set`` is the one map from a spec to its dual penalty: a KL weight
-plus the set of densities the spec admits. ``rho`` and ``dual_solve`` share
-one evaluator, ``_solve``: every spec maximizes over its ``dual_set`` (a
-dilation only scales the KL weight) in ``opt_kernel._maximize``, which
-picks the solve path, closed forms included (log-sum-exp and its Gibbs
-weights for a KL weight alone, the best scenario for a plain set, the
-Rockafellar-Uryasev minimum for an inflated one).
+plus the set of densities the spec admits. ``rho``, ``dual_solve`` and
+``left_continuity_sweep`` each make one ``opt_kernel._maximize`` call over
+the spec's ``dual_set`` (a dilation only scales the KL weight), the entry
+that also values every market; it picks the solve path, closed forms
+included (log-sum-exp and its Gibbs weights for a KL weight alone, the best
+scenario for a plain set, the Rockafellar-Uryasev minimum for an inflated
+one).
 
 ``_AtomDuals`` holds the dual sets of a family's atoms as arrays: per atom
 its leaf's KL weight and constraints (from ``dual_set``), its dilation
@@ -36,10 +37,9 @@ the caller.
 
 Validation boundary: the public functions check their inputs, ``conjugate``
 its density and ``ScenarioSet`` its members' entries as
-``ProbSpace.density`` does; the private evaluators
-(``_solve`` and the folds of ``_AtomDuals``) trust them, except for the
-width and row masses of a scenario matrix, which ``opt_kernel`` checks
-itself where the matrix meets the space. Per-atom loops run through
+``ProbSpace.density`` does; the folds of ``_AtomDuals`` trust them, except
+for the width and row masses of a scenario matrix, which ``opt_kernel``
+checks itself where the matrix meets the space. Per-atom loops run through
 ``agent_space.atom_risks`` and ``infimal_convolution.aggregate_conjugate``,
 which check a whole allocation or density once. ``aggregate_conjugate``
 then tests membership once in the market's merged dual set, as
@@ -222,25 +222,16 @@ def dual_set(spec: RiskSpec, weight: float = 1.0
 # ---------------------------------------------------------------------------
 
 def rho(spec: RiskSpec, space: ProbSpace, x) -> float:
-    """Evaluate the risk of a loss vector."""
-    return _solve(spec, space, space.rv(x))[0]
+    """Evaluate the risk of a loss vector: the maximum of E_Q[x] minus the
+    spec's ``dual_set`` penalty."""
+    return opt_kernel._maximize(space, space.rv(x), *dual_set(spec))[1]
 
 
 def dual_solve(spec: RiskSpec, space: ProbSpace, x) -> tuple[float, Density]:
     """Risk value together with a density attaining the dual supremum
     E_Q[x] - conjugate(Q)."""
-    value, q, _ = _solve(spec, space, space.rv(x))
+    q, value, _ = opt_kernel._maximize(space, space.rv(x), *dual_set(spec))
     return value, space.density(q)
-
-
-def _solve(spec: RiskSpec, space: ProbSpace, x: np.ndarray) -> tuple[float, np.ndarray, tuple]:
-    """rho, the vector of a dual optimizer and its hull weights (one lam per
-    hull of the spec's ``dual_set``, as ``opt_kernel._maximize`` returns
-    them), for a finite float vector already sized to the space: every
-    spec, a dilation included, maximizes E_Q[x] minus its ``dual_set``
-    penalty in the kernel."""
-    q, value, weights = opt_kernel._maximize(space, x, *dual_set(spec))
-    return value, q, weights
 
 
 # ---------------------------------------------------------------------------
@@ -393,4 +384,5 @@ def left_continuity_sweep(spec: RiskSpec, space: ProbSpace, x,
     if any(b > a for a, b in zip(grid[1:], grid)):
         raise ValidationError("gamma grid must be ascending")
     x = space.rv(x)
-    return [(g, _solve(inflate(spec, g), space, x)[0]) for g in grid]
+    return [(g, opt_kernel._maximize(space, x, *dual_set(inflate(spec, g)))[1])
+            for g in grid]

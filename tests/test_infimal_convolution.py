@@ -283,7 +283,8 @@ def _bits(v) -> bytes:
 class TestProfileParameterForm:
     """A profile market holds its base and parameters; its merged dual set,
     certificate and per-atom risks must keep the bits of the per-atom loops
-    over the specs its family spells out."""
+    over the specs its family spells out, but for a dilation profile's KL
+    weight, which is its value's: the base dilated by Gamma."""
 
     @staticmethod
     def _markets(rng, sp, agents):
@@ -338,6 +339,9 @@ class TestProfileParameterForm:
 
                 kl_weight, constraints, has_kl = market._dual_set
                 want_kl, want_cap, want_hulls, want_has_kl = self._merged_loop(market)
+                if wrap is rs.dilate:
+                    # The value's KL weight: the base dilated by Gamma.
+                    want_kl = rs.dual_set(rs.dilate(kind.base, kind.gamma_total))[0]
                 assert _bits(kl_weight) == _bits(want_kl)
                 assert _bits(constraints.cap) == _bits(want_cap)
                 assert has_kl is want_has_kl
@@ -399,6 +403,74 @@ class TestProfileParameterForm:
             if gamma == 10.0:  # rejected at the first atom_risks, not when built
                 with pytest.raises(ValidationError, match="KL weight must be finite"):
                     rs.atom_risks(market.family, sp, alloc)
+
+
+class TestOneValuePath:
+    """value makes one kernel call on the market's dual set, whatever its
+    kind: a profile's value and optimizer are the closed form's to the bit,
+    and a cap that does not bind moves no bit."""
+
+    def test_profile_values_are_the_closed_forms_bit_for_bit(self):
+        # 60 draws of 12 markets: dilations of Entropic, of a dilated
+        # Entropic, of ES and of a scenario set, at random gammas and at all
+        # ones; inflations of ES and of a scenario set at random gammas, with
+        # one atom at gamma = 1, and at all ones.
+        rng = np.random.default_rng(37)
+        count = 0
+        for _ in range(60):
+            n_atoms = int(rng.choice([1, 2, 5, 40, 300, 2000]))
+            sp = random_space(rng, max_states=int(rng.choice([3, 12, 60, 200])))
+            x = sp.rv(rng.normal(0.0, 1.0, sp.n_states) * float(rng.choice([0.1, 1.0, 10.0])))
+            agents = rs.AgentSpace(tuple(map(str, range(n_atoms))),
+                                   rng.uniform(0.01, 3.0, n_atoms))
+            ent = rs.Entropic(float(rng.uniform(0.2, 5.0)))
+            es = rs.ExpectedShortfall(float(rng.uniform(0.1, 1.0)))
+            scen = random_scenario_set(rng, sp, int(rng.integers(1, 6)))
+            inflated = rng.uniform(1.0, 4.0, n_atoms)
+            inflated[rng.integers(n_atoms)] = 1.0
+            cases = []
+            for base in (ent, rs.Dilation(ent, float(rng.uniform(0.3, 3.0))), es, scen):
+                for g in (rng.uniform(0.3, 3.0, n_atoms), np.ones(n_atoms)):
+                    market = rs.Market.dilation(sp, agents, base, g)
+                    cases.append((market, rs.dilate(base, market.kind.gamma_total)))
+            for base in (es, scen):
+                for g in (inflated, np.ones(n_atoms)):
+                    market = rs.Market.inflation(sp, agents, base, g)
+                    cases.append((market, rs.inflate(base, market.kind.gamma_inf)))
+            for market, spec in cases:
+                got = rs.value(market, x)
+                want, q = rs.dual_solve(spec, sp, x)
+                assert _bits(got.value) == _bits(want)
+                assert got.dual_optimizer.q.tobytes() == q.q.tobytes()
+                count += 1
+        assert count == 720
+
+    @pytest.mark.parametrize("kappa", [1e8, 1e12, 1e16])
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_a_cap_that_does_not_bind_on_a_flat_loss_moves_no_bit(self, n, kappa):
+        # Losses N(0, 1) at a KL weight of 1e8 or more: the Gibbs density
+        # stays within 1e-7 of 1, under ES(0.5)'s cap of 2. The value is
+        # then E_P x + Var_P(x) / (2 kappa) up to a term below 1e-14 here.
+        # A multiplier bisected near -kappa carries kappa * 1e-16 of
+        # rounding: on these draws that path missed the expansion by up to
+        # 1.0e-8, 6.3e-5 and 0.54 times max|x| at kappa = 1e8, 1e12, 1e16.
+        rng = np.random.default_rng([n, round(math.log10(kappa))])
+        ent, es = rs.Entropic(kappa), rs.ExpectedShortfall(0.5)
+        for _ in range(5):
+            sp = random_space(rng, max_states=n, min_states=n)
+            x = sp.rv(rng.normal(0.0, 1.0, n))
+            capped = rs.value(rs.Market.general(sp, rs.finite_agents(2),
+                                                rs.RiskFamily((ent, es))), x)
+            free = rs.value(rs.Market.general(sp, rs.finite_agents(1),
+                                              rs.RiskFamily((ent,))), x)
+            mean = float(sp.probs @ x)
+            want = mean + float(sp.probs @ (x - mean) ** 2) / (2.0 * kappa)
+            assert abs(capped.value - want) <= 1e-13 * float(np.max(np.abs(x)))
+            assert _bits(capped.value) == _bits(free.value)
+            assert _bits(capped.duality_gap) == _bits(free.duality_gap)
+            assert capped.dual_optimizer.q.tobytes() == free.dual_optimizer.q.tobytes()
+            got = rs.atom_risks(rs.RiskFamily((ent, es)), sp, rs.Allocation(np.vstack([x, x])))
+            assert got.tolist() == [rs.rho(ent, sp, x), rs.rho(es, sp, x)]
 
 
 class TestOptimalAllocations:
