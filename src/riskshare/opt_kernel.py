@@ -13,23 +13,27 @@ inflated-hull rows (one block per distinct matrix) vectorised
 but for one np.dot and one log per row, every other row by _maximize, bit
 for bit. One inflated hull takes the Rockafellar-Uryasev closed form
 (``_inflated_block``); the density LP (``_linear_density_lp``) is left to
-several hulls or a hull beside a cap. _maximize also returns, for each hull,
-the weights lam that put its optimizer under gamma * D^T lam.
+several hulls or a hull beside a cap. Where some hull is plain it carries
+q = D^T lam, so the LP's variables are the hulls' weights alone (the
+reduced form); where every hull is inflated, q is a variable too.
+_maximize also returns, for each hull, the weights lam that put its
+optimizer under gamma * D^T lam.
 
 ``_admits`` tests whether a density meets the constraints. A hull whose
 weights come with the density and prove it dominated is settled by that
 O(nJ) check; any other hull takes one small LP (``_dominated``), so a
 density from the kernel makes no LP and one from a user makes one per hull.
 Every LP in the package is built here and solved by HiGHS's dual revised
-simplex, called through scipy's binding of HiGHS (``highs_solve``; scipy is
-imported on the first LP, so importing the package loads no scipy). Its
-point is checked here, and one that misses the check is solved once more by
-HiGHS's interior-point method. highs_solve returns the optimal point and
-its value or raises the package's own errors: InfeasibleError for an
-infeasible LP, ConvergenceError for any other ending, so no caller reads a
-solver status. _maximize and _admits check the hulls
-themselves (one column per state, rows of unit P-mass); the payoff and the
-density are the caller's to check.
+simplex with presolve off, called through scipy's binding of HiGHS
+(``highs_solve``; scipy is imported on the first LP, so importing the
+package loads no scipy). Its point is checked here, and one that misses
+the check is solved once more by HiGHS's interior-point method.
+highs_solve returns the optimal point and its value or raises the
+package's own errors: InfeasibleError for an infeasible LP,
+ConvergenceError for any other ending, so no caller reads a solver
+status. _maximize and _admits check the hulls themselves (one column per
+state, rows of unit P-mass); the payoff and the density are the caller's
+to check.
 
 The cap is one number bounding every entry of dQ/dP; math.inf means
 uncapped. The hulls are one list of (gamma, D) pairs, q <= gamma * D^T lam
@@ -122,13 +126,14 @@ def highs_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
     """The optimal point of the LP and its value, by HiGHS (its dual
     revised simplex), upper bounds included, through scipy's binding of
     HiGHS with the model and options that scipy.optimize.milp would pass
-    it, without milp's set-up. The optimal point's primal residuals are
-    verified to be within 1e-9; a point that misses is solved once more by
-    HiGHS's interior-point method (with its crossover), whose point must
-    pass the same check, or ConvergenceError is raised. Entries within that
-    tolerance below 0 are set to 0. Raises InfeasibleError when HiGHS finds
-    the LP infeasible and ConvergenceError on any other ending, unbounded
-    included. scipy is imported on the first call."""
+    it at presolve=False, without milp's set-up. The optimal point's
+    primal residuals are verified to be within 1e-9; a point that misses
+    is solved once more by HiGHS's interior-point method (with its
+    crossover), whose point must pass the same check, or ConvergenceError
+    is raised. Entries within that tolerance below 0 are set to 0. Raises
+    InfeasibleError when HiGHS finds the LP infeasible and ConvergenceError
+    on any other ending, unbounded included. scipy is imported on the
+    first call."""
     lp = _highs_lp(problem)
     status, x = _highs_run(lp, "choose")
     if status == "infeasible":
@@ -179,13 +184,19 @@ def _highs_lp(problem: LpProblem):
 
 @functools.cache
 def _highs_options(solver: str):
-    """The options milp passes HiGHS (no log, the tolerances above), for
-    HiGHS's solver of that name; built once per name, as building them
-    costs about 30 us, a tenth of a small LP."""
+    """HiGHS's options for its solver of that name: no log, the
+    tolerances above and presolve off, as milp passes them at
+    presolve=False. Presolve only costs time on the package's small dense
+    LPs: a fifth of HiGHS's run on a density LP at 10-20 states with
+    inequality hull rows (the same point, bit for bit), and half of it
+    where plain hulls give equality rows (another optimal vertex). Built
+    once per name, as building them costs about 30 us, a tenth of a small
+    LP."""
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
     options.log_to_console = False
+    options.presolve = "off"
     for name, value in _HIGHS_TOLERANCES.items():
         setattr(options, name, value)
     options.solver = solver
@@ -299,7 +310,9 @@ def _maximize(space: ProbSpace, x: np.ndarray, kappa: float,
       of the (at most two) scenarios active at t*;
     * kappa = 0 and any other scenario hulls (several, or beside a cap):
       the density LP, which HiGHS solves (:func:`_linear_density_lp`),
-      with the weights of its solution.
+      with the weights of its solution: over the hulls' weights alone
+      where some hull is plain (q = D^T lam for its D), else over q and
+      the weights.
 
     Raises ValidationError when kappa is not finite or a hull matrix does
     not fit the space, InfeasibleError when no density satisfies the
@@ -584,39 +597,65 @@ def _envelope_minimum(above, mass, gamma, lo, hi):
 
 def _linear_density_lp(space, x, constraints):
     """Maximize E_Q[x] over the densities that meet the constraints, as one
-    LP over (q, lam_1, ..., lam_H) for H hulls, solved by HiGHS
-    (:func:`highs_solve`): each hull enters as the n rows q - gamma * D^T
-    lam_h <= 0 and its weight-sum row, and the cap as the bounds q <= cap.
-    Returns q, the value and the weights (lam_1, ..., lam_H). Raises what
-    highs_solve raises: InfeasibleError when no density meets them."""
+    LP solved by HiGHS (:func:`highs_solve`). Returns q, the value and the
+    weights (lam_1, ..., lam_H), one per hull in the constraints' order.
+
+    Where some hull is plain (gamma = 1; D_1 is the first such), its rows
+    and E_P[q] = 1 force q = D_1^T lam_1, since both sides have P-mass 1.
+    So q is no variable (the reduced form): the LP is over the weights, with
+    the objective (D_1 (p * x)) @ lam_1, for every other hull h the n rows
+    D_1^T lam_1 - gamma_h * D_h^T lam_h <= 0 (= 0 where gamma_h = 1, which
+    HiGHS solves in far fewer iterations), for a finite cap the n rows
+    D_1^T lam_1 <= cap, and each lam_h's weight-sum row. q is lam_1 @ D_1
+    and the value np.dot(p, q * x). Where every hull is inflated, the LP is
+    over (q, lam_1, ..., lam_H): each hull gives the n rows q - gamma_h *
+    D_h^T lam_h <= 0, the cap the bounds q <= cap, and E_P[q] = 1 a row.
+    Raises what highs_solve raises: InfeasibleError when no density meets
+    the constraints."""
     p = space.probs
     n = space.n_states
     hulls = [(float(g), np.atleast_2d(np.asarray(d, dtype=float))) for g, d in constraints.hulls]
-    n_total = n + sum(len(d) for _, d in hulls)
+    plain = next((k for k, (gamma, _) in enumerate(hulls) if gamma == 1.0), None)
+    start = np.cumsum([n if plain is None else 0] + [len(d) for _, d in hulls]).tolist()
+    weights = [slice(a, b) for a, b in zip(start, start[1:])]
 
-    c = np.zeros(n_total)
-    c[:n] = p * x
-    a_ub = np.zeros((n * len(hulls), n_total))
-    a_eq = np.zeros((1 + len(hulls), n_total))
-    a_eq[0, :n] = p
-    weights = []
-    offset = n
-    for k, (gamma, dmat) in enumerate(hulls):
-        cols = slice(offset, offset + len(dmat))
-        weights.append(cols)
-        block = a_ub[k * n:(k + 1) * n]
-        block[:, :n] = np.eye(n)
-        block[:, cols] = -gamma * dmat.T
-        a_eq[1 + k, cols] = 1.0
-        offset += len(dmat)
+    # carrier @ z is q: the identity on q's columns, or D_1^T on lam_1's.
+    carrier = np.zeros((n, start[-1]))
+    ub, eq = [], []  # blocks of rows, each with its right-hand side
     upper = None
-    if math.isfinite(constraints.cap):
-        upper = np.full(n_total, math.inf)
-        upper[:n] = constraints.cap
+    if plain is None:
+        carrier[:, :n] = np.eye(n)
+        eq.append((p[None] @ carrier, 1.0))
+        if math.isfinite(constraints.cap):
+            upper = np.full(start[-1], math.inf)
+            upper[:n] = constraints.cap
+    else:
+        carrier[:, weights[plain]] = hulls[plain][1].T
+    sums = np.zeros((len(hulls), start[-1]))
+    for k, cols in enumerate(weights):
+        sums[k, cols] = 1.0
+    eq.append((sums, 1.0))
+    for k, (gamma, dmat) in enumerate(hulls):
+        if k != plain:
+            block = carrier.copy()
+            block[:, weights[k]] = -gamma * dmat.T
+            (eq if gamma == 1.0 else ub).append((block, 0.0))
+    if plain is not None and math.isfinite(constraints.cap):
+        ub.append((carrier, constraints.cap))
 
-    point, value = highs_solve(LpProblem(c, a_ub, np.zeros(len(a_ub)), a_eq,
-                                         np.ones(len(a_eq)), upper))
-    return point[:n], value, tuple(point[w] for w in weights)
+    point, value = highs_solve(LpProblem((p * x) @ carrier, *_stacked(ub, start[-1]),
+                                         *_stacked(eq, start[-1]), upper))
+    lams = tuple(point[w] for w in weights)
+    if plain is None:
+        return point[:n], value, lams
+    q = lams[plain] @ hulls[plain][1]
+    return q, float(np.dot(p, q * x)), lams
+
+
+def _stacked(blocks, width):
+    """(rows, right-hand side) blocks as one matrix and one vector."""
+    return (np.vstack([np.zeros((0, width))] + [rows for rows, _ in blocks]),
+            np.concatenate([np.zeros(0)] + [np.full(len(rows), b) for rows, b in blocks]))
 
 
 def _admits(space: ProbSpace, constraints: DensityConstraints, q: np.ndarray,

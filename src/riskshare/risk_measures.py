@@ -329,11 +329,13 @@ class _AtomDuals:
         is the sum of the atoms' indicators. The third entry says whether
         some leaf has a KL weight, never whether the merged one is > 0:
         w * kappa can underflow to 0.0 where w * (kappa * KL) does not."""
-        gammas = np.full(len(self.matrices), math.inf)
-        some = self.hull >= 0
-        np.minimum.at(gammas, self.hull[some], self.gamma[some])
-        constraints = opt_kernel.DensityConstraints(
-            float(self.cap.min()), tuple(zip(gammas.tolist(), self.matrices)))
+        hulls = ()
+        if self.matrices:  # np.minimum.at costs about 4 us even over no hull
+            gammas = np.full(len(self.matrices), math.inf)
+            some = self.hull >= 0
+            np.minimum.at(gammas, self.hull[some], self.gamma[some])
+            hulls = tuple(zip(gammas.tolist(), self.matrices))
+        constraints = opt_kernel.DensityConstraints(float(self.cap.min()), hulls)
         has_kl = bool((self.kl > 0.0).any())
         # With no KL leaf every term is 0.0, and so is their sum.
         return (_sum_in_atom_order(self.kappa(weights)) if has_kl else 0.0), constraints, has_kl

@@ -716,9 +716,9 @@ class TestGeneralFamilyDual:
             assert abs(res.duality_gap) <= 1e-9
 
     def test_inflation_at_one_is_the_plain_hull(self, monkeypatch):
-        # Inflation(S, 1.0) admits S's hull. The density LP takes every hull
-        # as n rows q - gamma * D^T lam <= 0 and the ES cap as the bounds
-        # q <= cap, so its only inequalities are the hull's n rows.
+        # Inflation(S, 1.0) admits S's hull. A plain hull carries q = D^T lam
+        # in the density LP: its variables are S's weights alone, with the
+        # ES cap as the n rows D^T lam <= cap and one weight-sum row.
         rng = np.random.default_rng(76)
         sp = random_space(rng, max_states=8, min_states=5)
         x = random_rv(rng, sp)
@@ -729,8 +729,10 @@ class TestGeneralFamilyDual:
         problems = _recorded_lps(monkeypatch)
         got = rs.value(at_one, x).value
         n = sp.n_states
-        assert problems[0].a_ub.shape[0] == n
-        assert np.isfinite(problems[0].upper[:n]).all() and np.isinf(problems[0].upper[n:]).all()
+        lp, = problems
+        assert lp.a_ub.tobytes() == shared.matrix().T.tobytes()
+        assert lp.b_ub.tolist() == [1.0 / es.alpha] * n
+        assert lp.b_eq.size == 1 and lp.upper is None
         assert got == rs.value(plain, x).value
 
     def test_disjoint_scenario_supports_are_ill_posed(self):

@@ -123,8 +123,9 @@ class TestHighsSolve:
 
 def _milp_solution(problem):
     """The LP by a plain scipy.optimize.milp call with highs_solve's HiGHS
-    tolerances: milp's status code and its point, with the entries within
-    1e-9 below 0 set to 0 as highs_solve sets them (None with no point)."""
+    tolerances and presolve off: milp's status code and its point, with the
+    entries within 1e-9 below 0 set to 0 as highs_solve sets them (None
+    with no point)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(-problem.objective,
@@ -133,7 +134,7 @@ def _milp_solution(problem):
                    np.vstack([problem.a_ub, problem.a_eq]),
                    np.concatenate([np.full(problem.b_ub.size, -math.inf), problem.b_eq]),
                    np.concatenate([problem.b_ub, problem.b_eq])),
-               options=dict(ok._HIGHS_TOLERANCES))
+               options=dict(ok._HIGHS_TOLERANCES, presolve=False))
     if res.x is None:
         return res.status, None
     return res.status, np.where((res.x < 0.0) & (res.x > -1e-9), 0.0, res.x)
@@ -179,14 +180,15 @@ def test_highs_binding_ends_where_milp_ends_bit_for_bit(monkeypatch):
 
 def test_point_that_misses_is_solved_again_by_interior_point(monkeypatch):
     # The stub problem's optimum is q = (0.8, 1.2), lam = (0.6, 0.4). A
-    # simplex point over the cap is replaced by the interior-point run's.
+    # simplex point whose q is over the cap is replaced by the
+    # interior-point run's.
     runs = []
     highs_run = ok._highs_run
 
     def missing_simplex(lp, solver):
         runs.append(solver)
         if solver == "choose":
-            return "optimal", np.array([0.5, 1.5, 0.0, 1.0])
+            return "optimal", np.array([0.0, 1.0])
         return highs_run(lp, solver)
 
     monkeypatch.setattr(ok, "_highs_run", missing_simplex)
@@ -199,9 +201,9 @@ def test_point_that_misses_is_solved_again_by_interior_point(monkeypatch):
 
 def test_interior_point_run_that_fails_raises_the_simplex_miss(monkeypatch):
     monkeypatch.setattr(ok, "_highs_run", lambda lp, solver: (
-        ("optimal", np.array([0.5, 1.5, 0.0, 1.0])) if solver == "choose"
+        ("optimal", np.array([0.0, 1.0])) if solver == "choose"
         else ("iteration limit reached", None)))
-    with pytest.raises(ConvergenceError, match="upper bound residual") as err:
+    with pytest.raises(ConvergenceError, match="inequality residual") as err:
         ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
     assert abs(err.value.residual - 0.3) <= 1e-12
 
@@ -791,8 +793,74 @@ def test_aim_three_market_at_500_states_is_valued(seed):
     assert abs(res.duality_gap) <= 1e-9
 
 
-# Two states under P = (1/2, 1/2), one scenario set D with the cap 1.2: the
-# density LP over (q, lam), q <= D^T lam, E_P[q] = 1, sum(lam) = 1, q <= 1.2.
+def _reduced_form_market(rng, n, case):
+    """A general market with a plain scenario set (J = n // 3 + 1) beside a
+    second plain set ("two_plain"), an ES cap ("es_plain") or an inflated
+    set, listed first so the plain set's weights come second
+    ("inflated_plain"). Returns the market, a standard normal loss, the cap
+    (None for none) and the hulls as highs_ipm_density_lp takes them
+    (gamma None for a plain set)."""
+    space = rs.ProbSpace(_probs(rng, n))
+    j = n // 3 + 1
+    plain = _scenario_rows(rng, space.probs, j)
+    specs = [rs.ScenarioSet(tuple(space.density(d) for d in plain))]
+    hulls = [(None, plain)]
+    cap = None
+    if case == "es_plain":
+        alpha = float(rng.uniform(0.1, 0.9))
+        specs.insert(0, rs.ExpectedShortfall(alpha))
+        cap = 1.0 / alpha
+    else:
+        other = _scenario_rows(rng, space.probs, j)
+        second = rs.ScenarioSet(tuple(space.density(d) for d in other))
+        if case == "two_plain":
+            specs.append(second)
+            hulls.append((None, other))
+        else:
+            gamma = float(rng.uniform(1.2, 3.0))
+            specs.insert(0, rs.Inflation(second, gamma))
+            hulls.insert(0, (gamma, other))
+    market = rs.Market.general(space, rs.finite_agents(len(specs)), rs.RiskFamily(tuple(specs)))
+    return market, space.rv(rng.normal(0.0, 1.0, n)), cap, hulls
+
+
+@pytest.mark.parametrize("case", ["two_plain", "es_plain", "inflated_plain"])
+@pytest.mark.parametrize("n", [100, 300])
+def test_plain_hull_carries_q_in_the_density_lp(monkeypatch, n, case):
+    # A plain set pins q = D^T lam, so its density LP has the hulls'
+    # weights alone as variables. Its value is the full LP's over (q, lam),
+    # built by the test and solved by HiGHS's interior-point method; the
+    # returned weights certify the optimizer, so a value makes one LP.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lps = []
+    highs_solve = ok.highs_solve
+    monkeypatch.setattr(ok, "highs_solve", lambda problem: lps.append(problem) or highs_solve(problem))
+    for seed in range(2):
+        market, x, cap, hulls = _reduced_form_market(np.random.default_rng([n, seed]), n, case)
+        lps.clear()
+        res = rs.value(market, x)
+        assert [lp.n_vars for lp in lps] == [sum(len(d) for _, d in hulls)]
+        want = highs_ipm_density_lp(linprog, market.space.probs, x, cap, hulls)
+        assert abs(res.value - want) <= 1e-9 * max(1.0, abs(want)), seed
+        q = res.dual_optimizer.q
+        assert q.min() >= 0.0 and abs(float(market.space.probs @ q) - 1.0) <= 1e-9, seed
+        assert res.duality_gap == 0.0, seed
+
+
+def test_two_plain_sets_at_500_states_are_valued(monkeypatch):
+    # J = 167 per set. With q among its variables this LP takes 2-3 s.
+    market, x = general_dual_hull_market(np.random.default_rng([500, 0]), 500, False)
+    lps = []
+    highs_solve = ok.highs_solve
+    monkeypatch.setattr(ok, "highs_solve", lambda problem: lps.append(1) or highs_solve(problem))
+    res = rs.value(market, x)
+    assert math.isfinite(res.value) and res.duality_gap == 0.0
+    assert lps == [1]
+
+
+# Two states under P = (1/2, 1/2), one scenario set D with the cap 1.2. The
+# set is plain, so the density LP is over lam alone: q = D^T lam <= 1.2 (two
+# rows) and sum(lam) = 1.
 _STUB_SPACE = rs.ProbSpace([0.5, 0.5])
 _STUB_CONSTRAINTS = ok.DensityConstraints(
     cap=1.2, hulls=((1.0, np.array([[1.0, 1.0], [0.5, 1.5]])),))
@@ -825,9 +893,10 @@ def test_highs_non_optimal_ending_is_convergence_error(monkeypatch, status):
 
 
 def test_highs_point_over_the_cap_is_convergence_error(monkeypatch):
-    # q = D^T lam at lam = (0, 1) meets every row, but q_2 = 1.5 > 1.2.
-    _stub_highs_run(monkeypatch, "optimal", np.array([0.5, 1.5, 0.0, 1.0]))
-    with pytest.raises(ConvergenceError, match="upper bound residual") as err:
+    # lam = (0, 1) is on the simplex, but q = D^T lam = (0.5, 1.5) has
+    # q_2 = 1.5 > 1.2: a cap row misses by 0.3.
+    _stub_highs_run(monkeypatch, "optimal", np.array([0.0, 1.0]))
+    with pytest.raises(ConvergenceError, match="inequality residual") as err:
         ok._linear_density_lp(_STUB_SPACE, np.array([0.0, 1.0]), _STUB_CONSTRAINTS)
     assert abs(err.value.residual - 0.3) <= 1e-12
 
